@@ -495,7 +495,7 @@ let microbenches () =
       (Staged.stage (fun () ->
            ignore
              (Cecsan.Runtime.check_deref rt st_check ~write:false ~size:8
-                tagged)))
+                ~site:(-1) ~cost:Cecsan.Costs.check tagged)))
   in
   let st2 = Vm.State.create () in
   let shadow_addr = Vm.Layout46.heap_base in
@@ -573,9 +573,8 @@ let () =
         Format.eprintf "--seed %s: expected a non-negative integer@." s;
         exit 2)
    | None -> ());
-  (* --backend is parsed into a VALUE threaded explicitly through every
-     experiment entry point; nothing here (or anywhere in-tree) mutates
-     [Sanitizer.Driver.default_backend]. *)
+  (* --backend is parsed into a value threaded explicitly through every
+     experiment entry point *)
   let backend =
     match arg_after "--backend" with
     | Some "interp" -> Some Vm.Machine.Interp

@@ -159,8 +159,7 @@ let backend =
 let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     corpus_dir corpus_count guided mutate_only min_corpus telemetry_json
     faults checkpoint resume shard_size max_retries backend =
-  (* The backend is threaded explicitly into every campaign entry point;
-     [Sanitizer.Driver.default_backend] is never mutated. *)
+  (* The backend is threaded explicitly into every campaign entry point. *)
   if min_corpus then begin
     match Fuzz.Campaign.check_corpus_minimal ~dir:corpus_dir ~backend () with
     | Ok [] ->

@@ -375,6 +375,7 @@ let fresh_runtime ?(quarantine_cap = default_quarantine_cap) () :
     usable_size = Some (usable_size rt);
     tbi_bits = 0;
     at_exit = (fun _ -> ());
+    checks = [];
   } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__asan_check_load" (fun st a ->

@@ -365,6 +365,7 @@ let fresh_runtime () : Vm.Runtime.t =
     usable_size = Some (hw_usable rt);
     tbi_bits = 63 - tag_shift;
     at_exit = (fun _ -> ());
+    checks = [];
   } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__hwasan_check_load" (fun st a -> check st ~write:false a.(0) a.(1); 0);

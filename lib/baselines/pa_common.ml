@@ -430,6 +430,7 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
     usable_size = None;
     tbi_bits = 0;
     at_exit = (fun _ -> ());
+    checks = [];
   } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg (pre ^ "_auth_load") (fun st a -> auth rt st ~write:false a.(0) a.(1));

@@ -327,6 +327,7 @@ let fresh_runtime () : Vm.Runtime.t =
     usable_size = None;
     tbi_bits = 0;
     at_exit = (fun _ -> ());
+    checks = [];
   } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__sb_malloc" (fun st a -> sb_malloc rt st a.(0));

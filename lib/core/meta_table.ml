@@ -2,10 +2,11 @@
    paper (section II.B, Figure 2).
 
    The table is a linear array of 24-byte entries (low bound, high bound,
-   nextID) living in *simulated memory* at [Layout46.meta_base], exactly
-   like the mmap'd table of the real runtime: entries only become
-   resident when touched, which is why the paper's memory overhead is a
-   few percent even though the table reserves 2^17 * 24 bytes.
+   nextID) living in *simulated memory* at [Layout46.meta_base] (layout:
+   [Layout46.meta_entry]), exactly like the mmap'd table of the real
+   runtime: entries only become resident when touched, which is why the
+   paper's memory overhead is a few percent even though the table
+   reserves 2^17 * 24 bytes.
 
    Free-list encoding (Figure 2): [nextID] of a freed entry holds the
    *offset* from the entry to the next allocation frontier; the global
@@ -20,7 +21,6 @@
    every check against it passes -- uninstrumented code's pointers are
    usable as-is (section II.E). *)
 
-let entry_bytes = 24
 let invalid_low = Vm.Layout46.va_limit  (* "a very high value" *)
 
 (* The section V.1 overflow extension: once the table is exhausted,
@@ -52,7 +52,9 @@ let effective_limit t =
     (Vm.Fault.effective_table_limit t.st.Vm.State.fault
        ~default:Vm.Layout46.tag_limit)
 
-let entry_addr i = Vm.Layout46.meta_base + (i * entry_bytes)
+(* the entry layout is the VM's ([Layout46.meta_entry]): the jit's
+   inlined Algorithm 1 reads the same words *)
+let entry_addr = Vm.Layout46.meta_entry
 
 let low t i = Vm.Memory.load t.st.Vm.State.mem (entry_addr i) 8
 let high t i = Vm.Memory.load t.st.Vm.State.mem (entry_addr i + 8) 8

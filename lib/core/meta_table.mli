@@ -4,10 +4,8 @@
     simulated memory, indexed by the 17 tag bits of a pointer.  Freed
     entries form an in-table free list threaded through [nextID] and are
     reused LIFO.  Entry 0 is reserved for untagged/foreign pointers and
-    always passes checks. *)
-
-val entry_bytes : int
-(** Size of one entry: 24 bytes (8 low + 8 high + 8 nextID). *)
+    always passes checks.  The entry layout is [Vm.Layout46.meta_entry]'s,
+    shared with the jit's inlined check. *)
 
 val invalid_low : int
 (** The "very high value" written to a freed entry's low bound; it forces

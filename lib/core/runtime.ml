@@ -38,9 +38,10 @@ let classify_oob ~write tbl idx _raw =
   else Vm.Report.Oob_read
 [@@inline]
 
-let check_deref rt st ~write ~size ?(site = -1) ?(cost = Costs.check) ptr =
+(* Algorithm 1 minus its cycle charge: the slow path the jit's inlined
+   check falls back to when the tag is 0 or the fused compare fails. *)
+let check_deref_untimed rt st ~write ~size ~site ptr =
   let tbl = get_table rt st in
-  Vm.State.tick st cost;
   let idx = L.tag_of ptr in
   if idx = 0 then rt.entry0_hits <- rt.entry0_hits + 1;
   let raw = L.strip ptr in
@@ -62,6 +63,13 @@ let check_deref rt st ~write ~size ?(site = -1) ?(cost = Costs.check) ptr =
         (classify_oob ~write tbl idx raw)
   end;
   raw
+
+(* The whole check, as the registered intrinsic runs it: the tick comes
+   first, before the table's lazy creation, as in the jit's inline
+   form. *)
+let check_deref rt st ~write ~size ~site ~cost ptr =
+  Vm.State.tick st cost;
+  check_deref_untimed rt st ~write ~size ~site ptr
 
 (* A range check used by the interceptors: validates [raw, raw+len). *)
 let check_range rt st ~write ptr len =
@@ -463,21 +471,6 @@ let interceptors rt : string -> Vm.Runtime.interceptor option =
 let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
   [
     (* args.(last) is always the site id appended by the machine *)
-    "__cecsan_check_load",
-    (fun st a -> check_deref rt st ~write:false ~size:a.(1) ~site:a.(2) a.(0));
-    "__cecsan_check_store",
-    (fun st a -> check_deref rt st ~write:true ~size:a.(1) ~site:a.(2) a.(0));
-    (* spatial-only downgrades (DESIGN.md 16): detection-identical to the
-       fused check -- same Algorithm 1 over the same entry -- at the lower
-       cost the statically-certified temporal half buys *)
-    "__cecsan_check_load_spatial",
-    (fun st a ->
-       check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check_spatial a.(0));
-    "__cecsan_check_store_spatial",
-    (fun st a ->
-       check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check_spatial a.(0));
     "__cecsan_malloc", (fun st a -> cecsan_malloc rt st a.(0));
     "__cecsan_free", (fun st a -> cecsan_free rt st a.(0); 0);
     "__cecsan_calloc",
@@ -499,6 +492,17 @@ let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
     "__cecsan_retag", (fun st a -> retag st ~original:a.(1) a.(0));
   ]
 
+(* Algorithm 1's four intrinsics, registered through
+   [Vm.Runtime.register_check] so the jit can inline them.  The
+   spatial-only downgrades (DESIGN.md 16) are detection-identical to
+   the fused check -- same Algorithm 1 over the same entry -- at the
+   lower cost the statically-certified temporal half buys. *)
+let deref_checks =
+  [ ("__cecsan_check_load", false, Costs.check);
+    ("__cecsan_check_store", true, Costs.check);
+    ("__cecsan_check_load_spatial", false, Costs.check_spatial);
+    ("__cecsan_check_store_spatial", true, Costs.check_spatial) ]
+
 let stats rt =
   match rt.table with
   | None -> (0, 0)
@@ -515,6 +519,7 @@ let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
     intercept = interceptors rt;
     usable_size = None;
     tbi_bits = 0;           (* x86-64: no TBI; checks strip explicitly *)
+    checks = [];
     at_exit =
       (fun st ->
          (* publish the table's degradation telemetry so the driver and
@@ -539,6 +544,10 @@ let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
            Vm.State.set_stat st "chain_links_walked"
              t.Meta_table.chain_links_walked);
   } in
-  List.iter (fun (n, f) -> Hashtbl.replace vrt.Vm.Runtime.intrinsics n f)
-    (intrinsic_table rt);
+  List.iter (fun (n, f) -> Vm.Runtime.register vrt n f) (intrinsic_table rt);
+  List.iter
+    (fun (name, write, cost) ->
+       Vm.Runtime.register_check vrt ~name ~cost (fun st ptr size site ->
+           check_deref_untimed rt st ~write ~size ~site ptr))
+    deref_checks;
   (rt, vrt)

@@ -27,16 +27,19 @@ type t = {
 val get_table : t -> Vm.State.t -> Meta_table.t
 
 val check_deref :
-  t -> Vm.State.t -> write:bool -> size:int -> ?site:int -> ?cost:int ->
-  int -> int
-(** Algorithm 1: the optimized dereference check.  Returns the STRIPPED
-    address for the access.  A spatial or temporal violation (a freed
-    entry's INVALID low bound makes the same fused compare fail) goes to
-    the run's sink: it raises [Vm.Report.Bug] under [Halt] and records
-    then proceeds with the stripped access under [Recover].  [cost]
-    (default [Costs.check]) is the cycle charge; the spatial-only
-    downgraded intrinsics pass [Costs.check_spatial] -- detection is
-    identical, only the charge differs. *)
+  t -> Vm.State.t -> write:bool -> size:int -> site:int -> cost:int -> int ->
+  int
+(** Algorithm 1: the optimized dereference check.  Charges [cost] cycles
+    ([Costs.check], or [Costs.check_spatial] for the spatial-only
+    downgrades -- detection is identical, only the charge differs) and
+    returns the STRIPPED address for the access.  A spatial or temporal
+    violation (a freed entry's INVALID low bound makes the same fused
+    compare fail) goes to the run's sink, attributed to [site]: it
+    raises [Vm.Report.Bug] under [Halt] and records then proceeds with
+    the stripped access under [Recover].  The runtime registers its four
+    check intrinsics through [Vm.Runtime.register_check] with this
+    function minus its tick as the slow path, so the jit may inline the
+    passing case. *)
 
 val check_range : t -> Vm.State.t -> write:bool -> int -> int -> int
 (** [check_range t st ~write ptr len] validates [ptr, ptr+len) against

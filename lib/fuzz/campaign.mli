@@ -107,9 +107,8 @@ val run :
     returns (shrink skipped) -- the deterministic stand-in for getting
     killed mid-campaign in tests.
 
-    [backend] threads into every run of the grid (explicitly, never via
-    the [Driver.default_backend] ref); verdicts, ledgers and snapshots
-    are bit-for-bit identical on either backend.
+    [backend] threads into every run of the grid; verdicts, ledgers and
+    snapshots are bit-for-bit identical on either backend.
 
     [guided] turns on coverage feedback (DESIGN.md section 17): each
     program's runs additionally produce a [Coverage] bitmap, shards

@@ -200,23 +200,14 @@ let build_link (san : Spec.t) ?(optimize = true)
     instrument_verified san primary;
     primary
 
-(* The process-wide backend default, consulted whenever a caller does
-   not pick one explicitly.  This ref is a CLI-STARTUP-ONLY convenience:
-   it may be assigned once, before any Harness.Pool domain exists, and
-   never after -- a mid-flight write races against concurrent server
-   requests that selected a different backend.  Every in-tree tool now
-   threads [~backend] explicitly (bench, the fuzzer, the serve daemon),
-   so nothing in this repository mutates it anymore. *)
-let default_backend : Vm.Machine.backend ref = ref Vm.Machine.Interp
-
 (* Runs an instrumented module.  [lines]/[packets] feed the dummy input
    server; [budget] bounds the run in cycles.  [policy] overrides the
    sanitizer's default finding policy; [fault] threads a fault injector
-   into the run.  [backend] (default [!default_backend]) selects the
-   interpreter or the threaded-code jit; [fuel] meters jit compilation. *)
+   into the run.  [backend] (default [Interp]) selects the interpreter
+   or the threaded-code jit; [fuel] meters jit compilation. *)
 let run_module (san : Spec.t) ?(lines = []) ?(packets = []) ?(externs = [])
     ?(budget = Vm.State.default_budget) ?(seed = 0x5EED) ?policy ?fault
-    ?backend ?fuel (md : Tir.Ir.modul) : run_result =
+    ?(backend = Vm.Machine.Interp) ?fuel (md : Tir.Ir.modul) : run_result =
   let policy =
     match policy with Some p -> p | None -> san.Spec.default_policy
   in
@@ -226,9 +217,6 @@ let run_module (san : Spec.t) ?(lines = []) ?(packets = []) ?(externs = [])
   let rt = san.Spec.fresh_runtime () in
   let m = Vm.Machine.create ~st ~rt md in
   List.iter (fun (name, fn) -> Vm.Machine.register_extern m name fn) externs;
-  let backend =
-    match backend with Some b -> b | None -> !default_backend
-  in
   let outcome = Vm.Machine.run ~backend ?fuel m in
   let fl = st.Vm.State.fault in
   if fl.Vm.Fault.oom_injected > 0 then

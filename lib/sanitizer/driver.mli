@@ -79,16 +79,6 @@ val build_link :
     then instrument the whole program.  [`Uninstrumented] units model
     precompiled legacy libraries (paper section II.E). *)
 
-val default_backend : Vm.Machine.backend ref
-(** The backend used when a caller passes no [?backend] (initially
-    [Interp]).  CLI-startup-only: assign it at most once, from a single
-    thread, before any [Harness.Pool] domain is spawned -- a later write
-    races against concurrent requests that picked a different backend.
-    Every in-tree tool threads [~backend] explicitly instead (the bench,
-    the fuzzer and the serve daemon pass it through
-    [Harness.Overhead]/[Harness.Tables]/[Fuzz.Campaign]/[Serve.Engine]),
-    so nothing in this repository mutates the ref. *)
-
 val run_module :
   Spec.t ->
   ?lines:string list ->
@@ -106,8 +96,7 @@ val run_module :
     server; [externs] resolve body-less external functions.  [policy]
     overrides the sanitizer's [default_policy]; [fault] threads a fault
     injector into the run (see {!Vm.Fault}).  [backend] (default
-    [!default_backend]) selects the interpreter or the threaded-code
-    jit; [fuel] meters jit compilation (burned identically whether the
+    [Interp]) selects the interpreter or the threaded-code jit; [fuel] meters jit compilation (burned identically whether the
     jit's compile cache hits or misses). *)
 
 val run :

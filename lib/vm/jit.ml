@@ -24,7 +24,13 @@
      register, observably identical);
    - calls/intrinsics: argument vectors are built by arity-specialized
      closures, direct callees bind to their compiled function at
-     compile time.
+     compile time;
+   - Algorithm 1 checks: an intrinsic of the check shape (ptr, size,
+     site, with a result) runs inline whenever the machine bound its
+     slot to a [Runtime.check] -- counter bump, tick, one metadata-entry
+     read through the sanitizer page-cache slot and the fused compare --
+     and calls the runtime's own check minus its tick only when the tag
+     is 0 or the compare fails.
 
    Equivalence with the interpreter is a hard invariant, enforced by
    the differential suite in test_jit.ml.  The deterministic cycle
@@ -59,6 +65,7 @@ open Tir.Ir
 type ctx = {
   st : State.t;
   itab : Runtime.intrinsic option array;
+  checks : Runtime.check option array;
   named : string -> int array -> int;
   reresolve : int -> Runtime.intrinsic option;
   mutable depth : int;
@@ -206,6 +213,19 @@ let ld4 st a =
   end
   else Memory.load st.State.mem a 4
 
+(* the little-endian 8-byte word at [off], as Memory.load assembles it
+   (the top byte contributes bits 56..62 of the 63-bit word) *)
+let word p off =
+  Char.code (Bytes.unsafe_get p off)
+  lor (Char.code (Bytes.unsafe_get p (off + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get p (off + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get p (off + 3)) lsl 24)
+  lor (Char.code (Bytes.unsafe_get p (off + 4)) lsl 32)
+  lor (Char.code (Bytes.unsafe_get p (off + 5)) lsl 40)
+  lor (Char.code (Bytes.unsafe_get p (off + 6)) lsl 48)
+  lor (Char.code (Bytes.unsafe_get p (off + 7)) lsl 56)
+[@@inline]
+
 (* includes the interpreter's pointer-width fault-injection filter; the
    filter's stateful branch must run whenever injection is armed *)
 let ld8 st a =
@@ -217,20 +237,24 @@ let ld8 st a =
         if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
         else Memory.page mem a
       in
-      Char.code (Bytes.unsafe_get p off)
-      lor (Char.code (Bytes.unsafe_get p (off + 1)) lsl 8)
-      lor (Char.code (Bytes.unsafe_get p (off + 2)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get p (off + 3)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get p (off + 4)) lsl 32)
-      lor (Char.code (Bytes.unsafe_get p (off + 5)) lsl 40)
-      lor (Char.code (Bytes.unsafe_get p (off + 6)) lsl 48)
-      lor (Char.code (Bytes.unsafe_get p (off + 7)) lsl 56)
+      word p off
     end
     else Memory.load st.State.mem a 8
   in
   match st.State.fault.Fault.tagflip_every with
   | None -> v
   | Some _ -> Fault.corrupt_load st.State.fault v
+
+(* An 8-aligned word of a sanitizer area, through the page cache's
+   sanitizer slot.  Aligned words never straddle a page, but two
+   consecutive words can sit on different pages (a metadata entry's
+   bounds, from entry 341 on), so each word probes on its own. *)
+let san_ld8 (mem : Memory.t) a =
+  let p =
+    if Layout46.page_of a = mem.Memory.san_pn then mem.Memory.san_page
+    else Memory.page mem a
+  in
+  word p (a land page_mask)
 
 let sto1 st a v =
   let mem = st.State.mem in
@@ -411,21 +435,54 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
            | None ->
              Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
       in
-      (match dst with
-       | Some d ->
+      let call : step =
+        match dst with
+        | Some d ->
+          let set = set d in
+          fun env ->
+            let a = argv env in
+            (* executed bump BEFORE dispatch, so failing checks count *)
+            Telemetry.bump_executed env.c.st.State.telem site;
+            set env (dispatch env a);
+            next env
+        | None ->
+          fun env ->
+            let a = argv env in
+            Telemetry.bump_executed env.c.st.State.telem site;
+            ignore (dispatch env a : int);
+            next env
+      in
+      (match dst, args with
+       | Some d, [| p; n; _ |] ->
+         (* the check shape: Algorithm 1 inline where the machine bound
+            this slot to a check, the closure call otherwise *)
+         let ep = ev p and en = ev n in
          let set = set d in
          fun env ->
-           let a = argv env in
-           (* executed bump BEFORE dispatch, so failing checks count *)
-           Telemetry.bump_executed env.c.st.State.telem site;
-           set env (dispatch env a);
-           next env
-       | None ->
-         fun env ->
-           let a = argv env in
-           Telemetry.bump_executed env.c.st.State.telem site;
-           ignore (dispatch env a : int);
-           next env)
+           (match env.c.checks.(islot) with
+            | None -> call env
+            | Some ck ->
+              let ptr = ep env and size = en env in
+              let st = env.c.st in
+              Telemetry.bump_executed st.State.telem site;
+              st.State.cycles <- st.State.cycles + ck.Runtime.ck_cost;
+              if st.State.cycles > st.State.cycle_budget then
+                out_of_cycles st;
+              let tag = Layout46.tag_of ptr in
+              let raw = Layout46.strip ptr in
+              let r =
+                if tag = 0 then ck.Runtime.ck_slow st ptr size site
+                else begin
+                  let e = Layout46.meta_entry tag in
+                  let lo = san_ld8 st.State.mem e in
+                  let hi = san_ld8 st.State.mem (e + 8) in
+                  if (raw - lo) lor (hi - (raw + size)) >= 0 then raw
+                  else ck.Runtime.ck_slow st ptr size site
+                end
+              in
+              set env r;
+              next env)
+       | _ -> call)
     | Vcode.Vplain i ->
       (match i with
        | Imov { dst = d; src } when fast d ->

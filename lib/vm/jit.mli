@@ -10,6 +10,9 @@ type ctx = {
   itab : Runtime.intrinsic option array;
       (** the machine's islot -> implementation table (shared with the
           interpreter, so late-registration memoization benefits both) *)
+  checks : Runtime.check option array;
+      (** per slot, the Algorithm 1 check to run inline instead of
+          calling [itab]'s closure (see [Machine.create]) *)
   named : string -> int array -> int;
       (** the machine's by-name call path: allocation family, libc with
           interception/TBI, registered externs *)

@@ -38,6 +38,15 @@ let tags_base = 0x0500_0000_0000
 let meta_base = 0x0600_0000_0000
 let aux_base = 0x0700_0000_0000
 
+(* The metadata-table entry layout (paper Figure 2), the one definition
+   read by CECSan's [Meta_table] and by the jit's inlined Algorithm 1:
+   24-byte entries from [meta_base], low bound at +0, high bound at +8,
+   nextID at +16.  Every word is 8-aligned, so no word straddles a page,
+   but an entry's two bounds can sit on different pages (entry 341's
+   low bound is the last word of a page). *)
+let meta_entry_bytes = 24
+let meta_entry i = meta_base + (i * meta_entry_bytes)
+
 let page_size = 4096
 let page_of a = a lsr 12
 

@@ -23,6 +23,12 @@ val tags_base : int    (* sanitizer area: HWASan tag memory *)
 val meta_base : int    (* sanitizer area: CECSan metadata table *)
 val aux_base : int     (* sanitizer area: GPT and friends *)
 
+val meta_entry_bytes : int  (* 24: low bound, high bound, nextID *)
+val meta_entry : int -> int
+(** [meta_entry i] is the address of metadata entry [i]: its low bound
+    at +0, high bound at +8, nextID at +16.  An entry's bounds may sit on
+    different pages. *)
+
 val page_size : int
 val page_of : int -> int
 

@@ -11,7 +11,8 @@
    module many times -- pays resolution once.  What cannot be shared is
    the runtime binding: intrinsic implementations belong to this
    machine's runtime, so each machine materializes its own [itab]
-   mapping the resolved code's intrinsic slots to implementations. *)
+   mapping the resolved code's intrinsic slots to implementations, and
+   its own [checks] marking the slots the jit may run inline. *)
 
 open Tir.Ir
 
@@ -35,6 +36,7 @@ type t = {
   rt : Runtime.t;
   vc : Vcode.t;
   itab : Runtime.intrinsic option array;
+  checks : Runtime.check option array;
   mutable ctx : Libc.ctx;
   externs : (string, State.t -> int array -> int) Hashtbl.t;
   mutable depth : int;
@@ -63,8 +65,22 @@ let create ?(st = State.create ()) ?(rt = Runtime.none) (md : modul) : t =
     Array.map (fun name -> Runtime.find_intrinsic rt name)
       vc.Vcode.intrin_names
   in
+  (* a slot runs inline only while it is bound to the very closure its
+     runtime registered for the check: a stub registered over the name
+     before this point, or a late registration after it, keeps the
+     closure path *)
+  let checks =
+    Array.map
+      (function
+        | Some fn ->
+          List.find_opt
+            (fun ck -> ck.Runtime.ck_intrinsic == fn)
+            rt.Runtime.checks
+        | None -> None)
+      itab
+  in
   let m =
-    { st; md; rt; vc; itab;
+    { st; md; rt; vc; itab; checks;
       ctx = { Libc.st; malloc = (fun _ -> 0); free = ignore;
               usable = (fun _ -> None) };
       externs = Hashtbl.create 4; depth = 0 }
@@ -391,7 +407,7 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
        | None -> no_entry ()
        | Some jf ->
          let c =
-           { Jit.st = m.st; itab = m.itab;
+           { Jit.st = m.st; itab = m.itab; checks = m.checks;
              named = (fun callee args -> exec_named m callee args);
              reresolve =
                (fun islot ->

@@ -23,6 +23,10 @@ type t = {
   vc : Vcode.t;  (** resolved code, cached on [md] across machines *)
   itab : Runtime.intrinsic option array;
       (** this machine's intrinsic-slot bindings (runtime-specific) *)
+  checks : Runtime.check option array;
+      (** per slot, the check the jit runs inline: set where [itab]'s
+          closure is physically the runtime's registered
+          [ck_intrinsic] *)
   mutable ctx : Libc.ctx;
   externs : (string, State.t -> int array -> int) Hashtbl.t;
   mutable depth : int;
@@ -32,7 +36,8 @@ val create : ?st:State.t -> ?rt:Runtime.t -> Tir.Ir.modul -> t
 (** Loads globals into the simulated globals region and binds the
     module's resolved code (resolved at most once per module, see
     {!Vcode.resolve_cached}) to the runtime.  Applies the runtime's TBI
-    configuration. *)
+    configuration.  Binding is decided here: intrinsics registered on
+    the runtime after [create] resolve late, through the closure path. *)
 
 val register_extern : t -> string -> (State.t -> int array -> int) -> unit
 (** Provides an OCaml implementation for an [extern] function with no

@@ -17,50 +17,68 @@ type t = {
   mutable resident_pages : int;
   (* residency split for reporting: program vs sanitizer areas *)
   mutable sanitizer_pages : int;
-  (* last-page cache: consecutive accesses to the same 4 KiB page (the
-     overwhelmingly common case -- stack frames, string scans, stencil
-     rows) skip the page hashtable.
+  (* last-page cache, two slots: consecutive accesses to the same 4 KiB
+     page (the overwhelmingly common case -- stack frames, string scans,
+     stencil rows) skip the page hashtable.  Program pages and sanitizer
+     pages (at or above [Layout46.shadow_base]: shadow, tags, metadata,
+     aux) each get their own slot, so a check's metadata/shadow read
+     between two program accesses evicts neither side.  Which slot a
+     page lands in depends only on its address; materialization and
+     residency accounting happen in [page_slow] whatever the slot.
 
-     Staleness invariant: the cache holds the SAME bytes object as the
+     Staleness invariant: each slot holds the SAME bytes object as the
      hashtable entry, and nothing in the VM ever removes or replaces a
      page once materialized -- free/realloc recycle address ranges
      without touching the page table, and fault injection (table:N)
-     only narrows the metadata table's logical entry limit.  So the
-     cache can be stale in page-number only (after another page is
-     touched), never in content.  Any future operation that removes or
-     swaps a pages entry MUST call [invalidate_cache] or the next
-     same-page access reads freed backing store. *)
-  mutable last_pn : int;
+     only narrows the metadata table's logical entry limit.  So a slot
+     can be stale in page-number only (after another page is touched),
+     never in content.  Any future operation that removes or swaps a
+     pages entry MUST call [invalidate_cache] or the next same-page
+     access reads freed backing store. *)
+  mutable last_pn : int;      (* program slot *)
   mutable last_page : bytes;
+  mutable san_pn : int;       (* sanitizer slot *)
+  mutable san_page : bytes;
 }
 
 let invalidate_cache mem =
   mem.last_pn <- min_int;
-  mem.last_page <- Bytes.empty
+  mem.last_page <- Bytes.empty;
+  mem.san_pn <- min_int;
+  mem.san_page <- Bytes.empty
 
 let create () =
   { pages = Hashtbl.create 1024; resident_pages = 0; sanitizer_pages = 0;
-    last_pn = min_int; last_page = Bytes.empty }
+    last_pn = min_int; last_page = Bytes.empty;
+    san_pn = min_int; san_page = Bytes.empty }
 
 let page_slow mem a pn =
-  match Hashtbl.find_opt mem.pages pn with
-  | Some p ->
+  let p =
+    match Hashtbl.find_opt mem.pages pn with
+    | Some p -> p
+    | None ->
+      let p = Bytes.make Layout46.page_size '\000' in
+      Hashtbl.replace mem.pages pn p;
+      mem.resident_pages <- mem.resident_pages + 1;
+      if a >= Layout46.shadow_base then
+        mem.sanitizer_pages <- mem.sanitizer_pages + 1;
+      p
+  in
+  if a >= Layout46.shadow_base then begin
+    mem.san_pn <- pn;
+    mem.san_page <- p
+  end
+  else begin
     mem.last_pn <- pn;
-    mem.last_page <- p;
-    p
-  | None ->
-    let p = Bytes.make Layout46.page_size '\000' in
-    Hashtbl.replace mem.pages pn p;
-    mem.resident_pages <- mem.resident_pages + 1;
-    if a >= Layout46.shadow_base then
-      mem.sanitizer_pages <- mem.sanitizer_pages + 1;
-    mem.last_pn <- pn;
-    mem.last_page <- p;
-    p
+    mem.last_page <- p
+  end;
+  p
 
 let page mem a =
   let pn = Layout46.page_of a in
-  if pn = mem.last_pn then mem.last_page else page_slow mem a pn
+  if pn = mem.last_pn then mem.last_page
+  else if pn = mem.san_pn then mem.san_page
+  else page_slow mem a pn
 
 let load_byte mem a =
   Char.code (Bytes.get (page mem a) (a land (Layout46.page_size - 1)))

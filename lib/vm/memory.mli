@@ -9,14 +9,23 @@ type t = {
   pages : (int, bytes) Hashtbl.t;
   mutable resident_pages : int;
   mutable sanitizer_pages : int;
-  mutable last_pn : int;    (** last-page cache: page number ... *)
+  mutable last_pn : int;
+      (** last-page cache, program slot: page number ... *)
   mutable last_page : bytes;  (** ... and its backing store *)
+  mutable san_pn : int;
+      (** sanitizer slot, for pages at or above [Layout46.shadow_base]:
+          page number ... *)
+  mutable san_page : bytes;  (** ... and its backing store *)
 }
+(** The last-page cache has two slots so that sanitizer metadata,
+    shadow and tag reads never evict the program's page (nor the
+    reverse).  A page's slot is a function of its address; residency
+    accounting is independent of the slots. *)
 
 val create : unit -> t
 
 val invalidate_cache : t -> unit
-(** Drops the last-page cache.  Today no VM operation removes or
+(** Drops both last-page cache slots.  Today no VM operation removes or
     replaces a materialized page (free/realloc recycle address ranges;
     fault-injected table shrink only narrows the metadata table's
     logical limit), so the cache can never hold dangling backing store;
@@ -25,7 +34,7 @@ val invalidate_cache : t -> unit
 
 val page : t -> int -> bytes
 (** The 4 KiB page backing address [a], materialized on first touch and
-    left in the last-page cache.  Exposed for the jit's inlined access
+    left in the last-page cache slot of its area.  Exposed for the jit's inlined access
     fast path; the returned bytes are always [Layout46.page_size] long. *)
 
 val load_byte : t -> int -> int

@@ -3,8 +3,10 @@
    counts and telemetry on generated programs across every sanitizer,
    under fault injection, plus cache regression tests (no re-resolution
    or re-compilation on repeated runs, fuel burned identically on jit
-   compile-cache hits and misses) and the last-page-cache audit driven
-   through jitted code. *)
+   compile-cache hits and misses), the last-page-cache audit driven
+   through jitted code, and the inlined Algorithm 1 check: its
+   fallbacks, its binding rule and metadata entries whose bounds sit on
+   two pages. *)
 
 let sanitizers () =
   [ ("cecsan", Cecsan.sanitizer ());
@@ -154,6 +156,31 @@ let differential_tests =
                      (run_obs ~policy ~fault_spec:spec Vm.Machine.Jit san
                         md))
                 [ "crash:2"; "tagflip:2"; "oom:3" ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"interp and jit agree on the inline check's fallbacks"
+         ~count:60 seed_gen
+         (fun seed ->
+            (* a shrunken table sends allocations to entry 0 (CECSan) or
+               into overflow chains (CECSan-chain): both reach the
+               inlined check's slow path *)
+            let p = program_of_seed seed in
+            let policy = policy_of_seed seed in
+            List.for_all
+              (fun (sname, spec) ->
+                 let san = List.assoc sname Cecsan.variants in
+                 match Sanitizer.Driver.build san p.Fuzz.Gen.src with
+                 | exception Sanitizer.Spec.Unsupported _ -> true
+                 | md ->
+                   let ctx =
+                     Printf.sprintf "seed %d, %s, %s" seed sname spec
+                   in
+                   let run backend =
+                     run_obs ~policy ~fault_spec:spec backend san md
+                   in
+                   agree ~ctx (run Vm.Machine.Interp) (run Vm.Machine.Jit))
+              [ ("CECSan", "table:3"); ("CECSan-chain", "table:3");
+                ("CECSan-chain", "table:40") ]));
     Alcotest.test_case "fuel:N exhausts identically on both backends"
       `Quick (fun () ->
         let src =
@@ -320,10 +347,123 @@ let page_cache_tests =
         Alcotest.(check string) "matches interp output" outi out1)
   ]
 
+(* --- the inlined Algorithm 1 check ------------------------------------- *)
+
+(* 400 live 16-byte objects; [access] runs on the one whose metadata
+   entry is [entry].  Entry 341's low bound is the last word of a page
+   and its high bound the first word of the next (24 * 341 mod 4096 =
+   4088), so the inlined check must fetch the two bounds separately. *)
+let entry_src ~entry ~access =
+  Printf.sprintf
+    "int main() {\n\
+    \  char **objs = (char**)malloc(400 * sizeof(char*));\n\
+    \  for (int i = 0; i < 400; i++) objs[i] = (char*)malloc(16);\n\
+    \  int k = -1;\n\
+    \  for (int i = 0; i < 400; i++)\n\
+    \    if ((((long)objs[i]) >> 46) == %d) k = i;\n\
+    \  if (k < 0) return 100;\n\
+    \  char *p = objs[k];\n\
+    \  %s\n\
+     }\n"
+    entry access
+
+(* access, the finding it must produce (none: a clean exit with the
+   value it stored) *)
+let entry_accesses =
+  [ ("p[3] = 7; return p[3];", None);
+    ("p[15] = 9; return p[15];", None);
+    ("p[16] = 1; return p[16];", Some "out-of-bounds");
+    ("p[2] = 5; free(p); return p[2];", Some "use-after-free") ]
+
+let contains ~affix s =
+  let n = String.length affix in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = affix || go (i + 1))
+  in
+  go 0
+
+let recover = Vm.Report.Recover { max_reports = Vm.Report.default_max_reports }
+
+let inline_check_tests =
+  [
+    Alcotest.test_case "entries 340-342: bounds on two pages, both backends"
+      `Quick (fun () ->
+        let san = Cecsan.sanitizer () in
+        List.iter
+          (fun entry ->
+             List.iter
+               (fun (access, finding) ->
+                  let md =
+                    Sanitizer.Driver.build san (entry_src ~entry ~access)
+                  in
+                  List.iter
+                    (fun policy ->
+                       let ctx = Printf.sprintf "entry %d, %s" entry access in
+                       let interp = run_obs ~policy Vm.Machine.Interp san md in
+                       let jit = run_obs ~policy Vm.Machine.Jit san md in
+                       ignore (agree ~ctx interp jit : bool);
+                       match interp, finding with
+                       | Completed o, None ->
+                         Alcotest.(check (list string)) (ctx ^ ": no report")
+                           [] o.o_reports;
+                         Alcotest.(check bool) (ctx ^ ": clean exit") true
+                           (String.starts_with ~prefix:"exit " o.o_outcome
+                            && not (String.equal o.o_outcome "exit 100"))
+                       | Completed o, Some kind ->
+                         let found =
+                           List.exists
+                             (fun r ->
+                                contains ~affix:kind r
+                                && contains
+                                     ~affix:(Printf.sprintf "entry %d" entry) r)
+                             (o.o_outcome :: o.o_reports)
+                         in
+                         Alcotest.(check bool) (ctx ^ ": " ^ kind) true found
+                       | _ -> Alcotest.fail (ctx ^ ": " ^ describe interp))
+                    [ Vm.Report.Halt; recover ])
+               entry_accesses)
+          [ 340; 341; 342 ]);
+    Alcotest.test_case "a stub registered over a check after fresh_runtime \
+                        is what the jit calls" `Quick (fun () ->
+        (* the e2e execution split times exactly this: a runtime whose
+           check name is rebound before [Machine.create] must leave the
+           inline path *)
+        let san = Cecsan.sanitizer () in
+        let md =
+          Sanitizer.Driver.build san
+            (entry_src ~entry:5 ~access:"p[3] = 7; return p[3];")
+        in
+        let calls = ref 0 in
+        let stubbed =
+          { san with
+            Sanitizer.Spec.fresh_runtime =
+              (fun () ->
+                 let rt = san.Sanitizer.Spec.fresh_runtime () in
+                 Vm.Runtime.register rt "__cecsan_check_load" (fun st a ->
+                     incr calls;
+                     Vm.State.tick st Cecsan.Costs.check;
+                     Vm.Layout46.strip a.(0));
+                 rt) }
+        in
+        let run s backend = Sanitizer.Driver.run_module s ~backend md in
+        let full = run san Vm.Machine.Jit in
+        let jit = run stubbed Vm.Machine.Jit in
+        let jit_calls = !calls in
+        calls := 0;
+        let interp = run stubbed Vm.Machine.Interp in
+        Alcotest.(check bool) "the stub ran" true (jit_calls > 0);
+        Alcotest.(check int) "as often as on the interpreter" !calls jit_calls;
+        Alcotest.(check int) "stub cycles equal the full run's"
+          full.Sanitizer.Driver.cycles jit.Sanitizer.Driver.cycles;
+        Alcotest.(check int) "and the interpreter's"
+          interp.Sanitizer.Driver.cycles jit.Sanitizer.Driver.cycles);
+  ]
+
 let () =
   Alcotest.run "jit"
     [
       "differential", differential_tests;
       "caches", cache_tests;
       "page cache", page_cache_tests;
+      "inline check", inline_check_tests;
     ]

@@ -455,10 +455,11 @@ let substrate_tests =
 
 (* --- last-page cache audit -------------------------------------------------- *)
 
-(* [Vm.Memory]'s last-page cache holds the bytes object of the most
-   recently touched page.  Its safety rests on pages never being
-   removed or replaced once materialized (free/realloc recycle address
-   ranges; fault-injected table shrink only narrows a logical limit).
+(* [Vm.Memory]'s last-page cache holds the bytes objects of the most
+   recently touched program page and sanitizer page.  Its safety rests
+   on pages never being removed or replaced once materialized
+   (free/realloc recycle address ranges; fault-injected table shrink
+   only narrows a logical limit).
    These tests pin that invariant down against a model and against the
    operations the audit flagged as suspects. *)
 let page_cache_tests =
@@ -471,34 +472,54 @@ let page_cache_tests =
          (fun ops ->
             let mem = Vm.Memory.create () in
             let model = Hashtbl.create 64 in
-            (* spread accesses over 40 pages in two regions so the
-               single-entry cache is evicted and refilled constantly *)
+            let touched = Hashtbl.create 64 in
+            (* spread accesses over 40 pages in four regions -- two
+               program, two sanitizer (shadow, metadata) -- so both
+               cache slots are evicted and refilled constantly *)
             let addr pg off =
               let base =
-                if pg land 1 = 0 then Vm.Layout46.heap_base
-                else Vm.Layout46.globals_base
+                match pg land 3 with
+                | 0 -> Vm.Layout46.heap_base
+                | 1 -> Vm.Layout46.globals_base
+                | 2 -> Vm.Layout46.shadow_base
+                | _ -> Vm.Layout46.meta_base
               in
               base + (pg * 8192) + off
             in
-            List.for_all
-              (fun (pg, off, v) ->
-                 let a = addr pg off in
-                 match v land 3 with
-                 | 0 ->
-                   Vm.Memory.store_byte mem a (v land 0xff);
-                   Hashtbl.replace model a (v land 0xff);
-                   true
-                 | 1 ->
-                   Vm.Memory.invalidate_cache mem;
-                   true
-                 | _ ->
-                   let expect =
-                     match Hashtbl.find_opt model a with
-                     | Some x -> x
-                     | None -> 0
-                   in
-                   Vm.Memory.load_byte mem a = expect)
-              ops));
+            let touch a = Hashtbl.replace touched (Vm.Layout46.page_of a) a in
+            let coherent =
+              List.for_all
+                (fun (pg, off, v) ->
+                   let a = addr pg off in
+                   match v land 3 with
+                   | 0 ->
+                     Vm.Memory.store_byte mem a (v land 0xff);
+                     Hashtbl.replace model a (v land 0xff);
+                     touch a;
+                     true
+                   | 1 ->
+                     Vm.Memory.invalidate_cache mem;
+                     true
+                   | _ ->
+                     let expect =
+                       match Hashtbl.find_opt model a with
+                       | Some x -> x
+                       | None -> 0
+                     in
+                     touch a;
+                     Vm.Memory.load_byte mem a = expect)
+                ops
+            in
+            (* residency is the set of pages ever touched, whichever
+               slot served them *)
+            let sanitizer =
+              Hashtbl.fold
+                (fun _ a n -> if a >= Vm.Layout46.shadow_base then n + 1 else n)
+                touched 0
+            in
+            coherent
+            && mem.Vm.Memory.resident_pages = Hashtbl.length touched
+            && mem.Vm.Memory.sanitizer_pages = sanitizer));
     Alcotest.test_case "cache survives free/realloc recycling" `Quick
       (fun () ->
          let mem = Vm.Memory.create () in
