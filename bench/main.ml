@@ -324,21 +324,19 @@ let run_verify () =
         (Workloads.Spec2006.all @ Workloads.Spec2017.all));
   let rows = List.rev !rows in
   let file = "BENCH_verify.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"cecsan-bench-verify/1\",\n";
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (k, s, acc, cov, wit, facts, issues) ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            "    {\"kernel\": %S, \"sanitizer\": %S, \"accesses\": %d, \
-             \"covered\": %d, \"witnesses\": %d, \"absint_facts\": %d, \
-             \"issues\": %d}%s\n"
-            k s acc cov wit facts issues
-            (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Harness.Jsonio.write ~path:file (Buffer.contents buf);
+  let row (k, s, acc, cov, wit, facts, issues) =
+    Json.Obj
+      [ ("kernel", Json.Str k); ("sanitizer", Json.Str s);
+        ("accesses", Json.Int acc); ("covered", Json.Int cov);
+        ("witnesses", Json.Int wit); ("absint_facts", Json.Int facts);
+        ("issues", Json.Int issues) ]
+  in
+  Harness.Jsonio.write ~path:file
+    (Json.to_string Json.Spaced
+       (Json.Obj
+          [ ("schema", Json.Str "cecsan-bench-verify/2");
+            ("rows", Json.List (List.map row rows)) ])
+     ^ "\n");
   Format.printf "@.Verification grid written to %s@." file
 
 (* --perf: the backend perf trajectory.  Each SPEC2006 kernel runs on

@@ -53,7 +53,7 @@ let snapshot_json =
                  telemetry snapshot) to FILE as deterministic JSON.")
 
 let emit value =
-  print_string (Serve.Protocol.to_string value);
+  print_string (Json.to_string Json.Spaced value);
   print_newline ();
   flush stdout
 
@@ -97,7 +97,7 @@ let serve jobs batch backend snapshot_json =
         (match snapshot_json with
          | Some path ->
            Harness.Jsonio.write ~path
-             (Serve.Protocol.to_string (Serve.Engine.aggregate_json !agg)
+             (Json.to_string Json.Spaced (Serve.Engine.aggregate_json !agg)
               ^ "\n")
          | None -> ());
         exit 0
@@ -115,16 +115,15 @@ let serve jobs batch backend snapshot_json =
            | Ok Serve.Protocol.Snapshot ->
              flush ();
              emit
-               (Serve.Protocol.Obj
-                  (("op", Serve.Protocol.Str "snapshot")
-                   :: [ ("aggregate", Serve.Engine.aggregate_json !agg) ]))
+               (Json.Obj
+                  [ ("op", Json.Str "snapshot");
+                    ("aggregate", Serve.Engine.aggregate_json !agg) ])
            | Ok Serve.Protocol.Shutdown ->
              flush ();
              emit
-               (Serve.Protocol.Obj
-                  [ ("op", Serve.Protocol.Str "shutdown");
-                    ("requests",
-                     Serve.Protocol.Int !agg.Serve.Engine.agg_requests) ]);
+               (Json.Obj
+                  [ ("op", Json.Str "shutdown");
+                    ("requests", Json.Int !agg.Serve.Engine.agg_requests) ]);
              finish ()
            | Error m -> emit (error_response m));
           loop ()

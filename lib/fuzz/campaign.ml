@@ -827,36 +827,41 @@ let fuzzcov_json ~blind (s : summary) : string =
   let mismatches =
     List.length (List.filter (fun r -> r.failures <> []) s.rows)
   in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (sp "{\"schema\":\"cecsan-bench-fuzzcov/1\",\"seed\":\"0x%x\",\
-         \"n\":%d,\"mutate_only\":%b,"
-       s.campaign_seed s.n s.mutate_only);
-  Buffer.add_string b
-    (sp "\"guided\":{\"bits\":%d,\"sites\":%d,\"corpus\":%d,\
-         \"mismatches\":%d,"
-       (Coverage.cardinal s.coverage)
-       (Coverage.sites s.coverage)
-       (Corpus.size s.corpus) mismatches);
-  Buffer.add_string b
-    (sp "\"phases\":{\"gen\":{\"programs\":%d,\"admitted\":%d},\
-         \"mutate\":{\"programs\":%d,\"admitted\":%d}}},"
-       s.gen_programs s.gen_admitted s.mut_programs s.mut_admitted);
-  Buffer.add_string b
-    (sp "\"blind\":{\"bits\":%d,\"sites\":%d},"
-       (Coverage.cardinal blind)
-       (Coverage.sites blind));
-  Buffer.add_string b "\"rows\":[";
-  List.iteri
-    (fun i c ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (sp "{\"shard\":%d,\"phase\":\"%s\",\"bits\":%d,\"sites\":%d,\
-              \"corpus\":%d}"
-            c.cr_shard c.cr_phase c.cr_bits c.cr_sites c.cr_corpus))
-    s.cov_rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let phase programs admitted =
+    Obj [ ("programs", Int programs); ("admitted", Int admitted) ]
+  in
+  to_string Compact
+    (Obj
+       [ ("schema", Str "cecsan-bench-fuzzcov/1");
+         ("seed", Str (sp "0x%x" s.campaign_seed));
+         ("n", Int s.n);
+         ("mutate_only", Bool s.mutate_only);
+         ("guided",
+          Obj
+            [ ("bits", Int (Coverage.cardinal s.coverage));
+              ("sites", Int (Coverage.sites s.coverage));
+              ("corpus", Int (Corpus.size s.corpus));
+              ("mismatches", Int mismatches);
+              ("phases",
+               Obj
+                 [ ("gen", phase s.gen_programs s.gen_admitted);
+                   ("mutate", phase s.mut_programs s.mut_admitted) ]) ]);
+         ("blind",
+          Obj
+            [ ("bits", Int (Coverage.cardinal blind));
+              ("sites", Int (Coverage.sites blind)) ]);
+         ("rows",
+          List
+            (List.map
+               (fun c ->
+                  Obj
+                    [ ("shard", Int c.cr_shard);
+                      ("phase", Str c.cr_phase);
+                      ("bits", Int c.cr_bits);
+                      ("sites", Int c.cr_sites);
+                      ("corpus", Int c.cr_corpus) ])
+               s.cov_rows)) ])
 
 (* --- final ledgers -------------------------------------------------------- *)
 
@@ -1017,21 +1022,22 @@ let render_resilience fmt (rows : resilience_row list) =
     rows
 
 let resilience_json (rows : resilience_row list) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"rows\":[";
-  List.iteri
-    (fun i r ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (sp
-            "{\"scenario\":\"%s\",\"n\":%d,\"completed\":%d,\
-             \"quarantined\":%d,\"retries\":%d,\"fuel_exhausted\":%d,\
-             \"pass\":%b}"
-            r.rs_scenario r.rs_n r.rs_completed r.rs_quarantined
-            r.rs_retries r.rs_fuel r.rs_pass))
-    rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.(
+    to_string Compact
+      (Obj
+         [ ("rows",
+            List
+              (List.map
+                 (fun r ->
+                    Obj
+                      [ ("scenario", Str r.rs_scenario);
+                        ("n", Int r.rs_n);
+                        ("completed", Int r.rs_completed);
+                        ("quarantined", Int r.rs_quarantined);
+                        ("retries", Int r.rs_retries);
+                        ("fuel_exhausted", Int r.rs_fuel);
+                        ("pass", Bool r.rs_pass) ])
+                 rows)) ]))
 
 (* --- repro / corpus files ------------------------------------------------ *)
 

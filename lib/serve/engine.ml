@@ -206,22 +206,13 @@ let absorb (a : aggregate) (r : row) : aggregate =
 let aggregate_rows (a : aggregate) (rows : row list) : aggregate =
   List.fold_left absorb a rows
 
-let aggregate_json (a : aggregate) : Protocol.value =
-  let snapshot_value =
-    (* Snapshot.to_json emits the integer JSON subset Protocol parses;
-       embedding the parsed value keeps the aggregate one well-formed
-       object instead of a string-encoded blob. *)
-    match Protocol.parse (Telemetry.Snapshot.to_json a.agg_snapshot) with
-    | Ok v -> v
-    | Error _ -> Protocol.Str (Telemetry.Snapshot.to_json a.agg_snapshot)
-  in
-  Protocol.Obj
-    [ ("requests", Protocol.Int a.agg_requests);
-      ("ok", Protocol.Int a.agg_ok);
-      ("errors", Protocol.Int a.agg_errors);
-      ("detected", Protocol.Int a.agg_detected);
+let aggregate_json (a : aggregate) : Json.t =
+  Json.Obj
+    [ ("requests", Json.Int a.agg_requests);
+      ("ok", Json.Int a.agg_ok);
+      ("errors", Json.Int a.agg_errors);
+      ("detected", Json.Int a.agg_detected);
       ("by_op",
-       Protocol.Obj
-         (List.map (fun (k, v) -> (k, Protocol.Int v)) a.agg_by_op));
-      ("service_cycles", Protocol.Int a.agg_cycles);
-      ("snapshot", snapshot_value) ]
+       Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) a.agg_by_op));
+      ("service_cycles", Json.Int a.agg_cycles);
+      ("snapshot", Telemetry.Snapshot.to_value a.agg_snapshot) ]

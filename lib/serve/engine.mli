@@ -60,6 +60,6 @@ val aggregate_rows : aggregate -> row list -> aggregate
 (** Folds in submission order; [aggregate_rows empty_aggregate] builds
     the whole-session aggregate. *)
 
-val aggregate_json : aggregate -> Protocol.value
+val aggregate_json : aggregate -> Json.t
 (** Deterministic object (fixed key order, sorted [by_op], the merged
     snapshot embedded as a JSON object). *)

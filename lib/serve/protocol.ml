@@ -1,217 +1,13 @@
-(* Line-delimited JSON framing for the analysis service.
+(* Line-delimited JSON framing for the analysis service.  Values,
+   printing and the strict parser are the shared [Json] codec; this
+   module is the request/response schema on top of it.  Keys print in
+   the order stored, so equal messages are byte-identical -- the
+   property the -j1-vs-j4 determinism checks pin. *)
 
-   Hand-rolled on purpose: the container has no JSON package, the
-   protocol only needs the integer subset every other artifact in this
-   repo already uses, and a strict ~100-line parser is easier to keep
-   deterministic than a dependency.  The printer emits object keys in
-   the order stored and escapes only what it must, so equal messages are
-   byte-identical -- the property the -j1-vs-j4 determinism checks pin. *)
+open Json
 
-type value =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Str of string
-  | List of value list
-  | Obj of (string * value) list
-
-(* --- printer --------------------------------------------------------------- *)
-
-let escape_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Str s -> escape_string buf s
-  | List vs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-         if i > 0 then Buffer.add_string buf ", ";
-         emit buf v)
-      vs;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_string buf ", ";
-         escape_string buf k;
-         Buffer.add_string buf ": ";
-         emit buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 128 in
-  emit buf v;
-  Buffer.contents buf
-
-(* --- parser ---------------------------------------------------------------- *)
-
-exception Bad of string
-
-let parse (s : string) : (value, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail m = raise (Bad (Printf.sprintf "%s at offset %d" m !pos)) in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.equal (String.sub s !pos l) word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char buf '"'; advance ()
-         | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-         | Some '/' -> Buffer.add_char buf '/'; advance ()
-         | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-         | Some 't' -> Buffer.add_char buf '\t'; advance ()
-         | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-         | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-         | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x100 ->
-              Buffer.add_char buf (Char.chr code);
-              pos := !pos + 4
-            | Some _ -> fail "\\u escape beyond latin-1"
-            | None -> fail "bad \\u escape")
-         | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    while
-      !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false)
-    do
-      advance ()
-    done;
-    (match peek () with
-     | Some ('.' | 'e' | 'E') -> fail "floats are not part of the protocol"
-     | _ -> ());
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          items := parse_value () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        List (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          fields := field () :: !fields;
-          skip_ws ()
-        done;
-        expect '}';
-        Obj (List.rev !fields)
-      end
-    | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad m -> Error m
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+let to_string = Json.to_string Spaced
+let parse = Json.parse
 
 (* --- request / response codecs --------------------------------------------- *)
 
@@ -235,7 +31,7 @@ let backend_of_name = function
   | "jit" -> Some Vm.Machine.Jit
   | _ -> None
 
-let encode_request (r : request) : value =
+let encode_request (r : request) : Json.t =
   let backend_field =
     match r.backend with
     | None -> []
@@ -254,28 +50,9 @@ let encode_request (r : request) : value =
   in
   Obj ((("id", Int r.id) :: op_fields) @ backend_field)
 
-let get_str key v =
-  match member key v with
-  | Some (Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "%S: expected a string" key)
-  | None -> Error (Printf.sprintf "%S: missing" key)
-
-let get_int key v =
-  match member key v with
-  | Some (Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "%S: expected an integer" key)
-  | None -> Error (Printf.sprintf "%S: missing" key)
-
-let get_bool ?default key v =
-  match (member key v, default) with
-  | Some (Bool b), _ -> Ok b
-  | Some _, _ -> Error (Printf.sprintf "%S: expected a boolean" key)
-  | None, Some d -> Ok d
-  | None, None -> Error (Printf.sprintf "%S: missing" key)
-
 let ( let* ) = Result.bind
 
-let decode_request (v : value) : (request, string) result =
+let decode_request (v : Json.t) : (request, string) result =
   let* id = get_int "id" v in
   let* opname = get_str "op" v in
   let* backend =
@@ -316,7 +93,7 @@ type response = {
   rs_error : string;
 }
 
-let encode_response (r : response) : value =
+let encode_response (r : response) : Json.t =
   Obj
     [ ("id", Int r.rs_id);
       ("status", Str (if r.rs_ok then "ok" else "error"));
@@ -326,7 +103,7 @@ let encode_response (r : response) : value =
       ("reports", Int r.rs_reports);
       ("error", Str r.rs_error) ]
 
-let decode_response (v : value) : (response, string) result =
+let decode_response (v : Json.t) : (response, string) result =
   let* rs_id = get_int "id" v in
   let* status = get_str "status" v in
   let* rs_outcome = get_str "outcome" v in

@@ -1,32 +1,13 @@
 (** Wire protocol of the analysis service: line-delimited JSON, one
-    value per line, with a deterministic printer (fixed key order,
-    integers only) so equal messages are byte-identical.
+    value per line, in the shared {!Json} codec's [Spaced] layout (fixed
+    key order, integers only) so equal messages are byte-identical. *)
 
-    The JSON model is the integer subset the stack already emits
-    everywhere else (telemetry snapshots, bench artifacts): no floats,
-    no unicode escapes beyond the ASCII control range. *)
+val to_string : Json.t -> string
+(** [Json.to_string Spaced]: the single-line wire rendering. *)
 
-type value =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Str of string
-  | List of value list
-  | Obj of (string * value) list  (** printed in the order given *)
-
-val to_string : value -> string
-(** Single-line rendering; strings escape quotes, backslashes and
-    control characters.
-    Object keys print in the order stored, so codecs keep a fixed field
-    order and equal messages render byte-identically. *)
-
-val parse : string -> (value, string) result
-(** Strict parser for the subset {!to_string} emits (plus surrounding
-    whitespace); rejects floats, trailing garbage and duplicate-free
-    constraints are NOT enforced (last key wins on lookup). *)
-
-val member : string -> value -> value option
-(** First binding of the key in an [Obj]. *)
+val parse : string -> (Json.t, string) result
+(** {!Json.parse}: strict, total, depth-bounded, duplicate keys
+    rejected. *)
 
 (** {1 Requests} *)
 
@@ -45,8 +26,8 @@ type request = {
       (** [None]: the engine's default backend *)
 }
 
-val encode_request : request -> value
-val decode_request : value -> (request, string) result
+val encode_request : request -> Json.t
+val decode_request : Json.t -> (request, string) result
 
 (** {1 Responses} *)
 
@@ -60,8 +41,8 @@ type response = {
   rs_error : string;     (** error class + detail; [""] when ok *)
 }
 
-val encode_response : response -> value
-val decode_response : value -> (response, string) result
+val encode_response : response -> Json.t
+val decode_response : Json.t -> (response, string) result
 
 (** {1 Stream framing} *)
 

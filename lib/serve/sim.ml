@@ -177,28 +177,30 @@ let render fmt (r : report) =
 
 let to_json (r : report) : string =
   let c = r.sr_cfg and l = r.sr_latency in
-  Protocol.to_string
-    (Protocol.Obj
-       [ ("schema", Protocol.Str "cecsan-bench-serve/1");
-         ("seed", Protocol.Int c.sc_seed);
-         ("requests", Protocol.Int c.sc_requests);
-         ("sim_workers", Protocol.Int c.sc_workers);
-         ("batch", Protocol.Int c.sc_batch);
-         ("backend",
-          (match c.sc_backend with
-           | None -> Protocol.Str "mixed"
-           | Some b -> Protocol.Str (Protocol.backend_name b)));
-         ("aggregate", Engine.aggregate_json r.sr_aggregate);
-         ("latency_ticks",
-          Protocol.Obj
-            [ ("p50", Protocol.Int l.l_p50);
-              ("p90", Protocol.Int l.l_p90);
-              ("p99", Protocol.Int l.l_p99);
-              ("p999", Protocol.Int l.l_p999);
-              ("max", Protocol.Int l.l_max);
-              ("mean", Protocol.Int l.l_mean) ]);
-         ("makespan_ticks", Protocol.Int r.sr_makespan);
-         ("throughput_per_mticks", Protocol.Int r.sr_throughput) ])
+  Json.(
+    to_string Spaced
+      (Obj
+         [ ("schema", Str "cecsan-bench-serve/1");
+           ("seed", Int c.sc_seed);
+           ("requests", Int c.sc_requests);
+           ("sim_workers", Int c.sc_workers);
+           ("batch", Int c.sc_batch);
+           ("backend",
+            Str
+              (match c.sc_backend with
+               | None -> "mixed"
+               | Some b -> Protocol.backend_name b));
+           ("aggregate", Engine.aggregate_json r.sr_aggregate);
+           ("latency_ticks",
+            Obj
+              [ ("p50", Int l.l_p50);
+                ("p90", Int l.l_p90);
+                ("p99", Int l.l_p99);
+                ("p999", Int l.l_p999);
+                ("max", Int l.l_max);
+                ("mean", Int l.l_mean) ]);
+           ("makespan_ticks", Int r.sr_makespan);
+           ("throughput_per_mticks", Int r.sr_throughput) ]))
 
 let write_json ~path (r : report) =
   Harness.Jsonio.write ~path (to_json r ^ "\n")

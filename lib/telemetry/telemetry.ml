@@ -21,9 +21,9 @@
      with a compile-time capacity; once full, new events overwrite the
      oldest and the drop counter records the loss.
 
-   The library is dependency-free so every layer (VM, sanitizer
-   runtimes, harness, fuzzer) can thread it without cycles.  All
-   serialization is deterministic: sorted keys, submission-order
+   The library depends only on the [Json] codec, so every layer (VM,
+   sanitizer runtimes, harness, fuzzer) can thread it without cycles.
+   All serialization is deterministic: sorted keys, submission-order
    events. *)
 
 (* --- events ---------------------------------------------------------------- *)
@@ -277,178 +277,85 @@ module Snapshot = struct
 
   (* --- deterministic JSON ------------------------------------------------- *)
 
-  (* Hand-rolled writer: keys are sorted, integers only, no floats, no
-     hash-order leakage -- the output is byte-identical for equal
-     snapshots by construction. *)
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string b "\\\""
-         | '\\' -> Buffer.add_string b "\\\\"
-         | '\n' -> Buffer.add_string b "\\n"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  (* Keys are sorted, integers only, no hash-order leakage -- so equal
+     snapshots print byte-identical JSON by construction. *)
+  let to_value (s : t) : Json.t =
+    let open Json in
+    let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs) in
+    Obj
+      [ ("sites",
+         List
+           (List.map
+              (fun r ->
+                 Obj
+                   [ ("site", Int r.s_site);
+                     ("executed", Int r.s_executed);
+                     ("elided", Int r.s_elided);
+                     ("covered", Int r.s_covered) ])
+              s.sites));
+        ("counters", ints s.counters);
+        ("gauges", ints s.gauges);
+        ("dropped", Int s.dropped);
+        ("events",
+         List
+           (List.map
+              (fun ev ->
+                 Obj
+                   [ ("kind", Str (event_kind_name ev.ev_kind));
+                     ("a", Int ev.ev_a);
+                     ("b", Int ev.ev_b) ])
+              s.events)) ]
 
-  let to_json (s : t) : string =
-    let b = Buffer.create 1024 in
-    let sep = ref false in
-    let comma () = if !sep then Buffer.add_char b ',' else sep := true in
-    Buffer.add_string b "{\"sites\":[";
-    List.iter
-      (fun r ->
-         comma ();
-         Buffer.add_string b
-           (Printf.sprintf
-              "{\"site\":%d,\"executed\":%d,\"elided\":%d,\"covered\":%d}"
-              r.s_site r.s_executed r.s_elided r.s_covered))
-      s.sites;
-    Buffer.add_string b "],\"counters\":{";
-    sep := false;
-    List.iter
-      (fun (k, v) ->
-         comma ();
-         Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-      s.counters;
-    Buffer.add_string b "},\"gauges\":{";
-    sep := false;
-    List.iter
-      (fun (k, v) ->
-         comma ();
-         Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-      s.gauges;
-    Buffer.add_string b (Printf.sprintf "},\"dropped\":%d,\"events\":[" s.dropped);
-    sep := false;
-    List.iter
-      (fun ev ->
-         comma ();
-         Buffer.add_string b
-           (Printf.sprintf "{\"kind\":\"%s\",\"a\":%d,\"b\":%d}"
-              (event_kind_name ev.ev_kind) ev.ev_a ev.ev_b))
-      s.events;
-    Buffer.add_string b "]}";
-    Buffer.contents b
+  let to_json (s : t) : string = Json.to_string Json.Compact (to_value s)
 
-  (* Strict parser for [to_json]'s own output -- used by the campaign
-     checkpoint to restore a snapshot across a process restart.  It
-     accepts exactly the fixed key order the writer emits (which is the
-     only producer), so [of_json (to_json s) = Some s] and anything else
-     is [None] rather than a guess. *)
-  let of_json (src : string) : t option =
-    let pos = ref 0 in
-    let len = String.length src in
+  (* Strict inverse of [to_value] -- used by the campaign checkpoint to
+     restore a snapshot across a process restart.  It accepts exactly
+     the five keys in the writer's order (the writer is the only
+     producer), so [of_json (to_json s) = Some s] and anything else is
+     [None] rather than a guess. *)
+  let of_value (v : Json.t) : t option =
     let exception Bad in
-    let peek () = if !pos < len then src.[!pos] else raise Bad in
-    let advance () = incr pos in
-    let expect c = if peek () <> c then raise Bad else advance () in
-    let lit s = String.iter expect s in
-    let int () =
-      let start = !pos in
-      if peek () = '-' then advance ();
-      while !pos < len && (match src.[!pos] with '0' .. '9' -> true | _ -> false)
-      do advance () done;
-      if !pos = start then raise Bad;
-      match int_of_string_opt (String.sub src start (!pos - start)) with
-      | Some n -> n
-      | None -> raise Bad
+    let int = function Json.Int n -> n | _ -> raise Bad in
+    let list f = function Json.List l -> List.map f l | _ -> raise Bad in
+    let ints = function
+      | Json.Obj kvs -> List.map (fun (k, v) -> (k, int v)) kvs
+      | _ -> raise Bad
     in
-    let str () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-           | '"' -> Buffer.add_char b '"'; advance ()
-           | '\\' -> Buffer.add_char b '\\'; advance ()
-           | 'n' -> Buffer.add_char b '\n'; advance ()
-           | 'u' ->
-             advance ();
-             if !pos + 4 > len then raise Bad;
-             let hex = String.sub src !pos 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
-              | _ -> raise Bad)
-           | _ -> raise Bad);
-          go ()
-        | c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ();
-      Buffer.contents b
+    let site = function
+      | Json.Obj
+          [ ("site", s_site); ("executed", s_executed);
+            ("elided", s_elided); ("covered", s_covered) ] ->
+        { s_site = int s_site; s_executed = int s_executed;
+          s_elided = int s_elided; s_covered = int s_covered }
+      | _ -> raise Bad
     in
-    (* comma-separated sequence ending at [stop] *)
-    let seq stop item =
-      let acc = ref [] in
-      if peek () = stop then advance ()
-      else begin
-        let rec go () =
-          acc := item () :: !acc;
-          match peek () with
-          | ',' -> advance (); go ()
-          | c when c = stop -> advance ()
+    let event = function
+      | Json.Obj [ ("kind", Json.Str kind); ("a", a); ("b", b) ] ->
+        let ev_kind =
+          match kind with
+          | "alloc" -> Alloc
+          | "free" -> Free
+          | "check-fail" -> Check_fail
+          | "strip" -> Strip
           | _ -> raise Bad
         in
-        go ()
-      end;
-      List.rev !acc
+        { ev_kind; ev_a = int a; ev_b = int b }
+      | _ -> raise Bad
     in
-    let kv () =
-      let k = str () in
-      expect ':';
-      let v = int () in
-      (k, v)
-    in
-    try
-      lit "{\"sites\":[";
-      let sites =
-        seq ']' (fun () ->
-            lit "{\"site\":";
-            let s_site = int () in
-            lit ",\"executed\":";
-            let s_executed = int () in
-            lit ",\"elided\":";
-            let s_elided = int () in
-            lit ",\"covered\":";
-            let s_covered = int () in
-            expect '}';
-            { s_site; s_executed; s_elided; s_covered })
-      in
-      lit ",\"counters\":{";
-      let counters = seq '}' kv in
-      lit ",\"gauges\":{";
-      let gauges = seq '}' kv in
-      lit ",\"dropped\":";
-      let dropped = int () in
-      lit ",\"events\":[";
-      let events =
-        seq ']' (fun () ->
-            lit "{\"kind\":";
-            let kind =
-              match str () with
-              | "alloc" -> Alloc
-              | "free" -> Free
-              | "check-fail" -> Check_fail
-              | "strip" -> Strip
-              | _ -> raise Bad
-            in
-            lit ",\"a\":";
-            let a = int () in
-            lit ",\"b\":";
-            let b = int () in
-            expect '}';
-            { ev_kind = kind; ev_a = a; ev_b = b })
-      in
-      lit "}";
-      if !pos <> len then raise Bad;
-      Some { sites; counters; gauges; events; dropped }
-    with Bad -> None
+    match v with
+    | Json.Obj
+        [ ("sites", sites); ("counters", counters); ("gauges", gauges);
+          ("dropped", dropped); ("events", events) ] ->
+      (try
+         Some
+           { sites = list site sites; counters = ints counters;
+             gauges = ints gauges; dropped = int dropped;
+             events = list event events }
+       with Bad -> None)
+    | _ -> None
+
+  let of_json (src : string) : t option =
+    match Json.parse src with Ok v -> of_value v | Error _ -> None
 
   (* --- the human --profile report ----------------------------------------- *)
 

@@ -92,14 +92,19 @@ module Snapshot : sig
       keeps "instrumented but unreached" distinguishable from "not
       instrumented". *)
 
+  val to_value : t -> Json.t
+  (** The snapshot as one JSON object with five keys in a fixed order:
+      [sites], [counters], [gauges], [dropped], [events]. *)
+
   val to_json : t -> string
-  (** Deterministic single-line JSON: equal snapshots produce
+  (** {!to_value} in the [Compact] layout: equal snapshots produce
       byte-identical strings. *)
 
   val of_json : string -> t option
-  (** Strict inverse of {!to_json} (accepts exactly the writer's fixed
-      key order): [of_json (to_json s) = Some s].  Used by campaign
-      checkpoints to restore a snapshot across a restart. *)
+  (** Strict inverse of {!to_json} (accepts exactly the writer's five
+      keys in its order): [of_json (to_json s) = Some s].  Used by
+      campaign checkpoints to restore a snapshot across a restart.
+      Never raises. *)
 
   val report :
     ?top:int -> label:(int -> string option) -> Format.formatter -> t -> unit

@@ -9,48 +9,181 @@ let ok_or_fail = function
 
 (* --- protocol -------------------------------------------------------------- *)
 
+let spaced = Json.to_string Json.Spaced
+
+(* Byte-level mutants in [Fuzz.Mutate]'s style: flip, insert, delete or
+   duplicate one byte, positions and values drawn from a seeded tape.
+   Inserted bytes favour the JSON punctuation the parser branches on. *)
+let mutate_bytes rng s =
+  let n = String.length s in
+  let draw = Fuzz.Tape.draw rng in
+  let byte () =
+    let punct = "[]{}:,\"\\u0123456789-ntf e" in
+    if Fuzz.Tape.bool rng then punct.[draw (String.length punct)]
+    else Char.chr (draw 256)
+  in
+  let cut i = (String.sub s 0 i, String.sub s i (n - i)) in
+  match draw 4 with
+  | 0 when n > 0 ->
+    let b = Bytes.of_string s and i = draw n in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl draw 8)));
+    Bytes.to_string b
+  | 1 ->
+    let l, r = cut (draw (n + 1)) in
+    l ^ String.make 1 (byte ()) ^ r
+  | 2 when n > 0 ->
+    let i = draw n in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 3 when n > 0 ->
+    let l, r = cut (draw n) in
+    l ^ String.make 1 r.[0] ^ r
+  | _ -> s
+
+(* [count] mutants per valid input, each 1-4 stacked byte mutations;
+   returns how many still parsed, so the caller can check the property
+   was not vacuous. *)
+let mutants ~seed ~count inputs (check : string -> bool) =
+  let rng = Fuzz.Tape.fresh ~seed in
+  List.fold_left
+    (fun accepted input ->
+       let rec go k accepted =
+         if k = 0 then accepted
+         else begin
+           let m = ref input in
+           for _ = 0 to Fuzz.Tape.draw rng 4 do
+             m := mutate_bytes rng !m
+           done;
+           let ok =
+             try check !m
+             with e ->
+               Alcotest.failf "raised %s on %S" (Printexc.to_string e) !m
+           in
+           go (k - 1) (if ok then accepted + 1 else accepted)
+         end
+       in
+       go count accepted)
+    0 inputs
+
 let protocol_tests =
   [
     Alcotest.test_case "value printer/parser roundtrip" `Quick (fun () ->
         let v =
-          Serve.Protocol.(
+          Json.(
             Obj
               [ ("a", Int (-3));
                 ("b", Str "line\nbreak \"quoted\" back\\slash\ttab");
                 ("c", List [ Null; Bool true; Bool false; Int 0 ]);
                 ("d", Obj []); ("e", List []) ])
         in
-        let s = Serve.Protocol.to_string v in
-        (match Serve.Protocol.parse s with
-         | Ok v' -> Alcotest.(check bool) "roundtrip" true (v = v')
-         | Error m -> Alcotest.failf "parse failed: %s" m);
-        (* printing is deterministic *)
-        Alcotest.(check string) "stable bytes" s
-          (Serve.Protocol.to_string v));
+        List.iter
+          (fun layout ->
+             let s = Json.to_string layout v in
+             (match Json.parse s with
+              | Ok v' -> Alcotest.(check bool) "roundtrip" true (v = v')
+              | Error m -> Alcotest.failf "parse failed: %s" m);
+             (* printing is deterministic *)
+             Alcotest.(check string) "stable bytes" s
+               (Json.to_string layout v))
+          [ Json.Compact; Json.Spaced ];
+        Alcotest.(check string) "compact separators"
+          "{\"c\":[null,true],\"d\":{}}"
+          Json.(to_string Compact
+                  (Obj [ ("c", List [ Null; Bool true ]); ("d", Obj []) ]));
+        Alcotest.(check string) "spaced separators"
+          "{\"c\": [null, true], \"d\": {}}"
+          (spaced
+             Json.(Obj [ ("c", List [ Null; Bool true ]); ("d", Obj []) ])));
     Alcotest.test_case "parser rejects floats and trailing garbage"
       `Quick
       (fun () ->
          List.iter
            (fun s ->
-              match Serve.Protocol.parse s with
+              match Json.parse s with
               | Ok _ -> Alcotest.failf "accepted %S" s
               | Error _ -> ())
            [ "1.5"; "{\"a\": 2e3}"; "{} trailing"; "{\"a\":}"; "[1,]";
-             "\"unterminated"; "nul" ]);
+             "\"unterminated"; "nul";
+             (* nesting far past Json.max_depth: an error, not a
+                stack overflow *)
+             String.make 100_000 '[' ^ String.make 100_000 ']';
+             (* \u takes exactly four hex digits *)
+             "{\"id\": 7, \"op\": \"analyze\", \"source\": \
+              \"int main() { return \\u0_4a; }\", \"sanitizer\": \
+              \"cecsan\"}";
+             (* a duplicate key is not "first (or last) one wins" *)
+             "{\"id\": 1, \"id\": 2, \"op\": \"analyze\", \"source\": \
+              \"int main() { return 0; }\", \"sanitizer\": \"cecsan\"}" ]);
+    Alcotest.test_case "nesting bound, hex escapes, many distinct keys"
+      `Quick
+      (fun () ->
+         let nest d = String.make d '[' ^ String.make d ']' in
+         Alcotest.(check bool) "max_depth levels accepted" true
+           (Result.is_ok (Json.parse (nest Json.max_depth)));
+         Alcotest.(check bool) "one more rejected" true
+           (Result.is_error (Json.parse (nest (Json.max_depth + 1))));
+         Alcotest.(check bool) "\\u004A is J" true
+           (Json.parse "\"\\u004A\"" = Ok (Json.Str "J"));
+         let keys =
+           List.init 100_000 (fun i -> (string_of_int i, Json.Int i))
+         in
+         Alcotest.(check bool) "100k distinct keys accepted" true
+           (Json.parse (spaced (Json.Obj keys)) = Ok (Json.Obj keys));
+         Alcotest.(check bool) "100k keys, one duplicate, rejected" true
+           (Result.is_error
+              (Json.parse (spaced (Json.Obj (("7", Json.Null) :: keys))))));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"string escaping roundtrips any bytes"
          ~count:300 QCheck.string
-         (fun s ->
-            Serve.Protocol.parse
-              (Serve.Protocol.to_string (Serve.Protocol.Str s))
-            = Ok (Serve.Protocol.Str s)));
+         (fun s -> Json.parse (spaced (Json.Str s)) = Ok (Json.Str s)));
+    Alcotest.test_case "byte mutants parse to a fixed point or fail"
+      `Quick
+      (fun () ->
+         let lines =
+           List.map
+             (fun r -> spaced (Serve.Protocol.encode_request r))
+             (Serve.Sim.gen_requests ~seed:0x5EED 60)
+         in
+         let accepted =
+           mutants ~seed:11 ~count:25 lines (fun m ->
+               ignore (Serve.Protocol.decode_line m);
+               match Json.parse m with
+               | Error _ -> false
+               | Ok v ->
+                 List.iter
+                   (fun layout ->
+                      let p = Json.to_string layout v in
+                      if Json.parse p <> Ok v then
+                        Alcotest.failf "%S reprinted as %S does not \
+                                        parse back" m p)
+                   [ Json.Compact; Json.Spaced ];
+                 true)
+         in
+         if accepted = 0 then Alcotest.fail "no request mutant parsed";
+         let snap =
+           (Fuzz.Campaign.run ~seed:0x5EED ~n:8 ~max_shrink:0 ())
+             .Fuzz.Campaign.snapshot
+         in
+         let accepted =
+           mutants ~seed:12 ~count:1500
+             [ Telemetry.Snapshot.to_json snap ]
+             (fun m ->
+                ignore (Json.parse m);
+                match Telemetry.Snapshot.of_json m with
+                | None -> false
+                | Some s ->
+                  let p = Telemetry.Snapshot.to_json s in
+                  if Telemetry.Snapshot.of_json p <> Some s then
+                    Alcotest.failf "snapshot %S reprinted as %S does not \
+                                    read back" m p;
+                  true)
+         in
+         if accepted = 0 then Alcotest.fail "no snapshot mutant read back");
     Alcotest.test_case "request codec roundtrips every op" `Quick
       (fun () ->
          List.iter
            (fun (r : Serve.Protocol.request) ->
-              let v = Serve.Protocol.encode_request r in
-              let s = Serve.Protocol.to_string v in
-              let v' = ok_or_fail (Serve.Protocol.parse s) in
+              let s = spaced (Serve.Protocol.encode_request r) in
+              let v' = ok_or_fail (Json.parse s) in
               let r' = ok_or_fail (Serve.Protocol.decode_request v') in
               Alcotest.(check bool) "roundtrip" true (r = r'))
            [ { Serve.Protocol.id = 1;
@@ -73,13 +206,58 @@ let protocol_tests =
             rs_detected = false; rs_cycles = 0; rs_reports = 0;
             rs_error = "unsupported: wchar_t" }
         in
-        let s = Serve.Protocol.to_string (Serve.Protocol.encode_response r) in
+        let s = spaced (Serve.Protocol.encode_response r) in
         let r' =
           ok_or_fail
-            (Serve.Protocol.decode_response
-               (ok_or_fail (Serve.Protocol.parse s)))
+            (Serve.Protocol.decode_response (ok_or_fail (Json.parse s)))
         in
         Alcotest.(check bool) "roundtrip" true (r = r'));
+    (* Formats that outlive a process: serve clients and checkpoint
+       resume depend on these exact bytes, so changing one is a schema
+       change, not a refactor. *)
+    Alcotest.test_case "response bytes pinned" `Quick (fun () ->
+        let r =
+          { Serve.Protocol.rs_id = 42; rs_ok = false; rs_outcome = "";
+            rs_detected = false; rs_cycles = 0; rs_reports = 0;
+            rs_error = "parse: unexpected \"}\"\tat line 1\n" }
+        in
+        Alcotest.(check string) "error response"
+          "{\"id\": 42, \"status\": \"error\", \"outcome\": \"\", \
+           \"detected\": false, \"cycles\": 0, \"reports\": 0, \"error\": \
+           \"parse: unexpected \\\"}\\\"\\tat line 1\\n\"}"
+          (spaced (Serve.Protocol.encode_response r)));
+    Alcotest.test_case "snapshot bytes pinned" `Quick (fun () ->
+        let open Telemetry in
+        let s =
+          { Snapshot.sites =
+              [ { Snapshot.s_site = 3; s_executed = 12; s_elided = 0;
+                  s_covered = 1 };
+                { Snapshot.s_site = 17; s_executed = 0; s_elided = 4;
+                  s_covered = 0 } ];
+            counters = [ ("alloc.calls", 5); ("odd\"key\\n", -2) ];
+            gauges = [ ("alloc.peak", 4096) ];
+            events =
+              [ { ev_kind = Alloc; ev_a = 65536; ev_b = 16 };
+                { ev_kind = Free; ev_a = 65536; ev_b = 0 };
+                { ev_kind = Check_fail; ev_a = 3; ev_b = 65552 };
+                { ev_kind = Strip; ev_a = 65536; ev_b = 7 } ];
+            dropped = 2 }
+        in
+        let json = Snapshot.to_json s in
+        Alcotest.(check string) "snapshot JSON"
+          "{\"sites\":[{\"site\":3,\"executed\":12,\"elided\":0,\
+           \"covered\":1},{\"site\":17,\"executed\":0,\"elided\":4,\
+           \"covered\":0}],\"counters\":{\"alloc.calls\":5,\
+           \"odd\\\"key\\\\n\":-2},\"gauges\":{\"alloc.peak\":4096},\
+           \"dropped\":2,\"events\":[{\"kind\":\"alloc\",\"a\":65536,\
+           \"b\":16},{\"kind\":\"free\",\"a\":65536,\"b\":0},\
+           {\"kind\":\"check-fail\",\"a\":3,\"b\":65552},\
+           {\"kind\":\"strip\",\"a\":65536,\"b\":7}]}"
+          json;
+        Alcotest.(check bool) "reads back" true
+          (Snapshot.of_json json = Some s);
+        Alcotest.(check bool) "whitespace between tokens is accepted" true
+          (Snapshot.of_json (spaced (Snapshot.to_value s)) = Some s));
     Alcotest.test_case "line framing: controls, blanks, requests" `Quick
       (fun () ->
          (match Serve.Protocol.decode_line "" with
@@ -194,14 +372,14 @@ let engine_tests =
          Alcotest.(check int) "ok+errors" 12
            (agg.Serve.Engine.agg_ok + agg.Serve.Engine.agg_errors);
          let json =
-           Serve.Protocol.to_string (Serve.Engine.aggregate_json agg)
+           spaced (Serve.Engine.aggregate_json agg)
          in
          let par_rows =
            Harness.Pool.with_pool ~jobs:3 (fun p ->
                Serve.Engine.process ~pool:p ~batch:3 reqs)
          in
          let par_json =
-           Serve.Protocol.to_string
+           spaced
              (Serve.Engine.aggregate_json
                 (Serve.Engine.aggregate_rows Serve.Engine.empty_aggregate
                    par_rows))
@@ -326,13 +504,13 @@ let sim_tests =
       (fun () ->
          let cfg = Serve.Sim.default_cfg ~seed:3 ~requests:20 in
          let json = Serve.Sim.to_json (Serve.Sim.run cfg) in
-         let v = ok_or_fail (Serve.Protocol.parse json) in
-         (match Serve.Protocol.member "schema" v with
-          | Some (Serve.Protocol.Str "cecsan-bench-serve/1") -> ()
+         let v = ok_or_fail (Json.parse json) in
+         (match Json.member "schema" v with
+          | Some (Json.Str "cecsan-bench-serve/1") -> ()
           | _ -> Alcotest.fail "schema field");
          List.iter
            (fun k ->
-              if Serve.Protocol.member k v = None then
+              if Json.member k v = None then
                 Alcotest.failf "missing %S" k)
            [ "seed"; "requests"; "sim_workers"; "batch"; "aggregate";
              "latency_ticks"; "makespan_ticks"; "throughput_per_mticks" ]);
