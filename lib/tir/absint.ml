@@ -15,8 +15,9 @@
       stored as values, passed to defined functions or unclassified
       intrinsics, or returned, escape;
    3. flow fixpoint: interval/pointer values and the freed-set are
-      propagated block by block in reverse postorder, widening after a
-      bounded number of joins so termination needs no assumptions.
+      propagated in reverse postorder sweeps over the blocks whose
+      entry state changed, widening after a bounded number of joins so
+      termination needs no assumptions.
 
    Soundness notes bound to this VM (not real hardware):
 
@@ -79,13 +80,52 @@ type summary = {
   su_facts : int;
 }
 
+(* What an intrinsic name means to the model.  Anything not classified
+   is treated as worst-case in both the escape pass and the transfer. *)
+type ikind =
+  | Kmarker
+  | Kcheck
+  | Kalloc of { rule : size_rule; frees : bool }  (* frees: realloc leg *)
+  | Kfree
+  | Kalias
+  | Kgpt_load
+  | Kopaque                                        (* incl. global_make *)
+  | Kunclassified
+
 type ctx = {
   cx_model : model;
   cx_pure : string -> bool;
   cx_defined : (string, unit) Hashtbl.t;
   cx_gpt : (int, string) Hashtbl.t;
   cx_globsize : (string, int) Hashtbl.t;
+  cx_kinds : (string, ikind) Hashtbl.t;
 }
+
+(* One entry per model name, resolved in the precedence order of
+   [transfer]: telemetry marker, check, alloc, free, alias, gpt-load,
+   opaque.  Filled lowest precedence first so a higher role overwrites;
+   marker names stay out and are recognized by prefix on lookup. *)
+let intrin_kinds (m : model) : (string, ikind) Hashtbl.t =
+  let tbl = Hashtbl.create 32 in
+  let set name k =
+    if not (is_telemetry_marker name) then Hashtbl.replace tbl name k
+  in
+  List.iter (fun n -> set n Kopaque) m.am_opaque;
+  Option.iter (fun n -> set n Kopaque) m.am_global_make;
+  Option.iter (fun n -> set n Kgpt_load) m.am_gpt_load;
+  List.iter (fun n -> set n Kalias) m.am_aliases;
+  List.iter (fun n -> set n Kfree) m.am_frees;
+  (* reversed: the first binding of a name wins, as with assoc *)
+  List.iter
+    (fun (n, rule) -> set n (Kalloc { rule; frees = List.mem n m.am_frees }))
+    (List.rev m.am_allocs);
+  List.iter (fun (n, _) -> set n Kcheck) m.am_checks;
+  tbl
+
+let intrin_kind (cx : ctx) (name : string) : ikind =
+  match Hashtbl.find_opt cx.cx_kinds name with
+  | Some k -> k
+  | None -> if is_telemetry_marker name then Kmarker else Kunclassified
 
 let make_ctx (model : model) ~(pure : string -> bool) (md : modul) : ctx =
   let gpt : (int, string) Hashtbl.t = Hashtbl.create 17 in
@@ -109,7 +149,7 @@ let make_ctx (model : model) ~(pure : string -> bool) (md : modul) : ctx =
   let defined = Hashtbl.create 17 in
   Hashtbl.iter (fun name _ -> Hashtbl.replace defined name ()) md.m_funcs;
   { cx_model = model; cx_pure = pure; cx_defined = defined;
-    cx_gpt = gpt; cx_globsize = globsize }
+    cx_gpt = gpt; cx_globsize = globsize; cx_kinds = intrin_kinds model }
 
 (* --- lattice ------------------------------------------------------------ *)
 
@@ -126,13 +166,11 @@ let set_val (st : state) (r : int) (v : aval) : state =
        | _ -> Int_map.add r v st.s_regs) }
 
 let join_val a b =
-  if a = b then a
-  else
-    match a, b with
-    | Vint (l1, h1), Vint (l2, h2) -> Vint (min l1 l2, max h1 h2)
-    | Vptr p, Vptr q when p.obj = q.obj ->
-      Vptr { obj = p.obj; lo = min p.lo q.lo; hi = max p.hi q.hi }
-    | _ -> Vtop
+  match a, b with
+  | Vint (l1, h1), Vint (l2, h2) -> Vint (min l1 l2, max h1 h2)
+  | Vptr p, Vptr q when p.obj = q.obj ->
+    Vptr { obj = p.obj; lo = min p.lo q.lo; hi = max p.hi q.hi }
+  | _ -> Vtop
 
 let join_state a b =
   { s_regs =
@@ -290,18 +328,16 @@ let discover (cx : ctx) (f : func) =
                         s.s_size false)
                  | None -> ())
             | Iintrin { name; args; site; _ } ->
-              (match List.assoc_opt name m.am_allocs with
-               | Some rule ->
+              (match intrin_kind cx name, args with
+               | Kalloc { rule; _ }, _ ->
                  Hashtbl.replace site_obj site
                    (fresh (Printf.sprintf "%s#%d" name site)
                       (alloc_size rule args) false)
-               | None ->
-                 (match m.am_gpt_load, args with
-                  | Some g, Imm k :: _ when String.equal name g ->
-                    (match Hashtbl.find_opt cx.cx_gpt k with
-                     | Some gname -> ensure_glob gname
-                     | None -> ())
-                  | _ -> ()))
+               | Kgpt_load, Imm k :: _ ->
+                 (match Hashtbl.find_opt cx.cx_gpt k with
+                  | Some gname -> ensure_glob gname
+                  | None -> ())
+               | _ -> ())
             | Icall { callee; args; _ } ->
               (match List.assoc_opt callee m.am_call_allocs with
                | Some rule ->
@@ -316,20 +352,6 @@ let discover (cx : ctx) (f : func) =
     f.f_blocks;
   let arr = Array.of_list (List.rev !objs) in
   (arr, slot_obj, site_obj, call_obj, glob_obj)
-
-(* Intrinsics with modeled (or no) metadata effect; anything else is
-   treated as worst-case in both the escape pass and the transfer. *)
-let classified m name =
-  is_telemetry_marker name
-  || List.mem_assoc name m.am_checks
-  || List.mem_assoc name m.am_allocs
-  || List.mem name m.am_frees
-  || List.mem name m.am_aliases
-  || List.mem name m.am_opaque
-  || (match m.am_gpt_load with Some g -> String.equal g name | None -> false)
-  || (match m.am_global_make with
-      | Some g -> String.equal g name
-      | None -> false)
 
 (* --- derivation closure and escape -------------------------------------- *)
 
@@ -375,28 +397,23 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
                 add dst
                   (Int_set.union (get base)
                      (match idx with Some o -> get o | None -> Int_set.empty))
-              | Iintrin { dst; name; args; site; _ } ->
-                (match dst with
-                 | None -> ()
-                 | Some d ->
-                   if List.mem_assoc name m.am_allocs then
-                     (match Hashtbl.find_opt site_obj site with
-                      | Some id -> add d (Int_set.singleton id)
-                      | None -> ())
-                   else if
-                     (m.am_check_alias && List.mem_assoc name m.am_checks)
-                     || List.mem name m.am_aliases
-                   then add d (arg0 args)
-                   else
-                     match m.am_gpt_load, args with
-                     | Some g, Imm k :: _ when String.equal name g ->
-                       (match Hashtbl.find_opt cx.cx_gpt k with
-                        | Some gname ->
-                          (match Hashtbl.find_opt glob_obj gname with
-                           | Some id -> add d (Int_set.singleton id)
-                           | None -> ())
-                        | None -> ())
-                     | _ -> ())
+              | Iintrin { dst = None; _ } -> ()
+              | Iintrin { dst = Some d; name; args; site } ->
+                (match intrin_kind cx name, args with
+                 | Kalloc _, _ ->
+                   (match Hashtbl.find_opt site_obj site with
+                    | Some id -> add d (Int_set.singleton id)
+                    | None -> ())
+                 | Kcheck, _ when m.am_check_alias -> add d (arg0 args)
+                 | Kalias, _ -> add d (arg0 args)
+                 | Kgpt_load, Imm k :: _ ->
+                   (match Hashtbl.find_opt cx.cx_gpt k with
+                    | Some gname ->
+                      (match Hashtbl.find_opt glob_obj gname with
+                       | Some id -> add d (Int_set.singleton id)
+                       | None -> ())
+                    | None -> ())
+                 | _ -> ())
               | Icall { dst; callee; _ } ->
                 (match dst with
                  | None -> ()
@@ -435,8 +452,9 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
               then ()
               else List.iter (fun a -> esc (get a)) args
             | Iintrin { name; args; _ } ->
-              if classified m name then ()
-              else List.iter (fun a -> esc (get a)) args
+              (match intrin_kind cx name with
+               | Kunclassified -> List.iter (fun a -> esc (get a)) args
+               | _ -> ())
             | _ -> ())
          b.b_instrs;
        match b.b_term with
@@ -571,75 +589,54 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
          else { st with s_freed = Int_set.union st.s_freed fe.fe_escaped }
        in
        (match dst with Some d -> set_val st d Vtop | None -> st))
-  | Iintrin { dst; name; args; site; _ } ->
-    if is_telemetry_marker name then st
-    else if List.mem_assoc name m.am_checks then
-      (match dst with
-       | Some d ->
-         set_val st d (if m.am_check_alias then arg0_aval args else Vtop)
-       | None -> st)
-    else if List.mem_assoc name m.am_allocs then begin
-      (* realloc-style: the free leg applies before the fresh object *)
-      let st =
-        if List.mem name m.am_frees then free_arg st (List.nth_opt args 0)
-        else st
-      in
-      match dst with
-      | Some d ->
-        set_val st d
-          (match Hashtbl.find_opt fe.fe_site_obj site with
-           | Some obj -> Vptr { obj; lo = 0; hi = 0 }
-           | None -> Vtop)
-      | None -> st
-    end
-    else if List.mem name m.am_frees then begin
-      let st = free_arg st (List.nth_opt args 0) in
-      match dst with Some d -> set_val st d Vtop | None -> st
-    end
-    else if List.mem name m.am_aliases then
-      (match dst with
-       | Some d -> set_val st d (arg0_aval args)
-       | None -> st)
-    else if
-      match m.am_gpt_load with
-      | Some g -> String.equal g name
-      | None -> false
-    then
-      (match dst, args with
-       | Some d, Imm k :: _ ->
-         set_val st d
-           (match Hashtbl.find_opt fe.fe_cx.cx_gpt k with
-            | Some gname ->
-              (match Hashtbl.find_opt fe.fe_glob_obj gname with
-               | Some obj -> Vptr { obj; lo = 0; hi = 0 }
-               | None -> Vtop)
-            | None -> Vtop)
-       | Some d, _ -> set_val st d Vtop
-       | None, _ -> st)
-    else if
-      (match m.am_global_make with
-       | Some g -> String.equal g name
-       | None -> false)
-      || List.mem name m.am_opaque
-    then (match dst with Some d -> set_val st d Vtop | None -> st)
-    else begin
-      (* unclassified intrinsic: worst case *)
-      let extra =
-        List.fold_left
-          (fun acc a ->
-             match a with
-             | Reg r when r < Array.length fe.fe_derived ->
-               Int_set.union acc fe.fe_derived.(r)
-             | _ -> acc)
-          Int_set.empty args
-      in
-      let st =
-        { st with
-          s_freed =
-            Int_set.union st.s_freed (Int_set.union fe.fe_escaped extra) }
-      in
-      match dst with Some d -> set_val st d Vtop | None -> st
-    end
+  | Iintrin { dst; name; args; site } ->
+    let set_dst v = match dst with Some d -> set_val st d v | None -> st in
+    (match intrin_kind fe.fe_cx name with
+     | Kmarker -> st
+     | Kcheck -> set_dst (if m.am_check_alias then arg0_aval args else Vtop)
+     | Kalloc { frees; _ } ->
+       (* realloc-style: the free leg applies before the fresh object *)
+       let st = if frees then free_arg st (List.nth_opt args 0) else st in
+       (match dst with
+        | Some d ->
+          set_val st d
+            (match Hashtbl.find_opt fe.fe_site_obj site with
+             | Some obj -> Vptr { obj; lo = 0; hi = 0 }
+             | None -> Vtop)
+        | None -> st)
+     | Kfree ->
+       let st = free_arg st (List.nth_opt args 0) in
+       (match dst with Some d -> set_val st d Vtop | None -> st)
+     | Kalias -> set_dst (arg0_aval args)
+     | Kgpt_load ->
+       set_dst
+         (match args with
+          | Imm k :: _ ->
+            (match Hashtbl.find_opt fe.fe_cx.cx_gpt k with
+             | Some gname ->
+               (match Hashtbl.find_opt fe.fe_glob_obj gname with
+                | Some obj -> Vptr { obj; lo = 0; hi = 0 }
+                | None -> Vtop)
+             | None -> Vtop)
+          | _ -> Vtop)
+     | Kopaque -> set_dst Vtop
+     | Kunclassified ->
+       (* worst case *)
+       let extra =
+         List.fold_left
+           (fun acc a ->
+              match a with
+              | Reg r when r < Array.length fe.fe_derived ->
+                Int_set.union acc fe.fe_derived.(r)
+              | _ -> acc)
+           Int_set.empty args
+       in
+       let st =
+         { st with
+           s_freed =
+             Int_set.union st.s_freed (Int_set.union fe.fe_escaped extra) }
+       in
+       (match dst with Some d -> set_val st d Vtop | None -> st))
 
 let transfer_block (fe : fenv) (b : block) (st0 : state)
     ~(record : (int -> state -> instr -> unit) option) : state =
@@ -671,8 +668,16 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
   let nb = Array.length f.f_blocks in
   let in_state : state option array = Array.make nb None in
   let updates = Array.make nb 0 in
-  if nb > 0 then
+  (* dirty: IN changed since the block's last transfer.  IN states only
+     grow, so a clean block's OUT -- a function of IN alone -- is still
+     below every successor's IN and would update nothing: skipping it
+     leaves every update, widening point and sweep count as a full
+     round-robin pass would have them. *)
+  let dirty = Array.make nb false in
+  if nb > 0 then begin
     in_state.(0) <- Some { s_regs = Int_map.empty; s_freed = Int_set.empty };
+    dirty.(0) <- true
+  end;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -680,27 +685,32 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
     Array.iter
       (fun bid ->
          match in_state.(bid) with
-         | None -> ()
-         | Some st ->
+         | Some st when dirty.(bid) ->
+           dirty.(bid) <- false;
            let out = transfer_block fe f.f_blocks.(bid) st ~record:None in
            List.iter
              (fun succ ->
                 match in_state.(succ) with
                 | None ->
                   in_state.(succ) <- Some out;
+                  dirty.(succ) <- true;
                   changed := true
                 | Some old ->
-                  let j = join_state old out in
-                  if not (state_leq j old) then begin
+                  (* join old out [= old exactly when out [= old, so the
+                     usual no-change edge builds no map *)
+                  if not (state_leq out old) then begin
                     updates.(succ) <- updates.(succ) + 1;
+                    let j = join_state old out in
                     in_state.(succ) <-
                       Some
                         (if updates.(succ) > widen_threshold then
                            widen_state old j
                          else j);
+                    dirty.(succ) <- true;
                     changed := true
                   end)
-             (successors f.f_blocks.(bid).b_term))
+             (successors f.f_blocks.(bid).b_term)
+         | _ -> ())
       cfg.Cfg.rpo
   done;
   let sites : (int, state) Hashtbl.t = Hashtbl.create 32 in
@@ -717,10 +727,9 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
                    (fun site st i ->
                       Hashtbl.replace sites site st;
                       match i with
-                      | Iintrin { name; args = Reg p :: _; _ }
-                        when List.mem_assoc name cx.cx_model.am_checks ->
-                        (match regval st p with
-                         | Vptr _ -> incr facts
+                      | Iintrin { name; args = Reg p :: _; _ } ->
+                        (match intrin_kind cx name, regval st p with
+                         | Kcheck, Vptr _ -> incr facts
                          | _ -> ())
                       | _ -> ())))
          |> ignore)

@@ -30,7 +30,10 @@ type size_rule = Sarg of int | Sprod of int * int
 
 (** Metadata semantics of one sanitizer's intrinsics and runtime
     calls.  Any intrinsic not classified here is treated as worst-case:
-    its arguments escape and every escaped object may be freed. *)
+    its arguments escape and every escaped object may be freed.  An
+    intrinsic named in several lists takes the first role in the order
+    check, alloc, free, alias, gpt-load, opaque -- except that an alloc
+    also named in [am_frees] keeps its free leg (realloc). *)
 type model = {
   am_checks : (string * string option) list;
       (** check intrinsic name -> its spatial-only variant, if the tool
@@ -103,12 +106,15 @@ type ctx
 
 val make_ctx : model -> pure:(string -> bool) -> Ir.modul -> ctx
 (** Whole-program context: scans the module for [am_global_make] sites
-    (GPT index -> global) and global sizes.  [pure] is the
+    (GPT index -> global), global sizes and defined functions, and
+    classifies the model's intrinsic names once.  [pure] is the
     metadata-purity closure from {!Analysis.pure_callees}. *)
 
 val analyze : ?fuel:Fuel.t -> ctx -> Ir.func -> summary
-(** Run all three domains to fixpoint (widening after a bounded number
-    of joins per block, so termination is unconditional). *)
+(** Run all three domains to fixpoint (widening once a block's entry
+    state has grown more than 3 times, so termination is
+    unconditional).  Each sweep re-transfers only the blocks whose
+    entry state changed since their last transfer. *)
 
 val regval : state -> int -> aval
 

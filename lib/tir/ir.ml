@@ -232,8 +232,7 @@ let telemetry_covered = "__telemetry_covered"
 let telemetry_prefix = "__telemetry_"
 
 let is_telemetry_marker name =
-  String.length name >= String.length telemetry_prefix
-  && String.sub name 0 (String.length telemetry_prefix) = telemetry_prefix
+  String.starts_with ~prefix:telemetry_prefix name
 
 (* Total number of instructions in a function/module, used by tests and
    the instrumentation statistics.  Telemetry markers are bookkeeping,

@@ -324,6 +324,156 @@ let differential_tests =
             end));
   ]
 
+(* --- equivalence pin ------------------------------------------------------ *)
+
+(* One digest over everything the abstract interpreter and the verifier
+   report on a fixed program set: every defined function's summary and
+   per-site states, the fuel each [analyze] burned, each build's
+   [Verify.check] counts and fuel, and the well-formedness errors of a
+   deterministically corrupted copy (definite-assignment text and order
+   included).  Taken under CECSan and ASan--, before and after
+   [optimize].  The literal was captured before the fixpoint loops were
+   last rewritten: any change to results or fuel breaks it, and only a
+   deliberate change to what they compute may re-capture it. *)
+
+let pin_budget = 1_000_000_000
+
+let pin_sources () =
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort String.compare
+    |> List.map (fun f -> read (Filename.concat "corpus" f))
+  in
+  List.map
+    (fun (w : Workloads.Spec2006.t) -> w.Workloads.Spec2006.w_source)
+    (Workloads.Spec2006.all @ Workloads.Spec2017.all)
+  @ corpus
+  @ List.init 200 (fun seed ->
+      (Fuzz.Gen.generate ~inject:(seed mod 2 = 1) (Fuzz.Tape.fresh ~seed))
+        .Fuzz.Gen.src)
+
+let pp_aval buf = function
+  | Tir.Absint.Vtop -> Buffer.add_string buf "T"
+  | Tir.Absint.Vint (l, h) -> Printf.bprintf buf "i%d,%d" l h
+  | Tir.Absint.Vptr { obj; lo; hi } -> Printf.bprintf buf "p%d:%d,%d" obj lo hi
+
+let pin_absint buf (spec : Tir.Verify.spec) md =
+  match spec.Tir.Verify.absint with
+  | None -> ()
+  | Some model ->
+    let pure =
+      Tir.Analysis.pure_callees md ~is_hazard:(fun n ->
+          List.mem n spec.Tir.Verify.hazard_intrinsics)
+    in
+    let cx = Tir.Absint.make_ctx model ~pure md in
+    Tir.Ir.iter_funcs md (fun f ->
+        if not f.Tir.Ir.f_external then begin
+          let fuel = Tir.Fuel.make ~phase:"pin" ~budget:pin_budget in
+          let su = Tir.Absint.analyze ~fuel cx f in
+          Buffer.add_string buf
+            (Format.asprintf "%a" Tir.Absint.pp_summary su);
+          Hashtbl.fold (fun site st acc -> (site, st) :: acc)
+            su.Tir.Absint.su_sites []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.iter (fun (site, (st : Tir.Absint.state)) ->
+              Printf.bprintf buf "site %d:" site;
+              Tir.Absint.Int_map.iter
+                (fun r v -> Printf.bprintf buf " r%d=%a" r pp_aval v)
+                st.Tir.Absint.s_regs;
+              Tir.Absint.Int_set.iter (Printf.bprintf buf " f%d")
+                st.Tir.Absint.s_freed;
+              Buffer.add_char buf '\n');
+          Printf.bprintf buf "absint fuel %d\n" (Tir.Fuel.remaining fuel)
+        end)
+
+let pin_verify buf spec md =
+  let fuel = Tir.Fuel.make ~phase:"pin" ~budget:pin_budget in
+  let r = Tir.Verify.check ~spec ~fuel md in
+  Printf.bprintf buf "verify %d %d %d %d fuel %d\n" r.Tir.Verify.r_accesses
+    r.Tir.Verify.r_covered r.Tir.Verify.r_witnesses
+    (List.length r.Tir.Verify.r_errors)
+    (Tir.Fuel.remaining fuel)
+
+(* Drop the first definition of every odd block, and define a negative
+   and an over-range register in the last block that the entry block
+   reads first, so definite assignment has something to report. *)
+let pin_corrupt buf md =
+  let md = Tir.Ir.clone md in
+  Tir.Ir.iter_funcs md (fun f ->
+      let open Tir.Ir in
+      Array.iteri
+        (fun k b ->
+           if k land 1 = 1 then begin
+             let dropped = ref false in
+             b.b_instrs <-
+               List.filter
+                 (fun i ->
+                    if (not !dropped) && defs i <> None then begin
+                      dropped := true;
+                      false
+                    end
+                    else true)
+                 b.b_instrs
+           end)
+        f.f_blocks;
+      let n = Array.length f.f_blocks in
+      if n > 0 then begin
+        let b0 = f.f_blocks.(0) and bl = f.f_blocks.(n - 1) in
+        b0.b_instrs <-
+          Ibin { op = Add; dst = 0; a = Reg (-1); b = Reg (f.f_nregs + 2) }
+          :: b0.b_instrs;
+        bl.b_instrs <-
+          Imov { dst = -1; src = Imm 0 }
+          :: Imov { dst = f.f_nregs + 2; src = Reg (-1) } :: bl.b_instrs
+      end);
+  let fuel = Tir.Fuel.make ~phase:"pin" ~budget:pin_budget in
+  List.iter
+    (fun e -> Printf.bprintf buf "%s\n" (Tir.Verify.error_to_string e))
+    (Tir.Verify.well_formed ~fuel md);
+  Printf.bprintf buf "wf fuel %d\n" (Tir.Fuel.remaining fuel)
+
+let pin_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let sources = pin_sources () in
+  List.iter
+    (fun (san : Sanitizer.Spec.t) ->
+       let spec = Option.get san.Sanitizer.Spec.verify in
+       List.iter
+         (fun src ->
+            let md = Sanitizer.Driver.compile_cached ~optimize:true src in
+            match san.Sanitizer.Spec.instrument md with
+            | exception Sanitizer.Spec.Unsupported _ ->
+              Buffer.add_string buf "unsupported\n"
+            | () ->
+              pin_verify buf spec md;
+              pin_absint buf spec md;
+              pin_corrupt buf md;
+              san.Sanitizer.Spec.optimize md;
+              pin_verify buf spec md;
+              pin_absint buf spec md;
+              pin_corrupt buf md)
+         sources)
+    [ Cecsan.sanitizer (); Baselines.Asan_minus.sanitizer () ];
+  (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let pin_tests =
+  [
+    Alcotest.test_case "absint and verify outputs match the pinned digest"
+      `Quick
+      (fun () ->
+         let len, hex = pin_digest () in
+         Alcotest.(check (pair int string)) "digest"
+           (5604903, "d609c0f1d9404d681bdd93c6e1b71f0f")
+           (len, hex));
+  ]
+
 let () =
   Alcotest.run "absint"
     [
@@ -331,4 +481,5 @@ let () =
       ("scev-endpoints", scev_tests);
       ("witness-replay", witness_tests);
       ("differential", differential_tests);
+      ("digest-pin", pin_tests);
     ]

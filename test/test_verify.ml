@@ -195,6 +195,62 @@ let mutation_tests =
        Alcotest.test_case name `Quick (fun () -> assert_rejected name mutate))
     mutations
 
+(* --- definite assignment: exact messages ---------------------------------- *)
+
+let wf_strings md =
+  List.map Tir.Verify.error_to_string (Tir.Verify.well_formed md)
+
+(* Splice a diamond in front of main's entry terminator: b0 branches to
+   a fresh block that defines a fresh register and to a fresh join
+   block, which uses it.  The join is reached on a path that skips the
+   definition. *)
+let test_one_branch_def () =
+  let _spec, md = build () in
+  let f = main_fn md in
+  Alcotest.(check (list string)) "clean before" [] (wf_strings md);
+  let nb = Array.length f.f_blocks and r = f.f_nregs in
+  f.f_nregs <- r + 2;
+  let b0 = f.f_blocks.(0) in
+  let def_blk =
+    { b_id = nb; b_instrs = [ Imov { dst = r; src = Imm 5 } ];
+      b_term = Tbr (nb + 1) }
+  in
+  let join_blk =
+    { b_id = nb + 1; b_instrs = [ Imov { dst = r + 1; src = Reg r } ];
+      b_term = b0.b_term }
+  in
+  b0.b_term <- Tcbr (Imm 1, nb, nb + 1);
+  f.f_blocks <- Array.append f.f_blocks [| def_blk; join_blk |];
+  Alcotest.(check (list string)) "exact rejection"
+    [ sp "main.b%d: use of r%d not assigned on every path" (nb + 1) r ]
+    (wf_strings md)
+
+(* A negative and an over-range register, each both defined and used:
+   the lint reports every bad operand, and definite assignment tracks
+   the out-of-range definitions instead of raising. *)
+let test_out_of_range_regs () =
+  let _spec, md = build () in
+  let f = main_fn md in
+  let n = f.f_nregs in
+  let b0 = f.f_blocks.(0) in
+  b0.b_instrs <-
+    Imov { dst = -3; src = Reg (n + 5) }
+    :: Ibin { op = Add; dst = n + 9; a = Reg (-3); b = Reg (n + 9) }
+    :: b0.b_instrs;
+  let range r = sp "main.b0: register r%d out of range (nregs=%d)" r n in
+  Alcotest.(check (list string)) "lint + definite assignment"
+    [ range (n + 5); range (-3); range (-3); range (n + 9); range (n + 9);
+      sp "main.b0: use of r%d not assigned on every path" (n + 9) ]
+    (wf_strings md)
+
+let defassign_tests =
+  [
+    Alcotest.test_case "a definition on one branch only is rejected" `Quick
+      test_one_branch_def;
+    Alcotest.test_case "out-of-range registers are reported, never raise"
+      `Quick test_out_of_range_regs;
+  ]
+
 (* --- every sanitizer verifies on generated programs ----------------------- *)
 
 let all_sanitizers () =
@@ -348,6 +404,7 @@ let () =
       ("baseline", [ Alcotest.test_case "pipeline verifies" `Quick
                        test_baseline ]);
       ("mutation-kill", mutation_tests);
+      ("defassign", defassign_tests);
       ("generated-programs", property_tests);
       ("preheader", preheader_tests);
     ]
