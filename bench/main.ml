@@ -201,7 +201,7 @@ let run_fuzz ?pool ?backend ~jobs n =
     timed "fuzz" (fun () ->
         Fuzz.Campaign.run ?pool ?backend ~seed:!run_seed ~n ())
   in
-  absorb s.Fuzz.Campaign.snapshot;
+  absorb (Fuzz.Campaign.telemetry s);
   Fuzz.Campaign.render fmt ~jobs s;
   if not (Fuzz.Campaign.passed s) then exit 1
 
@@ -214,10 +214,10 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
   section "Experiment: coverage-guided fuzz campaign";
   let s =
     timed "fuzz-guided" (fun () ->
-        Fuzz.Campaign.run ?pool ?backend ~guided:true ~shard_size:10
+        Fuzz.Campaign.run ?pool ?backend ~schedule:Alternate ~shard_size:10
           ~seed:!run_seed ~n ())
   in
-  absorb s.Fuzz.Campaign.snapshot;
+  absorb (Fuzz.Campaign.telemetry s);
   Fuzz.Campaign.render fmt ~jobs s;
   let blind =
     timed "fuzz-blind" (fun () ->

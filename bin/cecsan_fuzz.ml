@@ -95,8 +95,8 @@ let guided =
 let mutate_only =
   Arg.(value & flag
        & info [ "mutate-only" ]
-           ~doc:"With $(b,--guided): after the first corpus admission, \
-                 every shard mutates corpus tapes (no fresh \
+           ~doc:"Implies $(b,--guided): after the first corpus \
+                 admission, every shard mutates corpus tapes (no fresh \
                  generation).")
 
 let min_corpus =
@@ -221,12 +221,17 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     else if jobs < 1 then (Fmt.epr "-j: expected >= 0@."; exit 2)
     else jobs
   in
+  let schedule =
+    if mutate_only then Fuzz.Campaign.Mutate_only
+    else if guided then Fuzz.Campaign.Alternate
+    else Fuzz.Campaign.Blind
+  in
   let summary =
     Harness.Pool.with_pool ~jobs (fun p ->
         let pool = if jobs > 1 then Some p else None in
         Fuzz.Campaign.run ?pool ~tool_names ~max_shrink
           ~faults:fault_specs ~policy ?checkpoint ~resume ~shard_size
-          ~backend ~guided ~mutate_only ~seed ~n ())
+          ~backend ~schedule ~seed ~n ())
   in
   Fuzz.Campaign.render Format.std_formatter ~jobs summary;
   (match checkpoint with
@@ -237,7 +242,7 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
   (match telemetry_json with
    | Some f ->
      Harness.Jsonio.write ~path:f
-       (Telemetry.Snapshot.to_json summary.Fuzz.Campaign.snapshot ^ "\n");
+       (Telemetry.Snapshot.to_json (Fuzz.Campaign.telemetry summary) ^ "\n");
      Fmt.pr "telemetry snapshot written: %s@." f
    | None -> ());
   (match repro_dir with

@@ -7,98 +7,41 @@
    at any job count: Pool.map_results keeps submission order, and
    shrinking of the (rare) failures happens sequentially afterwards.
 
+   One shard loop serves every schedule: a blind campaign is the
+   generation-only schedule of the guided loop, with the feedback step
+   (coverage, corpus, per-phase counters, coverage rows) skipped.
+
    Supervision (this file's robustness layer):
 
    - every per-program task runs under [Harness.Supervise.run]: a task
      that dies -- injected crash, fuel exhaustion, stack overflow --
      is retried under the deterministic count-based policy and then
      QUARANTINED (one ledger entry) instead of aborting the campaign;
-   - the campaign proceeds in shards of [shard_size] programs; after
-     each shard the full campaign state (rows, quarantine, counters,
-     merged telemetry) is written to an atomic checkpoint
-     (temp-file + rename), so a SIGKILL costs at most one shard;
-   - [resume:true] restores the checkpoint and continues from the
-     first unfinished shard.  Everything the final ledgers derive from
-     is persisted in the checkpoint, so a killed-and-resumed campaign
-     produces byte-identical mismatch/quarantine ledgers to an
-     uninterrupted one, at any -j.
-
-   Checkpoint schema v1 (line-based, documented in DESIGN.md s.13):
-
-     cecsan-campaign-checkpoint v1
-     seed <hex>
-     n <int>
-     shard_size <int>
-     tools <csv|->
-     faults <csv|->
-     shards_done <int>
-     resumed_shards <int>
-     retries <int>
-     row index=<int> seed=<hex> plan=<cls:far:write:g16|-> failures=<csv|->
-     ...
-     quarantine task=<int> seed=<hex> attempts=<int> class=<s> phase=<s> detail=<%S>
-     ...
-     snapshot <Telemetry.Snapshot.to_json line>
-     end *)
+   - the campaign proceeds in shards of [shard_size] programs and folds
+     each shard into one [Checkpoint.t] state record, which after each
+     shard is written to an atomic checkpoint (temp-file + rename), so
+     a SIGKILL costs at most one shard;
+   - [resume:true] restores that record and continues from the first
+     unfinished shard.  Everything the final ledgers derive from is in
+     the record, so a killed-and-resumed campaign produces
+     byte-identical mismatch/quarantine ledgers to an uninterrupted
+     one, at any -j. *)
 
 let sp = Printf.sprintf
 
-type row = {
-  index : int;
-  seed : int;
-  plan : Gen.plan option;
-  failures : string list;      (* Oracle.failure_name labels *)
-}
+type schedule = Checkpoint.schedule = Blind | Alternate | Mutate_only
 
 type shrunk = {
-  s_row : row;
+  s_row : Checkpoint.row;
   s_failures : Oracle.failure list;
   s_src : string;
   s_tape : int array;
   s_lines : int;
 }
 
-(* One coverage-over-time sample, recorded after each guided shard. *)
-type cov_row = {
-  cr_shard : int;
-  cr_phase : string;           (* "gen" or "mutate" *)
-  cr_bits : int;               (* accumulated bitmap cardinality *)
-  cr_sites : int;              (* distinct site ids in the bitmap *)
-  cr_corpus : int;             (* corpus size after the shard *)
-}
-
 type summary = {
-  campaign_seed : int;
-  n : int;
-  tool_names : string list;
-  fault_specs : Vm.Fault.spec list;
-  rows : row list;
+  state : Checkpoint.t;
   shrunk : shrunk list;
-  quarantine : Harness.Supervise.entry list;  (* submission order *)
-  retries : int;          (* re-attempts made across all tasks *)
-  fuel_exhausted : int;   (* quarantined with class "fuel" *)
-  resumed_shards : int;   (* shards restored from a checkpoint *)
-  (* CECSan(-O2) telemetry over the whole grid, merged in submission
-     order: identical at any job count *)
-  snapshot : Telemetry.Snapshot.t;
-  (* guided-mode state: empty/zero for a blind campaign *)
-  guided : bool;
-  mutate_only : bool;
-  coverage : Coverage.t;   (* accumulated bitmap, submission order *)
-  corpus : Corpus.t;
-  cov_rows : cov_row list; (* one per shard, oldest first *)
-  gen_programs : int;      (* programs run in generation shards *)
-  mut_programs : int;      (* programs run in mutation shards *)
-  gen_admitted : int;      (* corpus admissions from generation *)
-  mut_admitted : int;      (* corpus admissions from mutation *)
-  clean : int;
-  buggy : int;
-  false_positives : int;
-  false_negatives : int;
-  divergences : int;
-  opt_unsound : int;
-  misclassified : int;
-  gen_invalid : int;
 }
 
 let inject_of_index i = i land 1 = 1
@@ -111,97 +54,64 @@ let fuel_budget_of_specs specs =
     (fun acc s -> match s with Vm.Fault.Fuel b -> Some b | _ -> acc)
     None specs
 
-(* One self-contained job: everything derived from (campaign_seed, i).
-   With fault specs given, program i gets its own injector seeded from
-   its derived seed, threaded into every oracle run; a [Fuel b] spec
-   additionally puts the generator under a fresh [b]-step budget (the
-   compile/verify phases get theirs inside Driver.run, bridged from the
-   injector). *)
-let run_one ~tool_names ~fault_specs ~campaign_seed ?backend i
-  : row * Telemetry.Snapshot.t =
-  let tools = tools_of_names tool_names in
-  let seed = Tape.mix campaign_seed i in
-  let fault =
-    match fault_specs with
-    | [] -> None
-    | specs -> Some (Vm.Fault.of_specs ~seed specs)
-  in
-  let gen_fuel =
-    Option.map
-      (fun b -> Tir.Fuel.make ~phase:"gen" ~budget:b)
-      (fuel_budget_of_specs fault_specs)
-  in
-  let p =
-    Gen.generate ~inject:(inject_of_index i) ?fuel:gen_fuel
-      (Tape.fresh ~seed)
-  in
-  let fs, snap = Oracle.evaluate_full ~tools ?fault ?backend p in
-  ( { index = i; seed; plan = p.Gen.plan;
-      failures = List.map Oracle.failure_name fs },
-    snap )
+(* --- the per-program job ------------------------------------------------- *)
 
-(* --- guided jobs ----------------------------------------------------------- *)
+(* A mutation phase carries the corpus snapshot taken at shard start. *)
+type phase = Gen_phase | Mut_phase of Corpus.t
 
-type phase = Gen_phase | Mut_phase
-
-let phase_name = function Gen_phase -> "gen" | Mut_phase -> "mutate"
-
-(* One guided job's result: the blind row plus everything the
-   sequential admission loop needs. *)
-type gres = {
-  g_row : row;
-  g_snap : Telemetry.Snapshot.t;
-  g_cov : Coverage.t;
-  g_phase : string;            (* "gen" or "mutate:<op>" *)
-  g_tape : int array;          (* normalized (recorded) decision tape *)
+type job = {
+  row : Checkpoint.row;
+  snap : Telemetry.Snapshot.t;  (* the CECSan(-O2) run's telemetry *)
+  cov : Coverage.t;
+  label : string;               (* "gen" or "mutate:<op>" *)
+  tape : int array;             (* normalized (recorded) decision tape *)
 }
 
-(* The guided counterpart of [run_one].  A generation-phase job is
-   byte-identical to the blind job at the same index (same derived
-   seed, same parity-planted bug); a mutation-phase job derives its
-   whole schedule -- base pick, partner pick, operator, operator
-   randomness -- from the same per-program seed over the corpus
-   snapshot taken at shard start, so it is a pure function of
-   (campaign_seed, i, corpus-at-shard-start) and independent of pool
-   interleaving.  [Mut_phase] requires a nonempty corpus. *)
-let run_one_guided ~tool_names ~fault_specs ~campaign_seed ?backend
-    ~phase ~corpus i : gres =
-  let tools = tools_of_names tool_names in
+(* One self-contained job: everything derived from (campaign_seed, i)
+   and the phase.  With fault specs given, program i gets its own
+   injector seeded from its derived seed, threaded into every oracle
+   run; a [Fuel b] spec additionally puts the generator under a fresh
+   [b]-step budget (the compile/verify phases get theirs inside
+   Driver.run, bridged from the injector).  A generation job is the
+   blind program at index i; a mutation job derives its whole schedule
+   -- base pick, partner pick, operator, operator randomness -- from the
+   same per-program seed over the corpus snapshot, so it is a pure
+   function of (campaign_seed, i, corpus-at-shard-start) and
+   independent of pool interleaving. *)
+let run_one ~tool_names ~fault_specs ~campaign_seed ?backend phase i : job =
   let seed = Tape.mix campaign_seed i in
   let fault =
     match fault_specs with
     | [] -> None
     | specs -> Some (Vm.Fault.of_specs ~seed specs)
   in
-  let gen_fuel =
+  let fuel =
     Option.map
       (fun b -> Tir.Fuel.make ~phase:"gen" ~budget:b)
       (fuel_budget_of_specs fault_specs)
   in
-  let inject = inject_of_index i in
-  let g_phase, p =
+  let generate = Gen.generate ~inject:(inject_of_index i) ?fuel in
+  let label, p =
     match phase with
-    | Gen_phase ->
-      "gen", Gen.generate ~inject ?fuel:gen_fuel (Tape.fresh ~seed)
-    | Mut_phase ->
-      let size = Corpus.size corpus in
-      if size = 0 then invalid_arg "Campaign: mutation over empty corpus";
+    | Gen_phase -> "gen", generate (Tape.fresh ~seed)
+    | Mut_phase corpus ->
       let rng = Tape.fresh ~seed in
       let favored = Corpus.favored corpus in
       let base =
         (List.nth favored (Tape.draw rng (List.length favored))).Corpus.e_tape
       in
-      let partner = Corpus.nth_tape corpus (Tape.draw rng size) in
+      let partner =
+        Corpus.nth_tape corpus (Tape.draw rng (Corpus.size corpus))
+      in
       let op, tape = Mutate.mutate ~rng ~partner base in
-      ( sp "mutate:%s" (Mutate.op_name op),
-        Gen.generate ~inject ?fuel:gen_fuel (Tape.replay tape) )
+      sp "mutate:%s" (Mutate.op_name op), generate (Tape.replay tape)
   in
-  (* the snapshot merged into the campaign stays the CECSan(-O2) one,
-     exactly as in blind mode *)
-  let fs, snap, cov = Oracle.evaluate_cov ~tools ?fault ?backend p in
-  { g_row = { index = i; seed; plan = p.Gen.plan;
-              failures = List.map Oracle.failure_name fs };
-    g_snap = snap; g_cov = cov; g_phase; g_tape = p.Gen.tape }
+  let fs, snap, cov =
+    Oracle.evaluate_cov ~tools:(tools_of_names tool_names) ?fault ?backend p
+  in
+  { row = { index = i; seed; plan = p.Gen.plan;
+            failures = List.map Oracle.failure_name fs };
+    snap; cov; label; tape = p.Gen.tape }
 
 (* Shrinks a failing case: the minimized tape must regenerate a program
    that still exhibits every one of the original failure labels.  The
@@ -232,573 +142,248 @@ let shrink_failure ~tool_names ?fault ?fuel ?backend ~inject
         s_tape = best;
         s_lines = Gen.line_count p_min.Gen.src }
 
-let count_kind rows pred =
-  List.fold_left
-    (fun acc r -> acc + List.length (List.filter pred r)) 0
-    (List.map (fun r -> r.failures) rows)
+(* --- the shard loop ------------------------------------------------------- *)
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
+(* Generation until the corpus is nonempty; then [Alternate] mutates odd
+   shards and [Mutate_only] every shard.  The corpus snapshot is taken
+   once at shard start, so every job in the shard is a pure function of
+   (seed, index, snapshot) regardless of -j. *)
+let phase_of_shard (st : Checkpoint.t) =
+  match st.schedule with
+  | Blind -> Gen_phase
+  | _ when Corpus.size st.corpus = 0 -> Gen_phase
+  | Alternate when st.shards_done land 1 = 0 -> Gen_phase
+  | Alternate | Mutate_only -> Mut_phase st.corpus
 
-(* --- checkpoint serialization (schema v1) -------------------------------- *)
+(* A task settles to its job or its quarantine entry, plus its retries.
+   An exception that escaped the supervisor itself (should not happen)
+   becomes a zero-retry quarantine rather than killing the campaign. *)
+let settle ~campaign_seed i = function
+  | Ok { Harness.Supervise.result; retries } -> (result, retries)
+  | Error e ->
+    let q_class, q_phase = Harness.Supervise.classify e in
+    ( Error
+        { Harness.Supervise.q_task = i; q_seed = Tape.mix campaign_seed i;
+          q_class; q_phase; q_attempts = 1; q_detail = Printexc.to_string e },
+      0 )
 
-let checkpoint_file = "campaign.v1.ckpt"
-let checkpoint_magic = "cecsan-campaign-checkpoint v1"
-
-(* Mid-campaign state: everything the final summary and ledgers derive
-   from.  Rows and quarantine entries are kept in submission order. *)
-type ckpt = {
-  ck_seed : int;
-  ck_n : int;
-  ck_shard_size : int;
-  ck_tools : string list;
-  ck_faults : string list;           (* Fault.spec_to_string forms *)
-  ck_shards_done : int;
-  ck_resumed_shards : int;
-  ck_retries : int;
-  ck_rows : row list;
-  ck_quarantine : Harness.Supervise.entry list;
-  ck_snapshot : Telemetry.Snapshot.t;
-  (* guided extension (schema-v1-compatible: the extra lines appear
-     only in guided checkpoints, and a blind checkpoint's bytes are
-     unchanged) *)
-  ck_guided : bool;
-  ck_mutate_only : bool;
-  ck_coverage : Coverage.t;
-  ck_corpus : Corpus.t;  (* embedded: checkpoint + corpus commit atomically *)
-  ck_cov_rows : cov_row list;
-  ck_gen_programs : int;
-  ck_mut_programs : int;
-  ck_gen_admitted : int;
-  ck_mut_admitted : int;
-}
-
-let csv_or_dash = function [] -> "-" | xs -> String.concat "," xs
-let csv_of_dash = function "-" -> [] | s -> String.split_on_char ',' s
-
-let plan_to_field = function
-  | None -> "-"
-  | Some (p : Gen.plan) ->
-    sp "%s:%d:%d:%d" (Gen.class_name p.Gen.cls)
-      (Bool.to_int p.Gen.far) (Bool.to_int p.Gen.write)
-      (Bool.to_int p.Gen.granule16)
-
-let plan_of_field = function
-  | "-" -> Ok None
-  | s ->
-    (match String.split_on_char ':' s with
-     | [ cls; far; write; g16 ] ->
-       (match Gen.class_of_name cls, far, write, g16 with
-        | Some cls, ("0" | "1"), ("0" | "1"), ("0" | "1") ->
-          Ok (Some { Gen.cls; far = String.equal far "1";
-                     write = String.equal write "1";
-                     granule16 = String.equal g16 "1" })
-        | _ -> Error (sp "bad plan field %S" s))
-     | _ -> Error (sp "bad plan field %S" s))
-
-let row_to_line r =
-  sp "row index=%d seed=%x plan=%s failures=%s" r.index r.seed
-    (plan_to_field r.plan) (csv_or_dash r.failures)
-
-let cov_row_to_line c =
-  sp "covrow shard=%d phase=%s bits=%d sites=%d corpus=%d" c.cr_shard
-    c.cr_phase c.cr_bits c.cr_sites c.cr_corpus
-
-let cov_row_of_line line : cov_row option =
-  match
-    Scanf.sscanf line "covrow shard=%d phase=%s bits=%d sites=%d corpus=%d"
-      (fun s p b st c -> (s, p, b, st, c))
-  with
-  | cr_shard, cr_phase, cr_bits, cr_sites, cr_corpus ->
-    Some { cr_shard; cr_phase; cr_bits; cr_sites; cr_corpus }
-  | exception _ -> None
-
-let row_of_line line : row option =
-  match
-    Scanf.sscanf line "row index=%d seed=%x plan=%s failures=%s"
-      (fun index seed plan failures -> (index, seed, plan, failures))
-  with
-  | index, seed, plan, failures ->
-    (match plan_of_field plan with
-     | Ok plan -> Some { index; seed; plan; failures = csv_of_dash failures }
-     | Error _ -> None)
-  | exception _ -> None
-
-let write_checkpoint ~dir (ck : ckpt) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir checkpoint_file in
-  (* Jsonio's tmp+rename guarantees a reader never observes a torn
-     checkpoint *)
-  Harness.Jsonio.with_file ~path (fun oc ->
-      let line fmt =
-        Printf.ksprintf (fun s -> output_string oc (s ^ "\n")) fmt
-      in
-      line "%s" checkpoint_magic;
-      line "seed %x" ck.ck_seed;
-      line "n %d" ck.ck_n;
-      line "shard_size %d" ck.ck_shard_size;
-      line "tools %s" (csv_or_dash ck.ck_tools);
-      line "faults %s" (csv_or_dash ck.ck_faults);
-      line "shards_done %d" ck.ck_shards_done;
-      line "resumed_shards %d" ck.ck_resumed_shards;
-      line "retries %d" ck.ck_retries;
-      if ck.ck_guided then begin
-        line "guided mutate_only=%d gen=%d mut=%d gen_adm=%d mut_adm=%d"
-          (Bool.to_int ck.ck_mutate_only) ck.ck_gen_programs
-          ck.ck_mut_programs ck.ck_gen_admitted ck.ck_mut_admitted;
-        line "bitmap %s" (Coverage.to_string ck.ck_coverage);
-        List.iter (fun c -> line "%s" (cov_row_to_line c)) ck.ck_cov_rows;
-        List.iter
-          (fun e -> line "corpus %s" (Corpus.entry_to_line e))
-          (Corpus.entries ck.ck_corpus)
-      end;
-      List.iter (fun r -> line "%s" (row_to_line r)) ck.ck_rows;
-      List.iter
-        (fun e -> line "quarantine %s" (Harness.Supervise.entry_to_line e))
-        ck.ck_quarantine;
-      line "snapshot %s" (Telemetry.Snapshot.to_json ck.ck_snapshot);
-      line "end")
-
-(* [None] on a missing or unparseable file (a fresh start is always a
-   correct recovery); the caller validates configuration agreement. *)
-let read_checkpoint ~dir : ckpt option =
-  let path = Filename.concat dir checkpoint_file in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do lines := input_line ic :: !lines done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = List.rev !lines in
-    let exception Bad in
-    let scan1 line fmt =
-      match Scanf.sscanf line fmt (fun v -> v) with
-      | v -> v
-      | exception _ -> raise Bad
+(* The guided feedback step, sequential in submission order: union the
+   bitmap, admit coverage-novel tapes, count programs and admissions
+   per phase, and record the shard's coverage row. *)
+let feedback (st : Checkpoint.t) sidx phase jobs : Checkpoint.t =
+  let step (st : Checkpoint.t) j =
+    let corpus, admitted =
+      Corpus.admit st.corpus ~seed:j.row.seed ~phase:j.label ~tape:j.tape
+        ~cov:j.cov
     in
-    match lines with
-    | magic :: seed_l :: n_l :: ss_l :: tools_l :: faults_l :: sd_l
-      :: rs_l :: rt_l :: rest ->
-      (try
-         if not (String.equal magic checkpoint_magic) then raise Bad;
-         let ck_seed = scan1 seed_l "seed %x" in
-         let ck_n = scan1 n_l "n %d" in
-         let ck_shard_size = scan1 ss_l "shard_size %d" in
-         let ck_tools = csv_of_dash (scan1 tools_l "tools %s") in
-         let ck_faults = csv_of_dash (scan1 faults_l "faults %s") in
-         let ck_shards_done = scan1 sd_l "shards_done %d" in
-         let ck_resumed_shards = scan1 rs_l "resumed_shards %d" in
-         let ck_retries = scan1 rt_l "retries %d" in
-         let rows = ref [] and quarantine = ref [] in
-         let snapshot = ref None in
-         let guided = ref None in
-         let bitmap = ref Coverage.empty in
-         let cov_rows = ref [] in
-         let corpus_entries = ref [] in
-         let finished = ref false in
-         List.iter
-           (fun line ->
-              if !finished then ()
-              else if String.equal line "end" then finished := true
-              else if has_prefix ~prefix:"row " line then
-                match row_of_line line with
-                | Some r -> rows := r :: !rows
-                | None -> raise Bad
-              else if has_prefix ~prefix:"guided " line then
-                (match
-                   Scanf.sscanf line
-                     "guided mutate_only=%d gen=%d mut=%d gen_adm=%d \
-                      mut_adm=%d"
-                     (fun m g mu ga ma -> (m, g, mu, ga, ma))
-                 with
-                 | m, g, mu, ga, ma -> guided := Some (m = 1, g, mu, ga, ma)
-                 | exception _ -> raise Bad)
-              else if has_prefix ~prefix:"bitmap " line then
-                (match
-                   Coverage.of_string
-                     (String.sub line 7 (String.length line - 7))
-                 with
-                 | Some c -> bitmap := c
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"covrow " line then
-                (match cov_row_of_line line with
-                 | Some c -> cov_rows := c :: !cov_rows
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"corpus " line then
-                (match
-                   Corpus.entry_of_line
-                     (String.sub line 7 (String.length line - 7))
-                 with
-                 | Some e -> corpus_entries := e :: !corpus_entries
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"quarantine " line then
-                match
-                  Harness.Supervise.entry_of_line
-                    (String.sub line 11 (String.length line - 11))
-                with
-                | Some e -> quarantine := e :: !quarantine
-                | None -> raise Bad
-              else if has_prefix ~prefix:"snapshot " line then
-                match
-                  Telemetry.Snapshot.of_json
-                    (String.sub line 9 (String.length line - 9))
-                with
-                | Some s -> snapshot := Some s
-                | None -> raise Bad
-              else raise Bad)
-           rest;
-         if not !finished then raise Bad;
-         match !snapshot with
-         | None -> None
-         | Some ck_snapshot ->
-           let ck_guided, ck_mutate_only, ck_gen_programs,
-               ck_mut_programs, ck_gen_admitted, ck_mut_admitted =
-             match !guided with
-             | None -> (false, false, 0, 0, 0, 0)
-             | Some (m, g, mu, ga, ma) -> (true, m, g, mu, ga, ma)
-           in
-           Some
-             { ck_seed; ck_n; ck_shard_size; ck_tools; ck_faults;
-               ck_shards_done; ck_resumed_shards; ck_retries;
-               ck_rows = List.rev !rows;
-               ck_quarantine = List.rev !quarantine; ck_snapshot;
-               ck_guided; ck_mutate_only; ck_coverage = !bitmap;
-               ck_corpus = Corpus.of_entries (List.rev !corpus_entries);
-               ck_cov_rows = List.rev !cov_rows;
-               ck_gen_programs; ck_mut_programs; ck_gen_admitted;
-               ck_mut_admitted }
-       with Bad -> None)
-    | _ -> None
-  end
-
-(* --- the campaign driver -------------------------------------------------- *)
-
-let fuel_exhausted_count quarantine =
-  List.length
-    (List.filter
-       (fun e -> String.equal e.Harness.Supervise.q_class "fuel")
-       quarantine)
+    let st = { st with coverage = Coverage.union st.coverage j.cov; corpus } in
+    let adm = Bool.to_int admitted in
+    match phase with
+    | Gen_phase ->
+      { st with gen_programs = st.gen_programs + 1;
+                gen_admitted = st.gen_admitted + adm }
+    | Mut_phase _ ->
+      { st with mut_programs = st.mut_programs + 1;
+                mut_admitted = st.mut_admitted + adm }
+  in
+  let st = List.fold_left step st jobs in
+  let cov_row =
+    { Checkpoint.cr_shard = sidx;
+      cr_phase =
+        (match phase with Gen_phase -> "gen" | Mut_phase _ -> "mutate");
+      cr_bits = Coverage.cardinal st.coverage;
+      cr_sites = Coverage.sites st.coverage;
+      cr_corpus = Corpus.size st.corpus }
+  in
+  { st with cov_rows = st.cov_rows @ [ cov_row ] }
 
 let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
     ?(policy = Harness.Supervise.default_policy) ?checkpoint
     ?(resume = false) ?(shard_size = 256) ?stop_after_shards ?backend
-    ?(guided = false) ?(mutate_only = false) ~seed ~n () : summary =
-  let shard_size = max 1 shard_size in
-  let mutate_only = guided && mutate_only in
-  let fault_strings = List.map Vm.Fault.spec_to_string faults in
-  (* restore: a missing/corrupt checkpoint is a fresh start; a
-     checkpoint for a DIFFERENT campaign is a caller error.  The guided
-     corpus is embedded in the checkpoint, so corpus and campaign state
-     restore from one atomic file. *)
-  let restored =
-    if not resume then None
-    else
-      match checkpoint with
-      | None -> invalid_arg "Campaign.run: resume requires a checkpoint dir"
-      | Some dir ->
-        (match read_checkpoint ~dir with
-         | None -> None
-         | Some ck ->
-           if
-             ck.ck_seed <> seed || ck.ck_n <> n
-             || ck.ck_shard_size <> shard_size
-             || ck.ck_tools <> tool_names
-             || ck.ck_faults <> fault_strings
-             || ck.ck_guided <> guided
-             || ck.ck_mutate_only <> mutate_only
-           then
-             invalid_arg
-               (sp
-                  "Campaign.run: checkpoint in %s is for a different \
-                   campaign (seed/n/shard_size/tools/faults/guided \
-                   mismatch)"
-                  dir)
-           else Some ck)
+    ?(schedule = Blind) ~seed ~n () : summary =
+  let fresh =
+    { Checkpoint.campaign_seed = seed; n; shard_size = max 1 shard_size;
+      tool_names; faults = List.map Vm.Fault.spec_to_string faults;
+      schedule; shards_done = 0; resumed_shards = 0; retries = 0;
+      rows = []; quarantine = []; snapshot = Telemetry.Snapshot.empty;
+      coverage = Coverage.empty; corpus = Corpus.empty; cov_rows = [];
+      gen_programs = 0; mut_programs = 0; gen_admitted = 0;
+      mut_admitted = 0 }
   in
-  let rows_rev = ref [] in
-  let quarantine_rev = ref [] in
-  let snapshot = ref Telemetry.Snapshot.empty in
-  let retries = ref 0 in
-  let shards_done = ref 0 in
-  let resumed_shards = ref 0 in
-  let coverage = ref Coverage.empty in
-  let corpus = ref Corpus.empty in
-  let cov_rows_rev = ref [] in
-  let gen_programs = ref 0 and mut_programs = ref 0 in
-  let gen_admitted = ref 0 and mut_admitted = ref 0 in
-  (match restored with
-   | None -> ()
-   | Some ck ->
-     rows_rev := List.rev ck.ck_rows;
-     quarantine_rev := List.rev ck.ck_quarantine;
-     snapshot := ck.ck_snapshot;
-     retries := ck.ck_retries;
-     shards_done := ck.ck_shards_done;
-     coverage := ck.ck_coverage;
-     corpus := ck.ck_corpus;
-     cov_rows_rev := List.rev ck.ck_cov_rows;
-     gen_programs := ck.ck_gen_programs;
-     mut_programs := ck.ck_mut_programs;
-     gen_admitted := ck.ck_gen_admitted;
-     mut_admitted := ck.ck_mut_admitted;
-     (* every shard we did NOT recompute this process counts as resumed *)
-     resumed_shards := ck.ck_resumed_shards + ck.ck_shards_done);
-  let total_shards = (n + shard_size - 1) / shard_size in
-  let save () =
-    match checkpoint with
-    | None -> ()
-    | Some dir ->
-      (* the standalone corpus file is a derived artifact (for CI cmp
-         and external consumers); resume reads the embedded copy, so a
-         crash between the two atomic writes cannot desynchronize the
-         restored state *)
-      if guided then ignore (Corpus.save ~dir !corpus);
-      write_checkpoint ~dir
-        { ck_seed = seed; ck_n = n; ck_shard_size = shard_size;
-          ck_tools = tool_names; ck_faults = fault_strings;
-          ck_shards_done = !shards_done;
-          ck_resumed_shards = !resumed_shards; ck_retries = !retries;
-          ck_rows = List.rev !rows_rev;
-          ck_quarantine = List.rev !quarantine_rev;
-          ck_snapshot = !snapshot;
-          ck_guided = guided; ck_mutate_only = mutate_only;
-          ck_coverage = !coverage; ck_corpus = !corpus;
-          ck_cov_rows = List.rev !cov_rows_rev;
-          ck_gen_programs = !gen_programs;
-          ck_mut_programs = !mut_programs;
-          ck_gen_admitted = !gen_admitted;
-          ck_mut_admitted = !mut_admitted }
+  (* restore: a missing, corrupt or inconsistent checkpoint is a fresh
+     start; a checkpoint for a DIFFERENT campaign is a caller error *)
+  let config (c : Checkpoint.t) =
+    (c.campaign_seed, c.n, c.shard_size, c.tool_names, c.faults, c.schedule)
   in
-  let process_shard sidx =
+  let start =
+    match resume, checkpoint with
+    | false, _ -> fresh
+    | true, None -> invalid_arg "Campaign.run: resume requires a checkpoint dir"
+    | true, Some dir ->
+      (match
+         Option.bind
+           (Harness.Jsonio.read_lines
+              ~path:(Filename.concat dir Checkpoint.file))
+           Checkpoint.of_lines
+       with
+       | None -> fresh
+       | Some ck when config ck <> config fresh ->
+         invalid_arg
+           (sp "Campaign.run: checkpoint in %s is for a different campaign \
+                (seed/n/shard_size/tools/faults/schedule mismatch)" dir)
+       | Some ck ->
+         (* every shard we do NOT recompute this process counts as resumed *)
+         { ck with resumed_shards = ck.resumed_shards + ck.shards_done })
+  in
+  let save (st : Checkpoint.t) =
+    Option.iter
+      (fun dir ->
+         Harness.Jsonio.mkdir dir;
+         (* the standalone corpus file is a derived artifact (for CI cmp
+            and external consumers); resume reads the embedded copy, so
+            a kill between the two atomic writes cannot desynchronize
+            the restored state *)
+         if schedule <> Blind then ignore (Corpus.save ~dir st.corpus);
+         Harness.Jsonio.write_lines
+           ~path:(Filename.concat dir Checkpoint.file) (Checkpoint.to_lines st))
+      checkpoint
+  in
+  let shard_size = fresh.shard_size in
+  let process_shard (st : Checkpoint.t) =
+    let sidx = st.shards_done in
     let lo = sidx * shard_size in
-    let hi = min n (lo + shard_size) in
-    let indices = List.init (hi - lo) (fun k -> lo + k) in
-    let outcomes =
+    let indices = List.init (min n (lo + shard_size) - lo) (fun k -> lo + k) in
+    let phase = phase_of_shard st in
+    let settled =
       Harness.Pool.maybe_map_results pool
         (fun i ->
            Harness.Supervise.run ~policy ~task:i ~seed:(Tape.mix seed i)
              (fun ~attempt:_ ->
                 run_one ~tool_names ~fault_specs:faults ~campaign_seed:seed
-                  ?backend i))
+                  ?backend phase i))
         indices
+      |> List.map2 (settle ~campaign_seed:seed) indices
     in
-    List.iter2
-      (fun i outcome ->
-         match outcome with
-         | Ok { Harness.Supervise.result = Ok (row, snap); retries = r } ->
-           rows_rev := row :: !rows_rev;
-           snapshot := Telemetry.Snapshot.merge !snapshot snap;
-           retries := !retries + r
-         | Ok { result = Error entry; retries = r } ->
-           quarantine_rev := entry :: !quarantine_rev;
-           retries := !retries + r
-         | Error e ->
-           (* escaped the supervisor itself (should not happen); treat
-              it as a zero-retry quarantine rather than dying *)
-           let cls, phase = Harness.Supervise.classify e in
-           quarantine_rev :=
-             { Harness.Supervise.q_task = i; q_seed = Tape.mix seed i;
-               q_class = cls; q_phase = phase; q_attempts = 1;
-               q_detail = Printexc.to_string e }
-             :: !quarantine_rev)
-      indices outcomes;
-    incr shards_done;
-    save ()
+    let jobs = List.filter_map (fun (r, _) -> Result.to_option r) settled in
+    let st =
+      { st with
+        shards_done = sidx + 1;
+        retries = List.fold_left (fun acc (_, r) -> acc + r) st.retries settled;
+        rows = st.rows @ List.map (fun j -> j.row) jobs;
+        quarantine =
+          st.quarantine
+          @ List.filter_map
+            (function Error e, _ -> Some e | Ok _, _ -> None) settled;
+        snapshot =
+          List.fold_left
+            (fun acc j -> Telemetry.Snapshot.merge acc j.snap)
+            st.snapshot jobs }
+    in
+    let st = if schedule = Blind then st else feedback st sidx phase jobs in
+    save st;
+    st
   in
-  (* Guided shards alternate generation (even) and mutation (odd);
-     mutation needs a nonempty corpus to draw from, so early shards
-     fall back to generation, and [mutate_only] makes every shard after
-     the first admission a mutation shard.  The corpus snapshot is
-     taken once at shard start, so every job in the shard is a pure
-     function of (seed, index, snapshot) regardless of -j; admission
-     and accounting happen sequentially in submission order. *)
-  let process_shard_guided sidx =
-    let lo = sidx * shard_size in
-    let hi = min n (lo + shard_size) in
-    let indices = List.init (hi - lo) (fun k -> lo + k) in
-    let corpus_snapshot = !corpus in
-    let phase =
-      if Corpus.size corpus_snapshot = 0 then Gen_phase
-      else if mutate_only then Mut_phase
-      else if sidx land 1 = 0 then Gen_phase
-      else Mut_phase
-    in
-    let outcomes =
-      Harness.Pool.maybe_map_results pool
-        (fun i ->
-           Harness.Supervise.run ~policy ~task:i ~seed:(Tape.mix seed i)
-             (fun ~attempt:_ ->
-                run_one_guided ~tool_names ~fault_specs:faults
-                  ~campaign_seed:seed ?backend ~phase
-                  ~corpus:corpus_snapshot i))
-        indices
-    in
-    List.iter2
-      (fun i outcome ->
-         match outcome with
-         | Ok { Harness.Supervise.result = Ok g; retries = r } ->
-           rows_rev := g.g_row :: !rows_rev;
-           snapshot := Telemetry.Snapshot.merge !snapshot g.g_snap;
-           retries := !retries + r;
-           coverage := Coverage.union !coverage g.g_cov;
-           (match phase with
-            | Gen_phase -> incr gen_programs
-            | Mut_phase -> incr mut_programs);
-           let corpus', admitted =
-             Corpus.admit !corpus ~seed:g.g_row.seed ~phase:g.g_phase
-               ~tape:g.g_tape ~cov:g.g_cov
-           in
-           corpus := corpus';
-           if admitted then
-             (match phase with
-              | Gen_phase -> incr gen_admitted
-              | Mut_phase -> incr mut_admitted)
-         | Ok { result = Error entry; retries = r } ->
-           quarantine_rev := entry :: !quarantine_rev;
-           retries := !retries + r
-         | Error e ->
-           let cls, phase' = Harness.Supervise.classify e in
-           quarantine_rev :=
-             { Harness.Supervise.q_task = i; q_seed = Tape.mix seed i;
-               q_class = cls; q_phase = phase'; q_attempts = 1;
-               q_detail = Printexc.to_string e }
-             :: !quarantine_rev)
-      indices outcomes;
-    cov_rows_rev :=
-      { cr_shard = sidx; cr_phase = phase_name phase;
-        cr_bits = Coverage.cardinal !coverage;
-        cr_sites = Coverage.sites !coverage;
-        cr_corpus = Corpus.size !corpus }
-      :: !cov_rows_rev;
-    incr shards_done;
-    save ()
-  in
-  let process_shard = if guided then process_shard_guided else process_shard in
-  let last_shard =
+  let total = Checkpoint.total_shards fresh in
+  let last =
     match stop_after_shards with
-    | None -> total_shards
-    | Some k -> min total_shards (!shards_done + max 0 k)
+    | None -> total
+    | Some k -> min total (start.shards_done + max 0 k)
   in
-  while !shards_done < last_shard do
-    process_shard !shards_done
-  done;
-  let rows = List.rev !rows_rev in
-  (* shrink only once every shard is in (a partial [stop_after_shards]
-     run is checkpoint fodder, not a report); failing rows are
-     regenerated from their seeds, so a resumed campaign shrinks
-     exactly what an uninterrupted one would *)
-  let shrunk =
-    (* guided rows from mutation shards are not regenerable from their
-       seeds alone (the tape came from the corpus), so guided
-       campaigns report failures through the ledger unshrunk *)
-    if guided || !shards_done < total_shards then []
-    else begin
-      let failing = List.filter (fun r -> r.failures <> []) rows in
-      let failing =
-        List.filteri (fun i _ -> i < max_shrink) failing
-      in
-      List.filter_map
-        (fun r ->
-           let inject = inject_of_index r.index in
-           let task () =
-             let fault =
-               match faults with
-               | [] -> None
-               | specs -> Some (Vm.Fault.of_specs ~seed:r.seed specs)
-             in
-             let fuel =
-               Option.map
-                 (fun b -> Tir.Fuel.make ~phase:"shrink" ~budget:b)
-                 (fuel_budget_of_specs faults)
-             in
-             let p =
-               Gen.generate ~inject (Tape.fresh ~seed:r.seed)
-             in
-             let fs = Oracle.evaluate ~tools:(tools_of_names tool_names)
-                 ?fault ?backend p in
-             match
-               shrink_failure ~tool_names ?fault ?fuel ?backend ~inject p fs
-             with
-             | Some s ->
-               Some { s with s_row = { s.s_row with index = r.index;
-                                       seed = r.seed } }
-             | None ->
-               (* non-reproducible from its own tape: report unshrunk *)
-               Some { s_row = r; s_failures = fs; s_src = p.Gen.src;
-                      s_tape = p.Gen.tape;
-                      s_lines = Gen.line_count p.Gen.src }
-           in
-           match
-             Harness.Supervise.run ~policy ~task:r.index ~seed:r.seed
-               (fun ~attempt:_ -> task ())
-           with
-           | { Harness.Supervise.result = Ok sh; retries = r' } ->
-             retries := !retries + r';
-             sh
-           | { result = Error entry; retries = r' } ->
-             retries := !retries + r';
-             quarantine_rev := entry :: !quarantine_rev;
-             None)
-        failing
-    end
+  let rec loop (st : Checkpoint.t) =
+    if st.shards_done < last then loop (process_shard st) else st
   in
-  (* shrink-phase quarantines were pushed onto the same ledger, after
-     the campaign's own entries *)
-  let quarantine = List.rev !quarantine_rev in
-  let fuel_exhausted = fuel_exhausted_count quarantine in
-  let snapshot =
-    (* supervise counters ride the snapshot only when nonzero, so a
-       fault-free campaign's telemetry is unchanged *)
-    let extra =
-      List.filter
-        (fun (_, v) -> v > 0)
-        [ "supervise_fuel_exhausted", fuel_exhausted;
-          "supervise_quarantined", List.length quarantine;
-          "supervise_resumed_shards", !resumed_shards;
-          "supervise_retries", !retries ]
-    in
-    if extra = [] then !snapshot
+  let st = loop start in
+  (* shrink only a finished blind campaign (a partial [stop_after_shards]
+     run is checkpoint fodder, not a report; mutation rows are not
+     regenerable from their seeds alone).  Failing rows are regenerated
+     from their seeds, so a resumed campaign shrinks exactly what an
+     uninterrupted one would; shrink-phase quarantines land after the
+     campaign's own entries. *)
+  let failing =
+    if schedule <> Blind || st.shards_done < total then []
     else
-      Telemetry.Snapshot.merge !snapshot
-        { Telemetry.Snapshot.empty with counters = extra }
+      List.filter (fun (r : Checkpoint.row) -> r.failures <> []) st.rows
+      |> List.filteri (fun i _ -> i < max_shrink)
   in
-  {
-    campaign_seed = seed;
-    n;
-    tool_names;
-    fault_specs = faults;
-    rows;
-    shrunk;
-    quarantine;
-    retries = !retries;
-    fuel_exhausted;
-    resumed_shards = !resumed_shards;
-    snapshot;
-    guided;
-    mutate_only;
-    coverage = !coverage;
-    corpus = !corpus;
-    cov_rows = List.rev !cov_rows_rev;
-    gen_programs = !gen_programs;
-    mut_programs = !mut_programs;
-    gen_admitted = !gen_admitted;
-    mut_admitted = !mut_admitted;
-    clean = List.length (List.filter (fun r -> r.plan = None) rows);
-    buggy = List.length (List.filter (fun r -> r.plan <> None) rows);
-    false_positives = count_kind rows (has_prefix ~prefix:"false-positive");
-    false_negatives = count_kind rows (has_prefix ~prefix:"false-negative");
-    divergences = count_kind rows (has_prefix ~prefix:"divergence");
-    opt_unsound = count_kind rows (has_prefix ~prefix:"opt-unsound");
-    misclassified = count_kind rows (has_prefix ~prefix:"misclassified");
-    gen_invalid = count_kind rows (has_prefix ~prefix:"gen-invalid");
-  }
+  let shrink_one (st : Checkpoint.t) (r : Checkpoint.row) =
+    let inject = inject_of_index r.index in
+    let task () =
+      let fault =
+        match faults with
+        | [] -> None
+        | specs -> Some (Vm.Fault.of_specs ~seed:r.seed specs)
+      in
+      let fuel =
+        Option.map
+          (fun b -> Tir.Fuel.make ~phase:"shrink" ~budget:b)
+          (fuel_budget_of_specs faults)
+      in
+      let p = Gen.generate ~inject (Tape.fresh ~seed:r.seed) in
+      let fs =
+        Oracle.evaluate ~tools:(tools_of_names tool_names) ?fault ?backend p
+      in
+      match shrink_failure ~tool_names ?fault ?fuel ?backend ~inject p fs with
+      | Some s ->
+        { s with s_row = { s.s_row with index = r.index; seed = r.seed } }
+      | None ->
+        (* non-reproducible from its own tape: report unshrunk *)
+        { s_row = r; s_failures = fs; s_src = p.Gen.src; s_tape = p.Gen.tape;
+          s_lines = Gen.line_count p.Gen.src }
+    in
+    let o =
+      Harness.Supervise.run ~policy ~task:r.index ~seed:r.seed
+        (fun ~attempt:_ -> task ())
+    in
+    let st = { st with retries = st.retries + o.retries } in
+    match o.result with
+    | Ok sh -> (st, Some sh)
+    | Error entry -> ({ st with quarantine = st.quarantine @ [ entry ] }, None)
+  in
+  let state, shrunk = List.fold_left_map shrink_one st failing in
+  { state; shrunk = List.filter_map Fun.id shrunk }
+
+(* --- derived verdicts ---------------------------------------------------- *)
+
+(* The oracle verdict classes [passed] judges, as (report label,
+   failure-label prefix). *)
+let verdict_classes =
+  [ "false positives", "false-positive";
+    "false negatives", "false-negative";
+    "divergences", "divergence";
+    "optimizer-unsound", "opt-unsound";
+    "misclassified", "misclassified";
+    "generator-invalid", "gen-invalid" ]
+
+let count_failures (s : summary) prefix =
+  List.fold_left
+    (fun acc (r : Checkpoint.row) ->
+       acc + List.length (List.filter (String.starts_with ~prefix) r.failures))
+    0 s.state.rows
 
 let passed s =
-  s.false_positives = 0 && s.false_negatives = 0 && s.divergences = 0
-  && s.opt_unsound = 0 && s.misclassified = 0 && s.gen_invalid = 0
+  List.for_all (fun (_, prefix) -> count_failures s prefix = 0) verdict_classes
+
+let fuel_exhausted (s : summary) =
+  List.length
+    (List.filter
+       (fun e -> String.equal e.Harness.Supervise.q_class "fuel")
+       s.state.quarantine)
+
+(* Supervise counters ride the snapshot only when nonzero, so a
+   fault-free campaign's telemetry is unchanged. *)
+let telemetry (s : summary) =
+  let extra =
+    List.filter
+      (fun (_, v) -> v > 0)
+      [ "supervise_fuel_exhausted", fuel_exhausted s;
+        "supervise_quarantined", List.length s.state.quarantine;
+        "supervise_resumed_shards", s.state.resumed_shards;
+        "supervise_retries", s.state.retries ]
+  in
+  if extra = [] then s.state.snapshot
+  else
+    Telemetry.Snapshot.merge s.state.snapshot
+      { Telemetry.Snapshot.empty with counters = extra }
 
 (* The blind baseline at the same program budget: the bitmap a plain
    generation-only grid reaches.  Each program is the exact blind
@@ -806,26 +391,24 @@ let passed s =
    guided-beats-blind inequality. *)
 let blind_coverage ?pool ?(tool_names = []) ?backend ~seed ~n ()
   : Coverage.t =
-  let covs =
-    Harness.Pool.maybe_map_results pool
-      (fun i ->
-         (run_one_guided ~tool_names ~fault_specs:[] ~campaign_seed:seed
-            ?backend ~phase:Gen_phase ~corpus:Corpus.empty i)
-           .g_cov)
-      (List.init n Fun.id)
-  in
-  List.fold_left
-    (fun acc r ->
-       match r with Ok c -> Coverage.union acc c | Error _ -> acc)
-    Coverage.empty covs
+  Harness.Pool.maybe_map_results pool
+    (fun i ->
+       (run_one ~tool_names ~fault_specs:[] ~campaign_seed:seed ?backend
+          Gen_phase i).cov)
+    (List.init n Fun.id)
+  |> List.fold_left
+    (fun acc r -> match r with Ok c -> Coverage.union acc c | Error _ -> acc)
+    Coverage.empty
 
 (* The BENCH_fuzzcov.json artifact (schema cecsan-bench-fuzzcov/1):
    every field derives from submission-order state -- no wall clock,
    no job count -- so the artifact is byte-identical at any -j and
    across kill-and-resume. *)
 let fuzzcov_json ~blind (s : summary) : string =
+  let st = s.state in
   let mismatches =
-    List.length (List.filter (fun r -> r.failures <> []) s.rows)
+    List.length
+      (List.filter (fun (r : Checkpoint.row) -> r.failures <> []) st.rows)
   in
   let open Json in
   let phase programs admitted =
@@ -834,19 +417,19 @@ let fuzzcov_json ~blind (s : summary) : string =
   to_string Compact
     (Obj
        [ ("schema", Str "cecsan-bench-fuzzcov/1");
-         ("seed", Str (sp "0x%x" s.campaign_seed));
-         ("n", Int s.n);
-         ("mutate_only", Bool s.mutate_only);
+         ("seed", Str (sp "0x%x" st.campaign_seed));
+         ("n", Int st.n);
+         ("mutate_only", Bool (st.schedule = Mutate_only));
          ("guided",
           Obj
-            [ ("bits", Int (Coverage.cardinal s.coverage));
-              ("sites", Int (Coverage.sites s.coverage));
-              ("corpus", Int (Corpus.size s.corpus));
+            [ ("bits", Int (Coverage.cardinal st.coverage));
+              ("sites", Int (Coverage.sites st.coverage));
+              ("corpus", Int (Corpus.size st.corpus));
               ("mismatches", Int mismatches);
               ("phases",
                Obj
-                 [ ("gen", phase s.gen_programs s.gen_admitted);
-                   ("mutate", phase s.mut_programs s.mut_admitted) ]) ]);
+                 [ ("gen", phase st.gen_programs st.gen_admitted);
+                   ("mutate", phase st.mut_programs st.mut_admitted) ]) ]);
          ("blind",
           Obj
             [ ("bits", Int (Coverage.cardinal blind));
@@ -854,36 +437,32 @@ let fuzzcov_json ~blind (s : summary) : string =
          ("rows",
           List
             (List.map
-               (fun c ->
+               (fun (c : Checkpoint.cov_row) ->
                   Obj
                     [ ("shard", Int c.cr_shard);
                       ("phase", Str c.cr_phase);
                       ("bits", Int c.cr_bits);
                       ("sites", Int c.cr_sites);
                       ("corpus", Int c.cr_corpus) ])
-               s.cov_rows)) ])
+               st.cov_rows)) ])
 
 (* --- final ledgers -------------------------------------------------------- *)
 
 (* The two files the durability contract is judged on: every line
-   derives only from fields the checkpoint persists (index, seed, plan,
-   failure labels, quarantine entries), so an interrupted-and-resumed
-   campaign reproduces them byte for byte. *)
+   derives only from the checkpointed state (rows and quarantine
+   entries), so an interrupted-and-resumed campaign reproduces them
+   byte for byte. *)
 let mismatch_ledger_lines (s : summary) =
   List.filter_map
-    (fun r ->
-       if r.failures = [] then None
-       else
-         Some
-           (sp "index=%d seed=%x plan=%s failures=%s" r.index r.seed
-              (plan_to_field r.plan) (csv_or_dash r.failures)))
-    s.rows
+    (fun (r : Checkpoint.row) ->
+       if r.failures = [] then None else Some (Checkpoint.row_fields r))
+    s.state.rows
 
 let quarantine_ledger_lines (s : summary) =
-  List.map Harness.Supervise.entry_to_line s.quarantine
+  List.map Harness.Supervise.entry_to_line s.state.quarantine
 
 let write_ledgers ~dir (s : summary) : string * string =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Harness.Jsonio.mkdir dir;
   let write name lines =
     let path = Filename.concat dir name in
     Harness.Jsonio.write_lines ~path lines;
@@ -896,7 +475,7 @@ let write_ledgers ~dir (s : summary) : string * string =
 
 let class_histogram rows =
   List.fold_left
-    (fun acc r ->
+    (fun acc (r : Checkpoint.row) ->
        match r.plan with
        | None -> acc
        | Some p ->
@@ -909,48 +488,45 @@ let class_histogram rows =
 (* The header carries everything needed to replay the campaign from the
    log alone: seed, size, job count, tool lineup, fault specs. *)
 let render fmt ~jobs (s : summary) =
+  let st = s.state in
+  let line label v = Format.fprintf fmt "  %-18s: %d@." label v in
   Format.fprintf fmt
     "Fuzz campaign: seed=0x%x n=%d jobs=%d tools=cecsan%s%s@."
-    s.campaign_seed s.n jobs
-    (match s.tool_names with
+    st.campaign_seed st.n jobs
+    (String.concat "" (List.map (( ^ ) ",") st.tool_names))
+    (match st.faults with
      | [] -> ""
-     | ts -> "," ^ String.concat "," ts)
-    (match s.fault_specs with
-     | [] -> ""
-     | fs ->
-       " faults=" ^ String.concat "," (List.map Vm.Fault.spec_to_string fs));
-  Format.fprintf fmt "  programs: %d clean + %d bug-injected@." s.clean
-    s.buggy;
+     | fs -> " faults=" ^ String.concat "," fs);
+  let clean =
+    List.length
+      (List.filter (fun (r : Checkpoint.row) -> r.plan = None) st.rows)
+  in
+  Format.fprintf fmt "  programs: %d clean + %d bug-injected@." clean
+    (List.length st.rows - clean);
   List.iter
     (fun (k, v) -> Format.fprintf fmt "    planted %-16s %4d@." k v)
-    (class_histogram s.rows);
-  Format.fprintf fmt "  false positives   : %d@." s.false_positives;
-  Format.fprintf fmt "  false negatives   : %d@." s.false_negatives;
-  Format.fprintf fmt "  divergences       : %d@." s.divergences;
-  Format.fprintf fmt "  optimizer-unsound : %d@." s.opt_unsound;
-  Format.fprintf fmt "  misclassified     : %d@." s.misclassified;
-  Format.fprintf fmt "  generator-invalid : %d@." s.gen_invalid;
-  Format.fprintf fmt "  quarantined       : %d@."
-    (List.length s.quarantine);
-  Format.fprintf fmt "  retries           : %d@." s.retries;
-  if s.fuel_exhausted > 0 then
-    Format.fprintf fmt "  fuel-exhausted    : %d@." s.fuel_exhausted;
-  if s.resumed_shards > 0 then
-    Format.fprintf fmt "  resumed shards    : %d@." s.resumed_shards;
-  if s.guided then begin
+    (class_histogram st.rows);
+  List.iter
+    (fun (label, prefix) -> line label (count_failures s prefix))
+    verdict_classes;
+  line "quarantined" (List.length st.quarantine);
+  line "retries" st.retries;
+  if fuel_exhausted s > 0 then line "fuel-exhausted" (fuel_exhausted s);
+  if st.resumed_shards > 0 then line "resumed shards" st.resumed_shards;
+  if st.schedule <> Blind then begin
     Format.fprintf fmt "  coverage          : %d bits over %d sites@."
-      (Coverage.cardinal s.coverage)
-      (Coverage.sites s.coverage);
+      (Coverage.cardinal st.coverage)
+      (Coverage.sites st.coverage);
     Format.fprintf fmt
       "  corpus            : %d entries (%d gen + %d mutate admissions)@."
-      (Corpus.size s.corpus) s.gen_admitted s.mut_admitted;
+      (Corpus.size st.corpus) st.gen_admitted st.mut_admitted;
     Format.fprintf fmt
       "  phases            : %d generation + %d mutation programs@."
-      s.gen_programs s.mut_programs
+      st.gen_programs st.mut_programs
   end;
-  if s.quarantine <> [] then begin
+  if st.quarantine <> [] then begin
     Format.fprintf fmt "@.  QUARANTINE:@.";
-    Harness.Supervise.render fmt s.quarantine
+    Harness.Supervise.render fmt st.quarantine
   end;
   List.iter
     (fun sh ->
@@ -1002,10 +578,10 @@ let resilience ?pool ?(n = 240) ?backend ~seed () : resilience_row list =
        let s = run ?pool ~faults ~max_shrink:0 ?backend ~seed ~n () in
        { rs_scenario = name;
          rs_n = n;
-         rs_completed = List.length s.rows;
-         rs_quarantined = List.length s.quarantine;
-         rs_retries = s.retries;
-         rs_fuel = s.fuel_exhausted;
+         rs_completed = List.length s.state.rows;
+         rs_quarantined = List.length s.state.quarantine;
+         rs_retries = s.state.retries;
+         rs_fuel = fuel_exhausted s;
          rs_pass = passed s })
     scenarios
 
@@ -1063,19 +639,11 @@ let corpus_contents ~cls ~seed ~(tape : int array) (src : string) =
       "   expect: detected by CECSan under Halt and Recover"; "*/"; src;
       "" ]
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let mkdir_p dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-
 (* Writes shrunk failure repros; returns the paths. *)
 let write_repros ~dir (s : summary) : string list =
   if s.shrunk = [] then []
   else begin
-    mkdir_p dir;
+    Harness.Jsonio.mkdir dir;
     List.map
       (fun sh ->
          let path =
@@ -1088,7 +656,7 @@ let write_repros ~dir (s : summary) : string list =
                      (Oracle.failure_name f)
                  | [] -> "unknown"))
          in
-         write_file path
+         Harness.Jsonio.write ~path
            (repro_contents ~seed:sh.s_row.seed
               ~inject:(inject_of_index sh.s_row.index)
               ~failures:sh.s_failures ~tape:sh.s_tape sh.s_src);
@@ -1096,29 +664,15 @@ let write_repros ~dir (s : summary) : string list =
       s.shrunk
   end
 
-let detect_same_class ?backend cls tape =
+(* Whether the tape, replayed with a planted bug, plants a plan [same]
+   accepts and CECSan(-O2) detects it with a kind matching its class.
+   Corpus admission asks for the same class; corpus shrinking pins the
+   whole plan (class AND far/write/granule16), so each entry stays a
+   faithful witness of its plan-shape marker. *)
+let detect_same_plan ?backend same tape =
   let p = Gen.generate ~inject:true (Tape.replay tape) in
   match p.Gen.plan with
-  | Some pl when pl.Gen.cls = cls ->
-    (match
-       Oracle.run_tool (Cecsan.sanitizer ()) ?backend ~optimize:true
-         p.Gen.src
-     with
-     | tr ->
-       tr.Oracle.detected
-       && (match tr.Oracle.first_kind with
-           | Some k -> Oracle.kind_ok cls k
-           | None -> false)
-     | exception Oracle.Compile_error _ -> false)
-  | _ -> false
-
-(* [detect_same_class] with the whole planted shape pinned: corpus
-   shrinking preserves class AND far/write/granule16, so each entry
-   stays a faithful witness of its plan-shape marker. *)
-let detect_same_plan ?backend (pl0 : Gen.plan) tape =
-  let p = Gen.generate ~inject:true (Tape.replay tape) in
-  match p.Gen.plan with
-  | Some pl when pl = pl0 ->
+  | Some pl when same pl ->
     (match
        Oracle.run_tool (Cecsan.sanitizer ()) ?backend ~optimize:true
          p.Gen.src
@@ -1175,7 +729,7 @@ let corpus_coverage_of_tape ?backend tape : Coverage.t =
    the written corpus is a fixed point of [Corpus.minimize].
    Deterministic in [seed]; writes at most [count] entries. *)
 let write_corpus ~dir ~seed ~count ?backend () : string list =
-  mkdir_p dir;
+  Harness.Jsonio.mkdir dir;
   let rec collect i corp =
     if Corpus.size corp >= count || i > 10_000 then corp
     else
@@ -1183,12 +737,13 @@ let write_corpus ~dir ~seed ~count ?backend () : string list =
       let p = Gen.generate ~inject:true (Tape.fresh ~seed:pseed) in
       match p.Gen.plan with
       | Some pl
-        when detect_same_class ?backend pl.Gen.cls p.Gen.tape
+        when detect_same_plan ?backend
+               (fun pl' -> pl'.Gen.cls = pl.Gen.cls) p.Gen.tape
              && Coverage.novel
                   (corpus_coverage_of_tape ?backend p.Gen.tape)
                   ~acc:(Corpus.accumulated corp) ->
         let tape =
-          Shrink.minimize ~still_fails:(detect_same_plan ?backend pl)
+          Shrink.minimize ~still_fails:(detect_same_plan ?backend (( = ) pl))
             p.Gen.tape
         in
         let corp', _ =
@@ -1210,7 +765,7 @@ let write_corpus ~dir ~seed ~count ?backend () : string list =
        let path =
          Filename.concat dir (sp "%02d_%s.mc" k (Gen.class_name cls))
        in
-       write_file path
+       Harness.Jsonio.write ~path
          (corpus_contents ~cls ~seed:e.Corpus.e_seed ~tape:e.Corpus.e_tape
             p.Gen.src);
        path)
@@ -1219,21 +774,13 @@ let write_corpus ~dir ~seed ~count ?backend () : string list =
 (* --- committed-corpus minimality check ------------------------------------- *)
 
 let tape_of_corpus_file path : int array option =
-  let ic = open_in path in
-  let found = ref None in
-  (try
-     while !found = None do
-       let line = input_line ic in
-       let prefix = "   tape: " in
-       if has_prefix ~prefix line then
-         found :=
-           Tape.of_string
-             (String.sub line (String.length prefix)
-                (String.length line - String.length prefix))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !found
+  let prefix = "   tape: " in
+  let k = String.length prefix in
+  Option.bind (Harness.Jsonio.read_lines ~path)
+    (List.find_map (fun line ->
+         if String.starts_with ~prefix line then
+           Tape.of_string (String.sub line k (String.length line - k))
+         else None))
 
 (* [Ok []] iff the committed .mc corpus in [dir] is already a fixed
    point of the set-cover pass: rebuilding each entry's bitmap from its

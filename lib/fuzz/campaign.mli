@@ -10,83 +10,33 @@
     mid-campaign state so a killed-and-resumed run produces
     byte-identical final ledgers to an uninterrupted one. *)
 
-type row = {
-  index : int;
-  seed : int;                 (** per-program derived seed *)
-  plan : Gen.plan option;
-  failures : string list;     (** [Oracle.failure_name] labels *)
-}
+type schedule = Checkpoint.schedule = Blind | Alternate | Mutate_only
 
 type shrunk = {
-  s_row : row;
+  s_row : Checkpoint.row;
   s_failures : Oracle.failure list;
   s_src : string;             (** minimized repro source *)
   s_tape : int array;
   s_lines : int;
 }
 
-type cov_row = {
-  cr_shard : int;
-  cr_phase : string;          (** ["gen"] or ["mutate"] *)
-  cr_bits : int;              (** accumulated bitmap cardinality *)
-  cr_sites : int;             (** distinct site ids in the bitmap *)
-  cr_corpus : int;            (** corpus size after the shard *)
-}
-(** One coverage-over-time sample, recorded after each guided shard. *)
-
 type summary = {
-  campaign_seed : int;
-  n : int;
-  tool_names : string list;
-  fault_specs : Vm.Fault.spec list;
-  rows : row list;            (** programs that produced a verdict *)
+  state : Checkpoint.t;
+      (** the final campaign state: the last checkpointed state plus
+          the shrink phase's retries and quarantine entries (appended
+          after the campaign's own) *)
   shrunk : shrunk list;
-  quarantine : Harness.Supervise.entry list;
-      (** tasks that kept dying, in submission order (shrink-phase
-          entries last) *)
-  retries : int;              (** re-attempts made across all tasks *)
-  fuel_exhausted : int;       (** quarantined with class ["fuel"] *)
-  resumed_shards : int;       (** shards restored from a checkpoint *)
-  snapshot : Telemetry.Snapshot.t;
-      (** CECSan(-O2) telemetry merged over the grid in submission
-          order: identical at any job count.  Supervise counters
-          ([supervise_retries], [supervise_quarantined],
-          [supervise_fuel_exhausted], [supervise_resumed_shards]) are
-          merged in only when nonzero. *)
-  guided : bool;
-  mutate_only : bool;
-  coverage : Coverage.t;
-      (** accumulated bitmap, unioned in submission order (empty for a
-          blind campaign) *)
-  corpus : Corpus.t;
-  cov_rows : cov_row list;    (** one per guided shard, oldest first *)
-  gen_programs : int;         (** programs run in generation shards *)
-  mut_programs : int;         (** programs run in mutation shards *)
-  gen_admitted : int;         (** corpus admissions from generation *)
-  mut_admitted : int;         (** corpus admissions from mutation *)
-  clean : int;
-  buggy : int;
-  false_positives : int;
-  false_negatives : int;
-  divergences : int;
-  opt_unsound : int;
-  misclassified : int;
-  gen_invalid : int;
 }
 
 val inject_of_index : int -> bool
 (** Odd program indices carry a planted bug. *)
-
-val checkpoint_file : string
-(** ["campaign.v1.ckpt"], the file [run ~checkpoint:dir] maintains. *)
 
 val run :
   ?pool:Harness.Pool.t -> ?tool_names:string list -> ?max_shrink:int ->
   ?faults:Vm.Fault.spec list -> ?policy:Harness.Supervise.policy ->
   ?checkpoint:string -> ?resume:bool -> ?shard_size:int ->
   ?stop_after_shards:int -> ?backend:Vm.Machine.backend ->
-  ?guided:bool -> ?mutate_only:bool -> seed:int ->
-  n:int -> unit -> summary
+  ?schedule:schedule -> seed:int -> n:int -> unit -> summary
 (** Runs the campaign in shards of [shard_size] (default 256) programs;
     shrinks up to [max_shrink] failures (default 5) sequentially after
     the last shard.
@@ -97,10 +47,11 @@ val run :
     retries and then quarantines.
 
     [checkpoint] names a directory to keep an atomic
-    {!checkpoint_file} in, rewritten after every shard; [resume]
+    [Checkpoint.file] in, rewritten after every shard; [resume]
     (requires [checkpoint]) restores it and continues from the first
-    unfinished shard.  A missing or unreadable checkpoint is a fresh
-    start; a checkpoint whose seed/n/shard_size/tools/faults disagree
+    unfinished shard.  A missing, unreadable or internally inconsistent
+    checkpoint (see [Checkpoint.of_lines]) is a fresh start; a
+    checkpoint whose seed/n/shard_size/tools/faults/schedule disagree
     with the arguments raises [Invalid_argument].
 
     [stop_after_shards] processes at most that many further shards and
@@ -110,21 +61,30 @@ val run :
     [backend] threads into every run of the grid; verdicts, ledgers and
     snapshots are bit-for-bit identical on either backend.
 
-    [guided] turns on coverage feedback (DESIGN.md section 17): each
-    program's runs additionally produce a [Coverage] bitmap, shards
-    alternate generation (even) and mutation (odd, tapes drawn from the
-    corpus snapshot at shard start and mutated via [Mutate]), and
-    coverage-novel tapes are admitted to the corpus sequentially in
-    submission order.  [mutate_only] (implies [guided]) makes every
-    shard after the first admission a mutation shard.  The corpus is
-    embedded in the checkpoint (plus a derived standalone
-    [Corpus.corpus_file] in the same directory), so kill-and-resume
-    reproduces corpus, bitmap and ledgers byte for byte at any -j.
-    Guided campaigns skip the shrink phase (mutation rows are not
-    regenerable from their seeds alone). *)
+    [schedule] (default [Blind]) picks each shard's phase; every
+    schedule runs the same per-program job and shard loop.  The guided
+    schedules [Alternate] and [Mutate_only] add coverage feedback
+    (DESIGN.md section 17): the union of the programs' [Coverage]
+    bitmaps, coverage-novel tapes admitted to the corpus sequentially
+    in submission order, per-phase counters and one
+    [Checkpoint.cov_row] per shard.  Mutation shards draw tapes from
+    the corpus snapshot at shard start and mutate them via [Mutate].  The corpus is embedded
+    in the checkpoint (plus a derived standalone [Corpus.corpus_file]
+    in the same directory), so kill-and-resume reproduces corpus,
+    bitmap and ledgers byte for byte at any -j.  Guided campaigns skip
+    the shrink phase (mutation rows are not regenerable from their
+    seeds alone). *)
 
 val passed : summary -> bool
-(** Oracle verdicts only; quarantined tasks are reported, not failed. *)
+(** Oracle verdicts only, counted from the rows; quarantined tasks are
+    reported, not failed. *)
+
+val telemetry : summary -> Telemetry.Snapshot.t
+(** CECSan(-O2) telemetry merged over the grid in submission order:
+    identical at any job count.  Supervise counters
+    ([supervise_retries], [supervise_quarantined],
+    [supervise_fuel_exhausted], [supervise_resumed_shards]) are merged
+    in only when nonzero. *)
 
 val blind_coverage :
   ?pool:Harness.Pool.t -> ?tool_names:string list ->
@@ -148,8 +108,8 @@ val quarantine_ledger_lines : summary -> string list
 
 val write_ledgers : dir:string -> summary -> string * string
 (** Writes [mismatch.ledger] and [quarantine.ledger] (atomically) into
-    [dir] and returns their paths.  Every line derives only from
-    checkpoint-persisted fields, so interrupted-and-resumed campaigns
+    [dir] and returns their paths.  Every line derives only from the
+    checkpointed state, so interrupted-and-resumed campaigns
     reproduce both files byte for byte at any job count. *)
 
 type resilience_row = {
@@ -187,8 +147,8 @@ val repro_contents :
   tape:int array -> string -> string
 
 val write_repros : dir:string -> summary -> string list
-(** Writes each shrunk failure as a standalone [.mc] file; returns the
-    paths. *)
+(** Writes each shrunk failure as a standalone [.mc] file (atomically);
+    returns the paths. *)
 
 val write_corpus :
   dir:string -> seed:int -> count:int -> ?backend:Vm.Machine.backend ->

@@ -188,7 +188,7 @@ let of_lines lines : t option =
   | _ -> None
 
 let save ~dir c =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Harness.Jsonio.mkdir dir;
   let path = Filename.concat dir corpus_file in
   Harness.Jsonio.write_lines ~path (to_lines c);
   path
@@ -196,17 +196,9 @@ let save ~dir c =
 (* [None] on a missing or unparseable file: a fresh corpus is always a
    correct recovery, exactly like the campaign checkpoint. *)
 let load ~dir : t option =
-  let path = Filename.concat dir corpus_file in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do lines := input_line ic :: !lines done
-     with End_of_file -> ());
-    close_in ic;
-    of_lines (List.rev !lines)
-  end
+  Option.bind
+    (Harness.Jsonio.read_lines ~path:(Filename.concat dir corpus_file))
+    of_lines
 
 let render fmt c =
   Format.fprintf fmt "corpus: %d entries, " (size c);

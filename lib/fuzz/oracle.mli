@@ -59,16 +59,6 @@ val evaluate :
 (** Empty list = the program passes every oracle rule.  [backend]
     threads into every run (verdicts are backend-independent). *)
 
-val evaluate_full :
-  ?tools:Sanitizer.Spec.t list -> ?fault:Vm.Fault.t ->
-  ?backend:Vm.Machine.backend -> Gen.program ->
-  failure list * Telemetry.Snapshot.t
-(** [evaluate] plus the CECSan(-O2) run's telemetry snapshot, for
-    campaign-level aggregation (merged in submission order).  [fault]
-    threads one injector spec into every run uniformly (each run clones
-    it), including the uninstrumented reference; injected
-    crash/fuel-exhaustion exceptions escape to the supervision layer. *)
-
 val coverage_of_runs : tool_run list -> Coverage.t
 (** Union of one bitmap leg per run, in list order, each derived from
     the run's full site-row view (all-zero rows included). *)
@@ -77,7 +67,12 @@ val evaluate_cov :
   ?tools:Sanitizer.Spec.t list -> ?fault:Vm.Fault.t ->
   ?backend:Vm.Machine.backend -> Gen.program ->
   failure list * Telemetry.Snapshot.t * Coverage.t
-(** [evaluate_full] plus the program's coverage bitmap: legs 0/1/2 are
-    CECSan O2 / O0 / noabsint, then one leg per extra baseline in
-    lineup order (capped at [Coverage.max_legs]).  Compile errors and
-    verifier rejections yield [Coverage.empty]. *)
+(** [evaluate] plus the CECSan(-O2) run's telemetry snapshot, for
+    campaign-level aggregation (merged in submission order), and the
+    program's coverage bitmap: legs 0/1/2 are CECSan O2 / O0 /
+    noabsint, then one leg per extra baseline in lineup order (capped
+    at [Coverage.max_legs]).  Compile errors and verifier rejections
+    yield [Coverage.empty].  [fault] threads one injector spec into
+    every run uniformly (each run clones it), including the
+    uninstrumented reference; injected crash/fuel-exhaustion exceptions
+    escape to the supervision layer. *)

@@ -5,6 +5,8 @@
    reader -- or a reader after a SIGKILL mid-write -- never observes a
    torn file, only the previous complete one (or none). *)
 
+let mkdir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+
 let with_file ~path emit =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
@@ -22,3 +24,7 @@ let write ~path contents = with_file ~path (fun oc -> output_string oc contents)
 let write_lines ~path lines =
   with_file ~path (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+let read_lines ~path =
+  if not (Sys.file_exists path) then None
+  else Some (In_channel.with_open_text path In_channel.input_lines)

@@ -53,7 +53,7 @@ let packing_tests =
 let guided ?pool ?stop_after_shards ?(resume = false) ?checkpoint ~seed ~n
     () =
   Fuzz.Campaign.run ?pool ?checkpoint ~resume ?stop_after_shards
-    ~guided:true ~shard_size:10 ~seed ~n ()
+    ~schedule:Alternate ~shard_size:10 ~seed ~n ()
 
 let determinism_tests =
   [
@@ -66,11 +66,11 @@ let determinism_tests =
                guided ~pool:p ~seed:0xC0FFEE ~n:200 ())
          in
          Alcotest.(check string) "bitmap"
-           (Fuzz.Coverage.to_string s1.Fuzz.Campaign.coverage)
-           (Fuzz.Coverage.to_string s4.Fuzz.Campaign.coverage);
+           (Fuzz.Coverage.to_string s1.Fuzz.Campaign.state.coverage)
+           (Fuzz.Coverage.to_string s4.Fuzz.Campaign.state.coverage);
          Alcotest.(check (list string)) "corpus lines"
-           (Fuzz.Corpus.to_lines s1.Fuzz.Campaign.corpus)
-           (Fuzz.Corpus.to_lines s4.Fuzz.Campaign.corpus);
+           (Fuzz.Corpus.to_lines s1.Fuzz.Campaign.state.corpus)
+           (Fuzz.Corpus.to_lines s4.Fuzz.Campaign.state.corpus);
          Alcotest.(check (list string)) "mismatch ledger"
            (Fuzz.Campaign.mismatch_ledger_lines s1)
            (Fuzz.Campaign.mismatch_ledger_lines s4));
@@ -142,7 +142,7 @@ let corpus_tests =
       `Quick
       (fun () ->
          let s = guided ~seed:0x5EED ~n:100 () in
-         let c = s.Fuzz.Campaign.corpus in
+         let c = s.Fuzz.Campaign.state.corpus in
          Alcotest.(check bool) "corpus is nonempty" true
            (Fuzz.Corpus.size c > 0);
          let m = Fuzz.Corpus.minimize c in
@@ -156,7 +156,7 @@ let corpus_tests =
     Alcotest.test_case "corpus file round-trips byte for byte" `Quick
       (fun () ->
          let s = guided ~seed:0x5EED ~n:60 () in
-         let lines = Fuzz.Corpus.to_lines s.Fuzz.Campaign.corpus in
+         let lines = Fuzz.Corpus.to_lines s.Fuzz.Campaign.state.corpus in
          match Fuzz.Corpus.of_lines lines with
          | Some c' ->
            Alcotest.(check (list string)) "round trip" lines
@@ -178,14 +178,44 @@ let golden_tests =
          let blind =
            Fuzz.Campaign.blind_coverage ~seed:0x5EED ~n:100 ()
          in
-         let gs = Fuzz.Coverage.sites s.Fuzz.Campaign.coverage in
+         let gs = Fuzz.Coverage.sites s.Fuzz.Campaign.state.coverage in
          let bs = Fuzz.Coverage.sites blind in
          if gs <= bs then
            Alcotest.failf "guided reached %d sites, blind %d" gs bs;
-         let gb = Fuzz.Coverage.cardinal s.Fuzz.Campaign.coverage in
+         let gb = Fuzz.Coverage.cardinal s.Fuzz.Campaign.state.coverage in
          let bb = Fuzz.Coverage.cardinal blind in
          if gb <= bb then
            Alcotest.failf "guided reached %d bits, blind %d" gb bb);
+  ]
+
+(* --- the CLI's schedule flags ----------------------------------------------- *)
+
+let cli_tests =
+  [
+    Alcotest.test_case "--mutate-only alone runs the Mutate_only schedule"
+      `Quick
+      (fun () ->
+         let exe =
+           Filename.concat (Filename.dirname Sys.executable_name)
+             "../bin/cecsan_fuzz.exe"
+         in
+         let ic =
+           Unix.open_process_args_in exe
+             [| exe; "-n"; "20"; "--shard-size"; "10"; "--mutate-only" |]
+         in
+         let out = In_channel.input_all ic in
+         if Unix.close_process_in ic <> Unix.WEXITED 0 then
+           Alcotest.fail "cecsan_fuzz --mutate-only failed";
+         let s =
+           Fuzz.Campaign.run ~schedule:Mutate_only ~seed:0x5EED ~n:20
+             ~shard_size:10 ()
+         in
+         Alcotest.(check bool) "mutation shards ran" true
+           (s.Fuzz.Campaign.state.mut_programs > 0);
+         Alcotest.(check string) "report"
+           (Format.asprintf "%a"
+              (fun fmt -> Fuzz.Campaign.render fmt ~jobs:1) s)
+           out);
   ]
 
 let () =
@@ -195,4 +225,5 @@ let () =
       "determinism", determinism_tests;
       "corpus", corpus_tests;
       "golden", golden_tests;
+      "cli", cli_tests;
     ]

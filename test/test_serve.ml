@@ -160,8 +160,8 @@ let protocol_tests =
          in
          if accepted = 0 then Alcotest.fail "no request mutant parsed";
          let snap =
-           (Fuzz.Campaign.run ~seed:0x5EED ~n:8 ~max_shrink:0 ())
-             .Fuzz.Campaign.snapshot
+           Fuzz.Campaign.telemetry
+             (Fuzz.Campaign.run ~seed:0x5EED ~n:8 ~max_shrink:0 ())
          in
          let accepted =
            mutants ~seed:12 ~count:1500

@@ -143,7 +143,7 @@ let fuel_tests =
            Fuzz.Campaign.run ~seed:0x5EED ~n:12 ~max_shrink:0
              ~faults:[ Vm.Fault.Crash 1 ] ()
          in
-         let json = Telemetry.Snapshot.to_json s.Fuzz.Campaign.snapshot in
+         let json = Telemetry.Snapshot.to_json (Fuzz.Campaign.telemetry s) in
          match Telemetry.Snapshot.of_json json with
          | Some snap ->
            Alcotest.(check string) "round trip" json
@@ -163,13 +163,13 @@ let campaign_tests =
              ~faults:[ Vm.Fault.Crash 1 ] ()
          in
          Alcotest.(check bool) "some tasks quarantined" true
-           (s.Fuzz.Campaign.quarantine <> []);
+           (s.Fuzz.Campaign.state.quarantine <> []);
          Alcotest.(check bool) "retries happened" true
-           (s.Fuzz.Campaign.retries > 0);
+           (s.Fuzz.Campaign.state.retries > 0);
          Alcotest.(check int) "every program accounted for"
-           s.Fuzz.Campaign.n
-           (List.length s.Fuzz.Campaign.rows
-            + List.length s.Fuzz.Campaign.quarantine));
+           s.Fuzz.Campaign.state.n
+           (List.length s.Fuzz.Campaign.state.rows
+            + List.length s.Fuzz.Campaign.state.quarantine));
     Alcotest.test_case "faulted campaign ledgers identical at -j 1 and -j 4"
       `Quick
       (fun () ->
@@ -183,21 +183,24 @@ let campaign_tests =
          in
          Alcotest.check mismatch_pair "ledger lines" (ledgers seq)
            (ledgers par);
-         Alcotest.(check int) "retries equal" seq.Fuzz.Campaign.retries
-           par.Fuzz.Campaign.retries);
+         Alcotest.(check int) "retries equal" seq.Fuzz.Campaign.state.retries
+           par.Fuzz.Campaign.state.retries);
     Alcotest.test_case "fuel faults quarantine with class fuel" `Quick
       (fun () ->
          let s =
            Fuzz.Campaign.run ~seed:0x5EED ~n:20 ~max_shrink:0
              ~faults:[ Vm.Fault.Fuel 400 ] ()
          in
-         Alcotest.(check bool) "fuel_exhausted counted" true
-           (s.Fuzz.Campaign.fuel_exhausted > 0);
+         Alcotest.(check bool) "fuel-exhausted tasks counted" true
+           (List.exists
+              (fun (e : Harness.Supervise.entry) ->
+                 String.equal e.Harness.Supervise.q_class "fuel")
+              s.Fuzz.Campaign.state.quarantine);
          List.iter
            (fun (e : Harness.Supervise.entry) ->
               Alcotest.(check string) "class" "fuel"
                 e.Harness.Supervise.q_class)
-           s.Fuzz.Campaign.quarantine);
+           s.Fuzz.Campaign.state.quarantine);
   ]
 
 (* --- checkpoint / resume ------------------------------------------------- *)
@@ -234,15 +237,15 @@ let checkpoint_tests =
                  ~checkpoint:dir ~shard_size:16 ~stop_after_shards:1 ()
              in
              Alcotest.(check bool) "partial really is partial" true
-               (List.length partial.Fuzz.Campaign.rows
-                + List.length partial.Fuzz.Campaign.quarantine
+               (List.length partial.Fuzz.Campaign.state.rows
+                + List.length partial.Fuzz.Campaign.state.quarantine
                 < n);
              let resumed =
                Fuzz.Campaign.run ~seed ~n ~max_shrink:0 ~faults
                  ~checkpoint:dir ~shard_size:16 ~resume:true ()
              in
              Alcotest.(check bool) "shards were restored" true
-               (resumed.Fuzz.Campaign.resumed_shards > 0);
+               (resumed.Fuzz.Campaign.state.resumed_shards > 0);
              Alcotest.check mismatch_pair "ledger lines"
                (ledgers uninterrupted) (ledgers resumed)));
     Alcotest.test_case "resume at a different -j is byte-identical" `Quick
@@ -283,39 +286,40 @@ let checkpoint_tests =
          with_tmp_dir (fun dir ->
              let seed = 0x5EED and n = 60 in
              let uninterrupted =
-               Fuzz.Campaign.run ~guided:true ~seed ~n ~shard_size:10 ()
+               Fuzz.Campaign.run ~schedule:Alternate ~seed ~n ~shard_size:10 ()
              in
              (* die after two shards, resume at a different -j *)
              ignore
-               (Fuzz.Campaign.run ~guided:true ~seed ~n ~shard_size:10
+               (Fuzz.Campaign.run ~schedule:Alternate ~seed ~n ~shard_size:10
                   ~checkpoint:dir ~stop_after_shards:2 ());
              let resumed =
                Harness.Pool.with_pool ~jobs:4 (fun p ->
-                   Fuzz.Campaign.run ~pool:p ~guided:true ~seed ~n
+                   Fuzz.Campaign.run ~pool:p ~schedule:Alternate ~seed ~n
                      ~shard_size:10 ~checkpoint:dir ~resume:true ())
              in
              Alcotest.(check bool) "shards were restored" true
-               (resumed.Fuzz.Campaign.resumed_shards > 0);
+               (resumed.Fuzz.Campaign.state.resumed_shards > 0);
              Alcotest.(check string) "accumulated bitmap"
-               (Fuzz.Coverage.to_string uninterrupted.Fuzz.Campaign.coverage)
-               (Fuzz.Coverage.to_string resumed.Fuzz.Campaign.coverage);
+               (Fuzz.Coverage.to_string
+                  uninterrupted.Fuzz.Campaign.state.coverage)
+               (Fuzz.Coverage.to_string resumed.Fuzz.Campaign.state.coverage);
              Alcotest.(check (list string)) "corpus lines"
-               (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.corpus)
-               (Fuzz.Corpus.to_lines resumed.Fuzz.Campaign.corpus);
+               (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.state.corpus)
+               (Fuzz.Corpus.to_lines resumed.Fuzz.Campaign.state.corpus);
              Alcotest.check mismatch_pair "ledger lines"
                (ledgers uninterrupted) (ledgers resumed);
              (* the derived on-disk corpus matches the in-memory one *)
              match Fuzz.Corpus.load ~dir with
              | Some c ->
                Alcotest.(check (list string)) "on-disk corpus"
-                 (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.corpus)
+                 (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.state.corpus)
                  (Fuzz.Corpus.to_lines c)
              | None -> Alcotest.fail "no corpus file written"));
     Alcotest.test_case "guided flag mismatch on resume is rejected" `Quick
       (fun () ->
          with_tmp_dir (fun dir ->
              ignore
-               (Fuzz.Campaign.run ~guided:true ~seed:0x5EED ~n:20
+               (Fuzz.Campaign.run ~schedule:Alternate ~seed:0x5EED ~n:20
                   ~shard_size:10 ~checkpoint:dir ~stop_after_shards:1 ());
              match
                Fuzz.Campaign.run ~seed:0x5EED ~n:20 ~shard_size:10
@@ -333,9 +337,238 @@ let checkpoint_tests =
                  ~checkpoint:dir ~resume:true ()
              in
              Alcotest.(check int) "no resumed shards" 0
-               s.Fuzz.Campaign.resumed_shards;
+               s.Fuzz.Campaign.state.resumed_shards;
              Alcotest.(check int) "all rows present" 8
-               (List.length s.Fuzz.Campaign.rows)));
+               (List.length s.Fuzz.Campaign.state.rows)));
+  ]
+
+(* --- checkpoint reader --------------------------------------------------- *)
+
+let report s =
+  Format.asprintf "%a" (fun fmt -> Fuzz.Campaign.render fmt ~jobs:1) s
+
+let read_checkpoint dir =
+  Option.get
+    (Harness.Jsonio.read_lines ~path:(Filename.concat dir Fuzz.Checkpoint.file))
+
+(* The consistency contract of [Checkpoint.of_lines], restated
+   independently of its implementation. *)
+let checkpoint_invariant (t : Fuzz.Checkpoint.t) =
+  let total = if t.n = 0 then 0 else (t.n + t.shard_size - 1) / t.shard_size in
+  let rows = List.map (fun (r : Fuzz.Checkpoint.row) -> r.index) t.rows in
+  let tasks =
+    List.map (fun (e : Harness.Supervise.entry) -> e.q_task) t.quarantine
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  0 <= t.shards_done && t.shards_done <= total
+  && t.resumed_shards >= 0 && t.retries >= 0
+  && increasing rows && increasing tasks
+  && List.sort compare (rows @ tasks)
+     = List.init (min t.n (t.shards_done * t.shard_size)) Fun.id
+  && (t.schedule = Fuzz.Checkpoint.Blind
+      || t.gen_programs + t.mut_programs = List.length t.rows
+         && List.length t.cov_rows = t.shards_done)
+
+(* Line-level mutants: flip one bit of a byte, insert a copy of some
+   line, delete a line or duplicate one in place, positions drawn from
+   a seeded tape.  Lines are re-split afterwards, as a reader would see
+   a flipped-in newline. *)
+let mutate_lines rng lines =
+  let draw = Fuzz.Tape.draw rng in
+  let a = Array.of_list lines in
+  let n = Array.length a in
+  let l = Array.to_list in
+  let lines =
+    match draw 4 with
+    | _ when n = 0 -> lines
+    | 0 ->
+      let i = draw n in
+      let s = Bytes.of_string a.(i) in
+      if Bytes.length s > 0 then begin
+        let k = draw (Bytes.length s) in
+        Bytes.set s k (Char.chr (Char.code (Bytes.get s k) lxor (1 lsl draw 8)))
+      end;
+      a.(i) <- Bytes.to_string s;
+      l a
+    | 1 ->
+      let i = draw (n + 1) in
+      l (Array.sub a 0 i) @ (a.(draw n) :: l (Array.sub a i (n - i)))
+    | 2 ->
+      let i = draw n in
+      l (Array.sub a 0 i) @ l (Array.sub a (i + 1) (n - i - 1))
+    | _ ->
+      let i = draw n in
+      l (Array.sub a 0 (i + 1)) @ l (Array.sub a i (n - i))
+  in
+  String.split_on_char '\n' (String.concat "\n" lines)
+
+let reader_tests =
+  [
+    Alcotest.test_case "inconsistent checkpoints resume as a fresh start"
+      `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             let seed = 0x5EED and n = 40 and shard_size = 10 in
+             let faults = [ Vm.Fault.Crash 3 ] in
+             let run ?stop_after_shards ?(resume = false) () =
+               Fuzz.Campaign.run ~seed ~n ~max_shrink:0 ~faults ~shard_size
+                 ~checkpoint:dir ?stop_after_shards ~resume ()
+             in
+             let uninterrupted = run () in
+             let full = read_checkpoint dir in
+             ignore (run ~stop_after_shards:2 ());
+             let partial = read_checkpoint dir in
+             let replace prefix line =
+               List.map (fun l ->
+                   if String.starts_with ~prefix l then line else l)
+             in
+             let mutants =
+               [ "shards_done -2",
+                 replace "shards_done " "shards_done -2" partial;
+                 "row index=5 deleted",
+                 List.filter
+                   (fun l -> not (String.starts_with ~prefix:"row index=5 " l))
+                   partial;
+                 "shards_done 2 over four shards of rows",
+                 replace "shards_done " "shards_done 2" full ]
+             in
+             List.iter
+               (fun (name, lines) ->
+                  Alcotest.(check bool) (name ^ ": rejected") true
+                    (Fuzz.Checkpoint.of_lines lines = None);
+                  Harness.Jsonio.write_lines
+                    ~path:(Filename.concat dir Fuzz.Checkpoint.file) lines;
+                  let resumed = run ~resume:true () in
+                  Alcotest.(check int) (name ^ ": fresh start") 0
+                    resumed.Fuzz.Campaign.state.resumed_shards;
+                  Alcotest.check mismatch_pair (name ^ ": ledgers")
+                    (ledgers uninterrupted) (ledgers resumed);
+                  Alcotest.(check string) (name ^ ": report")
+                    (report uninterrupted) (report resumed))
+               mutants));
+    Alcotest.test_case
+      "mutated checkpoints never raise; accepted ones are consistent fixed \
+       points"
+      `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             let run ?faults ?schedule () =
+               ignore
+                 (Fuzz.Campaign.run ~seed:0x5EED ~n:40 ~max_shrink:0 ?faults
+                    ?schedule ~shard_size:10 ~checkpoint:dir
+                    ~stop_after_shards:3 ());
+               read_checkpoint dir
+             in
+             let inputs =
+               [ run ~faults:[ Vm.Fault.Crash 3; Vm.Fault.Fuel 600 ] ();
+                 run ~schedule:Fuzz.Campaign.Alternate () ]
+             in
+             let rng = Fuzz.Tape.fresh ~seed:0xC4EC in
+             let accepted = ref 0 in
+             List.iter
+               (fun input ->
+                  for _ = 1 to 1500 do
+                    let m = ref input in
+                    for _ = 0 to Fuzz.Tape.draw rng 3 do
+                      m := mutate_lines rng !m
+                    done;
+                    match Fuzz.Checkpoint.of_lines !m with
+                    | exception e ->
+                      Alcotest.failf "of_lines raised %s on:\n%s"
+                        (Printexc.to_string e) (String.concat "\n" !m)
+                    | None -> ()
+                    | Some t ->
+                      incr accepted;
+                      if not (checkpoint_invariant t) then
+                        Alcotest.failf "inconsistent state accepted:\n%s"
+                          (String.concat "\n" !m);
+                      let lines = Fuzz.Checkpoint.to_lines t in
+                      (match Fuzz.Checkpoint.of_lines lines with
+                       | Some t' when Fuzz.Checkpoint.to_lines t' = lines -> ()
+                       | _ ->
+                         Alcotest.failf "not a fixed point:\n%s"
+                           (String.concat "\n" lines))
+                  done)
+               inputs;
+             if !accepted = 0 then Alcotest.fail "no mutant was accepted"));
+  ]
+
+(* --- digest pin ---------------------------------------------------------- *)
+
+(* Everything a campaign emits -- ledgers, the rendered report, the
+   snapshot JSON, checkpoint bytes mid-campaign and at the end, the
+   guided corpus and fuzzcov artifact, the resilience table -- folded
+   into one buffer.  The buffer must be identical at -j 1 and -j 4, and
+   its digest must not move when the campaign driver is restructured. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let pin_summary buf (s : Fuzz.Campaign.summary) =
+  List.iter (Printf.bprintf buf "mismatch %s\n")
+    (Fuzz.Campaign.mismatch_ledger_lines s);
+  List.iter (Printf.bprintf buf "quarantine %s\n")
+    (Fuzz.Campaign.quarantine_ledger_lines s);
+  Buffer.add_string buf (report s);
+  Printf.bprintf buf "%s\n"
+    (Telemetry.Snapshot.to_json (Fuzz.Campaign.telemetry s))
+
+let pin_checkpoint buf dir =
+  Buffer.add_string buf
+    (read_file (Filename.concat dir Fuzz.Checkpoint.file))
+
+let pin_buffer pool =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun faults ->
+       with_tmp_dir (fun dir ->
+           let run ?stop_after_shards ?(resume = false) () =
+             Fuzz.Campaign.run ?pool ~seed:0x5EED ~n:48 ~faults
+               ~checkpoint:dir ~shard_size:16 ?stop_after_shards ~resume ()
+           in
+           pin_summary buf (run ~stop_after_shards:1 ());
+           pin_checkpoint buf dir;
+           pin_summary buf (run ~resume:true ());
+           pin_checkpoint buf dir;
+           pin_summary buf (run ());
+           pin_checkpoint buf dir))
+    [ []; [ Vm.Fault.Crash 3; Vm.Fault.Fuel 600 ] ];
+  let blind = Fuzz.Campaign.blind_coverage ?pool ~seed:0x5EED ~n:100 () in
+  List.iter
+    (fun schedule ->
+       with_tmp_dir (fun dir ->
+           let s =
+             Fuzz.Campaign.run ?pool ~schedule ~seed:0x5EED
+               ~n:100 ~shard_size:10 ~checkpoint:dir ()
+           in
+           pin_summary buf s;
+           Printf.bprintf buf "%s\n" (Fuzz.Campaign.fuzzcov_json ~blind s);
+           List.iter (Printf.bprintf buf "%s\n")
+             (Fuzz.Corpus.to_lines s.Fuzz.Campaign.state.corpus);
+           pin_checkpoint buf dir))
+    [ Fuzz.Campaign.Alternate; Fuzz.Campaign.Mutate_only ];
+  Printf.bprintf buf "%s\n"
+    (Fuzz.Campaign.resilience_json
+       (Fuzz.Campaign.resilience ?pool ~n:80 ~seed:0x5EED ()));
+  Buffer.contents buf
+
+let pin_tests =
+  [
+    Alcotest.test_case "campaign artifacts match the pinned digest" `Quick
+      (fun () ->
+         let seq = pin_buffer None in
+         let par =
+           Harness.Pool.with_pool ~jobs:4 (fun p -> pin_buffer (Some p))
+         in
+         Alcotest.(check bool) "-j 1 and -j 4 identical" true
+           (String.equal seq par);
+         Alcotest.(check (pair int string)) "digest"
+           (223822, "a630ec00908b9b2d9b2b0ee128b149a0")
+           (String.length seq, Digest.to_hex (Digest.string seq)));
   ]
 
 let () =
@@ -345,4 +578,6 @@ let () =
       "fuel", fuel_tests;
       "campaign", campaign_tests;
       "checkpoint", checkpoint_tests;
+      "reader", reader_tests;
+      "digest-pin", pin_tests;
     ]

@@ -133,7 +133,7 @@ let campaign_json_deterministic () =
     Harness.Pool.with_pool ~jobs (fun p ->
         let pool = if jobs > 1 then Some p else None in
         let s = Fuzz.Campaign.run ?pool ~seed:0x5EED ~n:40 () in
-        Telemetry.Snapshot.to_json s.Fuzz.Campaign.snapshot)
+        Telemetry.Snapshot.to_json (Fuzz.Campaign.telemetry s))
   in
   let j1 = run 1 in
   let j4 = run 4 in
