@@ -539,9 +539,6 @@ let microbenches () =
     tests
 
 let () =
-  (* Measurement runs report verifier findings instead of failing on
-     them (the tests keep the Strict default). *)
-  Sanitizer.Driver.verify_mode := Sanitizer.Driver.Warn;
   let args = Array.to_list Sys.argv in
   let has flag = List.mem flag args in
   let arg_after flag =

@@ -230,23 +230,8 @@ let protect_globals (md : modul) : unit =
                         Reg r
                       | o -> o
                     in
-                    let i' =
-                      match i with
-                      | Imov c -> Imov { c with src = fix c.src }
-                      | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-                      | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-                      | Isext c -> Isext { c with src = fix c.src }
-                      | Iload c -> Iload { c with addr = fix c.addr }
-                      | Istore c ->
-                        Istore { c with addr = fix c.addr; src = fix c.src }
-                      | Islot _ -> i
-                      | Igep c ->
-                        Igep { c with base = fix c.base;
-                                      idx = Option.map fix c.idx }
-                      | Icall c -> Icall { c with args = List.map fix c.args }
-                      | Iintrin c ->
-                        Iintrin { c with args = List.map fix c.args }
-                    in
+                    (* [fix] pushes onto [prefix]: rewrite first *)
+                    let i' = map_opnds fix i in
                     List.rev (i' :: !prefix))
                  b.b_instrs)
           f.f_blocks);

@@ -7,9 +7,11 @@
    recycles table slots through a free list; CryptSan mints monotonically
    increasing ids and keeps per-object salts) -- and they share the two
    structural blind spots the paper's Table II shows: no sub-object
-   narrowing and no wide-character interceptors. *)
+   narrowing and no wide-character interceptors.
 
-open Tir.Ir
+   The compile-time side is CECSan's own pass ([Cecsan.Instrument]) with
+   sub-object narrowing off, emitting intrinsics in the tool's namespace
+   ([p_prefix]); this module supplies the runtime behind those names. *)
 
 type entry = {
   e_base : int;
@@ -136,202 +138,6 @@ let pa_free rt (st : Vm.State.t) p =
            Vm.Heap.free st raw)
   end
 
-(* --- instrumentation (object granularity only; no sub-object pass) ---------- *)
-
-let instrument (pol : policy) (md : modul) : unit =
-  let pre = pol.p_prefix in
-  Tir.Analysis.run md;
-  (* unsafe globals load sealed pointers from a per-tool pointer table *)
-  let slots =
-    let k = ref (-1) in
-    List.filter_map
-      (fun g ->
-         if g.g_unsafe then begin
-           incr k;
-           Some (g.g_name, g, !k)
-         end
-         else None)
-      md.m_globals
-  in
-  let slot_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, _, k) -> Hashtbl.replace slot_of n k) slots;
-  iter_funcs md (fun f ->
-      if not f.f_external then begin
-        (* downgrade safety of accesses rooted at protected objects: the
-           addresses will be sealed *)
-        let unsafe_slot = Array.make (List.length f.f_slots) false in
-        List.iter (fun s -> unsafe_slot.(s.s_id) <- s.s_unsafe) f.f_slots;
-        Array.iter
-          (fun b ->
-             let rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-             let opnd_rooted = function
-               | Reg r -> Hashtbl.mem rooted r
-               | Glob g -> Hashtbl.mem slot_of g
-               | Imm _ -> false
-             in
-             b.b_instrs <-
-               List.map
-                 (fun i ->
-                    let i' =
-                      match i with
-                      | Iload ({ addr; safe = true; _ } as l)
-                        when opnd_rooted addr ->
-                        Iload { l with safe = false }
-                      | Istore ({ addr; safe = true; _ } as s)
-                        when opnd_rooted addr ->
-                        Istore { s with safe = false }
-                      | i -> i
-                    in
-                    (match i' with
-                     | Islot { dst; slot } when unsafe_slot.(slot) ->
-                       Hashtbl.replace rooted dst ()
-                     | Igep { dst; base; _ } when opnd_rooted base ->
-                       Hashtbl.replace rooted dst ()
-                     | _ ->
-                       (match defs i' with
-                        | Some d -> Hashtbl.remove rooted d
-                        | None -> ()));
-                    i')
-                 b.b_instrs)
-          f.f_blocks;
-        (* global pointer loads *)
-        Array.iter
-          (fun b ->
-             b.b_instrs <-
-               List.concat_map
-                 (fun i ->
-                    let prefix = ref [] in
-                    let fix o =
-                      match o with
-                      | Glob g when Hashtbl.mem slot_of g ->
-                        let r = fresh_reg f in
-                        prefix :=
-                          Iintrin { dst = Some r; name = pre ^ "_gpt_load";
-                                    args = [ Imm (Hashtbl.find slot_of g) ];
-                                    site = fresh_site md }
-                          :: !prefix;
-                        Reg r
-                      | o -> o
-                    in
-                    let i' =
-                      match i with
-                      | Imov c -> Imov { c with src = fix c.src }
-                      | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-                      | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-                      | Isext c -> Isext { c with src = fix c.src }
-                      | Iload c -> Iload { c with addr = fix c.addr }
-                      | Istore c ->
-                        Istore { c with addr = fix c.addr; src = fix c.src }
-                      | Islot _ -> i
-                      | Igep c ->
-                        Igep { c with base = fix c.base;
-                                      idx = Option.map fix c.idx }
-                      | Icall c ->
-                        Icall { c with args = List.map fix c.args }
-                      | Iintrin c ->
-                        Iintrin { c with args = List.map fix c.args }
-                    in
-                    List.rev (i' :: !prefix))
-                 b.b_instrs)
-          f.f_blocks;
-        (* stack sealing *)
-        let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
-        if unsafe <> [] then begin
-          let tag_reg : (int, int) Hashtbl.t = Hashtbl.create 4 in
-          List.iter (fun s -> Hashtbl.replace tag_reg s.s_id (fresh_reg f))
-            unsafe;
-          Tir.Rewrite.map_instrs
-            (function
-              | Islot { dst; slot } when Hashtbl.mem tag_reg slot ->
-                [ Imov { dst; src = Reg (Hashtbl.find tag_reg slot) } ]
-              | i -> [ i ])
-            f;
-          let prologue =
-            List.concat_map
-              (fun s ->
-                 let a = fresh_reg f in
-                 [ Islot { dst = a; slot = s.s_id };
-                   Iintrin { dst = Some (Hashtbl.find tag_reg s.s_id);
-                             name = pre ^ "_stack_seal";
-                             args = [ Reg a; Imm s.s_size ];
-                             site = fresh_site md } ])
-              unsafe
-          in
-          Tir.Rewrite.insert_prologue f prologue;
-          Tir.Rewrite.insert_before_rets f (fun () ->
-              List.map
-                (fun s ->
-                   Iintrin { dst = None; name = pre ^ "_stack_retire";
-                             args = [ Reg (Hashtbl.find tag_reg s.s_id) ];
-                             site = fresh_site md })
-                unsafe)
-        end;
-        (* allocation family *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Icall { dst; callee; args }
-              when Sanitizer.Spec.is_alloc_family callee ->
-              [ Iintrin { dst; name = pre ^ "_" ^ callee; args;
-                          site = fresh_site md } ]
-            | i -> [ i ])
-          f;
-        (* strip sealed pointers at external user calls *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Icall { dst; callee; args } as i ->
-              (match find_func md callee with
-               | Some { f_external = true; f_sig_ptrs; _ } ->
-                 let prefix = ref [] in
-                 let args' =
-                   List.mapi
-                     (fun k a ->
-                        if (match List.nth_opt f_sig_ptrs k with
-                            | Some b -> b
-                            | None -> false)
-                        then begin
-                          let r = fresh_reg f in
-                          prefix :=
-                            Iintrin { dst = Some r; name = pre ^ "_strip";
-                                      args = [ a ]; site = fresh_site md }
-                            :: !prefix;
-                          Reg r
-                        end
-                        else a)
-                     args
-                 in
-                 List.rev !prefix @ [ Icall { dst; callee; args = args' } ]
-               | _ -> [ i ])
-            | i -> [ i ])
-          f;
-        (* dereference authentication *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Iload ({ addr; size; safe; _ } as l) when not safe ->
-              let r = fresh_reg f in
-              [ Iintrin { dst = Some r; name = pre ^ "_auth_load";
-                          args = [ addr; Imm size ]; site = fresh_site md };
-                Iload { l with addr = Reg r } ]
-            | Istore ({ addr; size; safe; _ } as s) when not safe ->
-              let r = fresh_reg f in
-              [ Iintrin { dst = Some r; name = pre ^ "_auth_store";
-                          args = [ addr; Imm size ]; site = fresh_site md };
-                Istore { s with addr = Reg r } ]
-            | i -> [ i ])
-          f
-      end);
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun (gname, g, k) ->
-           [ Iintrin { dst = None; name = pre ^ "_global_seal";
-                       args = [ Glob gname; Imm g.g_size; Imm k ];
-                       site = fresh_site md } ])
-        slots
-    in
-    Tir.Rewrite.insert_prologue main init
-
 (* --- interceptors: narrow family only (NO wide characters) -------------------- *)
 
 let interceptors rt : string -> Vm.Runtime.interceptor option =
@@ -433,8 +239,8 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
     checks = [];
   } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
-  reg (pre ^ "_auth_load") (fun st a -> auth rt st ~write:false a.(0) a.(1));
-  reg (pre ^ "_auth_store") (fun st a -> auth rt st ~write:true a.(0) a.(1));
+  reg (pre ^ "_check_load") (fun st a -> auth rt st ~write:false a.(0) a.(1));
+  reg (pre ^ "_check_store") (fun st a -> auth rt st ~write:true a.(0) a.(1));
   reg (pre ^ "_malloc") (fun st a -> pa_malloc rt st a.(0));
   reg (pre ^ "_free") (fun st a -> pa_free rt st a.(0); 0);
   reg (pre ^ "_calloc") (fun st a ->
@@ -485,17 +291,17 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
             p
           end
       end);
-  reg (pre ^ "_stack_seal") (fun st a ->
+  reg (pre ^ "_stack_make") (fun st a ->
       Vm.State.tick st 9;
       register rt a.(0) a.(1));
-  reg (pre ^ "_stack_retire") (fun st a ->
+  reg (pre ^ "_stack_release") (fun st a ->
       Vm.State.tick st 5;
       let id = tag_of rt a.(0) in
       (match Hashtbl.find_opt rt.entries id with
        | Some e when e.e_alive && e.e_base = strip a.(0) -> retire rt id
        | _ -> ());
       0);
-  reg (pre ^ "_global_seal") (fun st a ->
+  reg (pre ^ "_global_make") (fun st a ->
       let sealed = register rt a.(0) a.(1) in
       Hashtbl.replace gpt a.(2) sealed;
       Vm.State.tick st 8;
@@ -505,33 +311,35 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
       match Hashtbl.find_opt gpt a.(0) with
       | Some v -> v
       | None -> 0);
-  reg (pre ^ "_strip") (fun st a ->
+  reg (pre ^ "_extcall_strip") (fun st a ->
       Vm.State.tick st 2;
       strip a.(0));
   vrt
 
-(* No check optimization; the auth intrinsics produce the stripped
-   address, and every pointer reaching uninstrumented code must route
-   through the strip intrinsic. *)
+(* No check optimization; the check intrinsics authenticate and produce
+   the stripped address, and every pointer reaching uninstrumented code
+   must route through the strip intrinsic. *)
 let verify_spec (pol : policy) : Tir.Verify.spec =
   let pre = pol.p_prefix in
   {
-    check_load = pre ^ "_auth_load";
-    check_store = pre ^ "_auth_store";
+    check_load = pre ^ "_check_load";
+    check_store = pre ^ "_check_store";
     produces_addr = true;
     strip_mask = Vm.Layout46.addr_mask;
     may_hoist_stores = true;
     hazard_intrinsics =
       [ pre ^ "_malloc"; pre ^ "_free"; pre ^ "_calloc"; pre ^ "_realloc";
-        pre ^ "_stack_seal"; pre ^ "_stack_retire"; pre ^ "_global_seal" ];
-    extcall_strip = Some (pre ^ "_strip");
+        pre ^ "_stack_make"; pre ^ "_stack_release"; pre ^ "_global_make" ];
+    extcall_strip = Some (pre ^ "_extcall_strip");
     absint = None;
   }
 
 let sanitizer (pol : policy) : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name = pol.p_name;
-    instrument = instrument pol;
+    instrument =
+      Cecsan.Instrument.instrument ~config:Cecsan.Config.no_subobject
+        ~ns:pol.p_prefix;
     optimize = (fun _ -> ());
     verify = Some (verify_spec pol);
     fresh_runtime = fresh_runtime pol;

@@ -2,7 +2,11 @@
     (PACMem, CryptSan): a metadata identifier sealed into the pointer's
     upper bits, object-granularity bounds + liveness authenticated at
     every dereference.  Structural blind spots (shared, per the paper's
-    Table II): no sub-object narrowing, no wide-character interceptors. *)
+    Table II): no sub-object narrowing, no wide-character interceptors.
+
+    Instrumentation is [Cecsan.Instrument.instrument] with
+    [Cecsan.Config.no_subobject] in the policy's [p_prefix] namespace;
+    this module is the runtime those intrinsics call. *)
 
 type entry = {
   e_base : int;
@@ -38,7 +42,6 @@ val auth : t -> Vm.State.t -> write:bool -> int -> int -> int
 val pa_malloc : t -> Vm.State.t -> int -> int
 val pa_free : t -> Vm.State.t -> int -> unit
 
-val instrument : policy -> Tir.Ir.modul -> unit
 val interceptors : t -> string -> Vm.Runtime.interceptor option
 val fresh_runtime : policy -> unit -> Vm.Runtime.t
 val sanitizer : policy -> Sanitizer.Spec.t

@@ -20,7 +20,7 @@ module Costs = Costs
 let sanitizer ?(config = Config.default) () : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name = "CECSan";
-    instrument = (fun md -> Instrument.instrument ~config md);
+    instrument = Instrument.instrument ~config ~ns:"__cecsan";
     optimize = (fun md -> Instrument.optimize ~config md);
     verify = Some Opt.spec;
     fresh_runtime =

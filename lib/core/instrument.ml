@@ -19,7 +19,31 @@
 
 open Tir.Ir
 
-let is_alloc_family = Instrument_util.is_alloc_family
+(* --- intrinsic names ------------------------------------------------------- *)
+
+(* The runtime entry points the pass calls, in one namespace ("__cecsan"
+   for CECSan, the PA tools' own for PACMem and CryptSan).  Built once per
+   [instrument] call. *)
+type names = {
+  ns : string;
+  gpt_load : string;
+  global_make : string;
+  stack_make : string;
+  stack_release : string;
+  sub_make : string;
+  sub_release : string;
+  extcall_strip : string;
+  check_load : string;
+  check_store : string;
+}
+
+let names ns =
+  let n suffix = ns ^ "_" ^ suffix in
+  { ns; gpt_load = n "gpt_load"; global_make = n "global_make";
+    stack_make = n "stack_make"; stack_release = n "stack_release";
+    sub_make = n "sub_make"; sub_release = n "sub_release";
+    extcall_strip = n "extcall_strip"; check_load = n "check_load";
+    check_store = n "check_store" }
 
 (* --- phase 1: downgrade safety of unsafe-rooted accesses ------------------ *)
 
@@ -74,10 +98,10 @@ let gpt_slots (md : modul) : (string * global * int) list =
        else None)
     md.m_globals
 
-let rewrite_globals (md : modul) (slots : (string * global * int) list)
-    (f : func) : unit =
+let rewrite_globals (md : modul) (n : names)
+    (slots : (string * global * int) list) (f : func) : unit =
   let slot_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, _, k) -> Hashtbl.replace slot_of n k) slots;
+  List.iter (fun (name, _, k) -> Hashtbl.replace slot_of name k) slots;
   let rewrite_block b =
     b.b_instrs <-
       List.concat_map
@@ -90,27 +114,15 @@ let rewrite_globals (md : modul) (slots : (string * global * int) list)
                 | Some k ->
                   let r = fresh_reg f in
                   prefix :=
-                    Iintrin { dst = Some r; name = "__cecsan_gpt_load";
+                    Iintrin { dst = Some r; name = n.gpt_load;
                               args = [ Imm k ]; site = fresh_site md }
                     :: !prefix;
                   Reg r
                 | None -> o)
              | Reg _ | Imm _ -> o
            in
-           let i' =
-             match i with
-             | Imov c -> Imov { c with src = fix c.src }
-             | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-             | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-             | Isext c -> Isext { c with src = fix c.src }
-             | Iload c -> Iload { c with addr = fix c.addr }
-             | Istore c -> Istore { c with addr = fix c.addr; src = fix c.src }
-             | Islot _ -> i
-             | Igep c ->
-               Igep { c with base = fix c.base; idx = Option.map fix c.idx }
-             | Icall c -> Icall { c with args = List.map fix c.args }
-             | Iintrin c -> Iintrin { c with args = List.map fix c.args }
-           in
+           (* [fix] pushes onto [prefix]: rewrite before reading it *)
+           let i' = map_opnds fix i in
            List.rev (i' :: !prefix))
         b.b_instrs;
     b.b_term <-
@@ -122,14 +134,15 @@ let rewrite_globals (md : modul) (slots : (string * global * int) list)
   in
   Array.iter rewrite_block f.f_blocks
 
-let insert_gpt_init (md : modul) (slots : (string * global * int) list) : unit =
+let insert_gpt_init (md : modul) (n : names)
+    (slots : (string * global * int) list) : unit =
   match find_func md "main" with
   | None -> ()
   | Some main ->
     let init =
       List.concat_map
         (fun (name, g, k) ->
-           [ Iintrin { dst = None; name = "__cecsan_global_make";
+           [ Iintrin { dst = None; name = n.global_make;
                        args = [ Glob name; Imm g.g_size; Imm k ];
                        site = fresh_site md } ])
         slots
@@ -138,7 +151,7 @@ let insert_gpt_init (md : modul) (slots : (string * global * int) list) : unit =
 
 (* --- phase 3: stack protection -------------------------------------------- *)
 
-let protect_stack (md : modul) (f : func) : unit =
+let protect_stack (md : modul) (n : names) (f : func) : unit =
   let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
   if unsafe <> [] then begin
     let tag_reg : (int, int) Hashtbl.t = Hashtbl.create 4 in
@@ -156,7 +169,7 @@ let protect_stack (md : modul) (f : func) : unit =
            let a = fresh_reg f in
            [ Islot { dst = a; slot = s.s_id };
              Iintrin { dst = Some (Hashtbl.find tag_reg s.s_id);
-                       name = "__cecsan_stack_make";
+                       name = n.stack_make;
                        args = [ Reg a; Imm s.s_size ];
                        site = fresh_site md } ])
         unsafe
@@ -165,7 +178,7 @@ let protect_stack (md : modul) (f : func) : unit =
     Tir.Rewrite.insert_before_rets f (fun () ->
         List.map
           (fun s ->
-             Iintrin { dst = None; name = "__cecsan_stack_release";
+             Iintrin { dst = None; name = n.stack_release;
                        args = [ Reg (Hashtbl.find tag_reg s.s_id) ];
                        site = fresh_site md })
           unsafe)
@@ -173,18 +186,19 @@ let protect_stack (md : modul) (f : func) : unit =
 
 (* --- phase 4: allocation family ------------------------------------------- *)
 
-let rewrite_allocs (md : modul) (f : func) : unit =
+let rewrite_allocs (md : modul) (n : names) (f : func) : unit =
   Tir.Rewrite.map_instrs
     (function
-      | Icall { dst; callee; args } when is_alloc_family callee ->
-        [ Iintrin { dst; name = "__cecsan_" ^ callee; args;
+      | Icall { dst; callee; args }
+        when Sanitizer.Spec.is_alloc_family callee ->
+        [ Iintrin { dst; name = n.ns ^ "_" ^ callee; args;
                     site = fresh_site md } ]
       | i -> [ i ])
     f
 
 (* --- phase 6: external user calls ------------------------------------------ *)
 
-let strip_external_calls (md : modul) (f : func) : unit =
+let strip_external_calls (md : modul) (n : names) (f : func) : unit =
   Tir.Rewrite.map_instrs
     (function
       | Icall { dst; callee; args } as i ->
@@ -202,8 +216,7 @@ let strip_external_calls (md : modul) (f : func) : unit =
                   if is_ptr then begin
                     let r = fresh_reg f in
                     prefix :=
-                      Iintrin { dst = Some r;
-                                name = "__cecsan_extcall_strip";
+                      Iintrin { dst = Some r; name = n.extcall_strip;
                                 args = [ a ]; site = fresh_site md }
                       :: !prefix;
                     Reg r
@@ -218,18 +231,19 @@ let strip_external_calls (md : modul) (f : func) : unit =
 
 (* --- phase 7: dereference checks ------------------------------------------- *)
 
-let insert_checks (md : modul) (cfg : Config.t) (f : func) : unit =
+let insert_checks (md : modul) (n : names) (cfg : Config.t) (f : func) :
+  unit =
   let should_check safe = (not safe) || not cfg.Config.opt_typeinfo in
   Tir.Rewrite.map_instrs
     (function
       | Iload ({ addr; size; safe; _ } as l) when should_check safe ->
         let r = fresh_reg f in
-        [ Iintrin { dst = Some r; name = "__cecsan_check_load";
+        [ Iintrin { dst = Some r; name = n.check_load;
                     args = [ addr; Imm size ]; site = fresh_site md };
           Iload { l with addr = Reg r } ]
       | Istore ({ addr; size; safe; _ } as s) when should_check safe ->
         let r = fresh_reg f in
-        [ Iintrin { dst = Some r; name = "__cecsan_check_store";
+        [ Iintrin { dst = Some r; name = n.check_store;
                     args = [ addr; Imm size ]; site = fresh_site md };
           Istore { s with addr = Reg r } ]
       | i -> [ i ])
@@ -239,21 +253,24 @@ let insert_checks (md : modul) (cfg : Config.t) (f : func) : unit =
 
 (* Check/metadata insertion only; [optimize] is the separate section
    II.F phase so the driver can verify coverage on both sides of it. *)
-let instrument ?(config = Config.default) (md : modul) : unit =
+let instrument ?(config = Config.default) ~ns (md : modul) : unit =
+  let n = names ns in
   (* LTO view: safety analyses over the final linked module *)
   Tir.Analysis.run md;
   let slots = if config.Config.protect_globals then gpt_slots md else [] in
   iter_funcs md (fun f ->
       if not f.f_external then begin
         downgrade_safe_flags md f;
-        rewrite_globals md slots f;
-        if config.Config.protect_stack then protect_stack md f;
-        rewrite_allocs md f;
-        if config.Config.subobject then ignore (Subobject.narrow md f);
-        strip_external_calls md f;
-        insert_checks md config f
+        rewrite_globals md n slots f;
+        if config.Config.protect_stack then protect_stack md n f;
+        rewrite_allocs md n f;
+        if config.Config.subobject then
+          ignore
+            (Subobject.narrow ~make:n.sub_make ~release:n.sub_release md f);
+        strip_external_calls md n f;
+        insert_checks md n config f
       end);
-  insert_gpt_init md slots
+  insert_gpt_init md n slots
 
 let optimize ?(config = Config.default) (md : modul) : unit =
   let pure = Opt.purity md in
@@ -265,7 +282,3 @@ let optimize ?(config = Config.default) (md : modul) : unit =
   (* certified elision last: the passes above key on the original check
      names, and every rewrite here leaves a replayable witness *)
   if config.Config.opt_absint then ignore (Opt.absint md)
-
-let run ?(config = Config.default) (md : modul) : unit =
-  instrument ~config md;
-  optimize ~config md

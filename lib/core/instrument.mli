@@ -7,14 +7,12 @@
     external calls, dereference-check insertion, and the section II.F
     optimizations. *)
 
-val is_alloc_family : string -> bool
-
-val instrument : ?config:Config.t -> Tir.Ir.modul -> unit
-(** Check/metadata insertion phases only (no check optimization). *)
+val instrument : ?config:Config.t -> ns:string -> Tir.Ir.modul -> unit
+(** Check/metadata insertion phases only (no check optimization).  Every
+    inserted intrinsic is named [ns ^ "_" ^ entry point] ([ns] is
+    ["__cecsan"] for CECSan; PACMem and CryptSan run this pass with
+    sub-object narrowing off in their own namespaces). *)
 
 val optimize : ?config:Config.t -> Tir.Ir.modul -> unit
 (** The section II.F check optimizations (redundant elimination, loop
     hoisting/grouping), gated by the config's [opt_*] switches. *)
-
-val run : ?config:Config.t -> Tir.Ir.modul -> unit
-(** [instrument] then [optimize]: the full pass in one step. *)

@@ -18,25 +18,15 @@
 open Tir.Ir
 
 let acceptable_call callee =
-  Minic.Builtins.is_builtin callee && not (Instrument_util.is_alloc_family callee)
+  Minic.Builtins.is_builtin callee
+  && not (Sanitizer.Spec.is_alloc_family callee)
 
 (* Substitutes operand [Reg old] -> [Reg fresh] in one instruction. *)
-let subst old fresh i =
-  let fix = function Reg r when r = old -> Reg fresh | o -> o in
-  match i with
-  | Imov c -> Imov { c with src = fix c.src }
-  | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-  | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-  | Isext c -> Isext { c with src = fix c.src }
-  | Iload c -> Iload { c with addr = fix c.addr }
-  | Istore c -> Istore { c with addr = fix c.addr; src = fix c.src }
-  | Islot _ -> i
-  | Igep c -> Igep { c with base = fix c.base; idx = Option.map fix c.idx }
-  | Icall c -> Icall { c with args = List.map fix c.args }
-  | Iintrin c -> Iintrin { c with args = List.map fix c.args }
+let subst old fresh =
+  map_opnds (function Reg r when r = old -> Reg fresh | o -> o)
 
 (* Narrows eligible field geps in [f]; returns the number of sites. *)
-let narrow (md : modul) (f : func) : int =
+let narrow ~make ~release (md : modul) (f : func) : int =
   let used_in = Tir.Analysis.blocks_using f in
   let narrowed = ref 0 in
   Array.iter
@@ -127,13 +117,13 @@ let narrow (md : modul) (f : func) : int =
                   out := ins :: !out;
                   if j = i then
                     out :=
-                      Iintrin { dst = Some sub; name = "__cecsan_sub_make";
+                      Iintrin { dst = Some sub; name = make;
                                 args = [ Reg dst; Imm fsize ];
                                 site = fresh_site md }
                       :: !out;
                   if j = !last_use then
                     out :=
-                      Iintrin { dst = None; name = "__cecsan_sub_release";
+                      Iintrin { dst = None; name = release;
                                 args = [ Reg sub ]; site = fresh_site md }
                       :: !out)
                a;

@@ -6,6 +6,8 @@
     lifetime ends.  Direct full-width scalar field accesses are left at
     object granularity: they cannot violate sub-object bounds. *)
 
-val narrow : Tir.Ir.modul -> Tir.Ir.func -> int
+val narrow :
+  make:string -> release:string -> Tir.Ir.modul -> Tir.Ir.func -> int
 (** Rewrites eligible field geps in the function; returns the number of
-    narrowing sites introduced. *)
+    narrowing sites introduced.  [make] and [release] name the intrinsics
+    that mint and release a field's metadata entry. *)

@@ -107,14 +107,6 @@ let compile_cached ~optimize ?fuel (src : string) : Tir.Ir.modul =
 
 (* --- the static verification gate ----------------------------------------- *)
 
-type verify_mode = Off | Warn | Strict
-
-(* Strict by default: every build in tests and the harness is certified.
-   The bench flips this to [Warn] (report, don't fail) so a verifier
-   regression cannot silently void a measurement run, and [Off] is an
-   escape hatch for debugging the verifier itself. *)
-let verify_mode : verify_mode ref = ref Strict
-
 exception
   Verifier_reject of { tool : string; stage : string; errors : string list }
 
@@ -130,43 +122,28 @@ let () =
    covered-obligation count required non-shrinking across the
    optimization (translation validation of the section II.F passes). *)
 let instrument_verified ?fuel (san : Spec.t) (md : Tir.Ir.modul) : unit =
-  match !verify_mode with
-  | Off ->
-    san.Spec.instrument md;
-    Tir.Fuel.burn fuel (Tir.Ir.module_size md);
-    san.Spec.optimize md
-  | (Warn | Strict) as mode ->
-    let gate stage errors =
-      match errors with
-      | [] -> ()
-      | errs ->
-        (match mode with
-         | Strict ->
-           raise
-             (Verifier_reject { tool = san.Spec.name; stage; errors = errs })
-         | _ ->
-           List.iter
-             (fun m ->
-                Printf.eprintf "verify(%s/%s): %s\n%!" san.Spec.name stage m)
-             errs)
-    in
-    let spec = san.Spec.verify in
-    san.Spec.instrument md;
-    Tir.Fuel.burn fuel (Tir.Ir.module_size md);
-    let pre = Tir.Verify.check ?spec ?fuel md in
-    gate "preopt" (List.map Tir.Verify.error_to_string pre.Tir.Verify.r_errors);
-    san.Spec.optimize md;
-    let post = Tir.Verify.check ?spec ?fuel md in
+  let gate stage = function
+    | [] -> ()
+    | errors ->
+      raise (Verifier_reject { tool = san.Spec.name; stage; errors })
+  in
+  let spec = san.Spec.verify in
+  san.Spec.instrument md;
+  Tir.Fuel.burn fuel (Tir.Ir.module_size md);
+  let pre = Tir.Verify.check ?spec ?fuel md in
+  gate "preopt" (List.map Tir.Verify.error_to_string pre.Tir.Verify.r_errors);
+  san.Spec.optimize md;
+  let post = Tir.Verify.check ?spec ?fuel md in
+  gate "postopt"
+    (List.map Tir.Verify.error_to_string post.Tir.Verify.r_errors);
+  if post.Tir.Verify.r_covered < pre.Tir.Verify.r_covered then
     gate "postopt"
-      (List.map Tir.Verify.error_to_string post.Tir.Verify.r_errors);
-    if post.Tir.Verify.r_covered < pre.Tir.Verify.r_covered then
-      gate "postopt"
-        [ Printf.sprintf
-            "coverage shrank across optimization: %d covered before, %d after"
-            pre.Tir.Verify.r_covered post.Tir.Verify.r_covered ]
+      [ Printf.sprintf
+          "coverage shrank across optimization: %d covered before, %d after"
+          pre.Tir.Verify.r_covered post.Tir.Verify.r_covered ]
 
-(* Compiles under a sanitizer.  May raise [Spec.Unsupported] or, with
-   the gate on, [Verifier_reject]; with [fuel] given, [Tir.Fuel.Exhausted]. *)
+(* Compiles under a sanitizer.  May raise [Spec.Unsupported] or
+   [Verifier_reject]; with [fuel] given, [Tir.Fuel.Exhausted]. *)
 let build (san : Spec.t) ?(optimize = true) ?fuel (src : string)
   : Tir.Ir.modul =
   let md = compile_cached ~optimize ?fuel src in

@@ -42,21 +42,12 @@ val compile_cached : optimize:bool -> ?fuel:Tir.Fuel.t -> string -> Tir.Ir.modul
 val clear_compile_cache : unit -> unit
 (** Drops every cached module (tests, memory pressure). *)
 
-type verify_mode =
-  | Off     (** no static checks *)
-  | Warn    (** report rejections on stderr, keep going *)
-  | Strict  (** raise [Verifier_reject] *)
-
-val verify_mode : verify_mode ref
-(** The [Tir.Verify] gate run by [build]/[build_link] around the
-    sanitizer's instrument/optimize phases.  [Strict] by default; the
-    bench switches to [Warn] so a verifier regression cannot void a
-    measurement run. *)
-
 exception
   Verifier_reject of { tool : string; stage : string; errors : string list }
-(** [stage] is ["preopt"] or ["postopt"]; [errors] are rendered
-    [Tir.Verify.error]s (plus the coverage-shrink violation, if any). *)
+(** Raised by the [Tir.Verify] gate that [build]/[build_link] run
+    around every sanitizer's instrument/optimize phases.  [stage] is
+    ["preopt"] or ["postopt"]; [errors] are rendered [Tir.Verify.error]s
+    (plus the coverage-shrink violation, if any). *)
 
 val instrument_verified : ?fuel:Tir.Fuel.t -> Spec.t -> Tir.Ir.modul -> unit
 (** The gate itself: instrument, verify, optimize, verify again, and

@@ -187,6 +187,19 @@ let defs = function
 
 let opnd_uses = function Reg r -> [ r ] | Imm _ | Glob _ -> []
 
+let map_opnds f i =
+  match i with
+  | Imov c -> Imov { c with src = f c.src }
+  | Ibin c -> Ibin { c with a = f c.a; b = f c.b }
+  | Icmp c -> Icmp { c with a = f c.a; b = f c.b }
+  | Isext c -> Isext { c with src = f c.src }
+  | Iload c -> Iload { c with addr = f c.addr }
+  | Istore c -> Istore { c with addr = f c.addr; src = f c.src }
+  | Islot _ -> i
+  | Igep c -> Igep { c with base = f c.base; idx = Option.map f c.idx }
+  | Icall c -> Icall { c with args = List.map f c.args }
+  | Iintrin c -> Iintrin { c with args = List.map f c.args }
+
 let uses = function
   | Imov { src; _ } -> opnd_uses src
   | Ibin { a; b; _ } | Icmp { a; b; _ } -> opnd_uses a @ opnd_uses b

@@ -107,7 +107,7 @@ type modul = {
   mutable m_witnesses : Witness.t list;
       (** elision certificates attached by the optimizer (Checkopt's
           absint phase); {!clone} shares the list, and [Verify] replays
-          every entry in Strict mode *)
+          every entry *)
   mutable m_vcache : vm_cache list;
       (** derived-code memos; see {!vm_cache} and {!clear_vcache} *)
 }
@@ -130,6 +130,11 @@ val fresh_reg : func -> int
 
 val defs : instr -> int option
 (** The register defined by an instruction, if any. *)
+
+val map_opnds : (opnd -> opnd) -> instr -> instr
+(** Rewrites every operand an instruction reads.  [f] may have effects
+    (minting registers and sites); the order in which it meets the
+    operands is fixed here, so the numbering it produces is too. *)
 
 val uses : instr -> int list
 val term_uses : term -> int list

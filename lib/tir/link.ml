@@ -40,26 +40,7 @@ let rename_globals (suffix : string) (md : modul) : unit =
   in
   iter_funcs md (fun f ->
       Array.iter
-        (fun b ->
-           b.b_instrs <-
-             List.map
-               (fun i ->
-                  match i with
-                  | Imov c -> Imov { c with src = fix c.src }
-                  | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-                  | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-                  | Isext c -> Isext { c with src = fix c.src }
-                  | Iload c -> Iload { c with addr = fix c.addr }
-                  | Istore c ->
-                    Istore { c with addr = fix c.addr; src = fix c.src }
-                  | Islot _ as i -> i
-                  | Igep c ->
-                    Igep { c with base = fix c.base;
-                                  idx = Option.map fix c.idx }
-                  | Icall c -> Icall { c with args = List.map fix c.args }
-                  | Iintrin c ->
-                    Iintrin { c with args = List.map fix c.args })
-               b.b_instrs)
+        (fun b -> b.b_instrs <- List.map (map_opnds fix) b.b_instrs)
         f.f_blocks)
 
 let check_struct_compat (a : Minic.Layout.env) (b : Minic.Layout.env) : unit =

@@ -7,8 +7,8 @@
    re-derivable (the derived interval must be contained in the claimed
    one, the object must be live and non-escaping, the claimed bounds
    must imply in-bounds access).  A witness that cannot be re-proved is
-   a build error in Strict mode, so the optimizer can never silently
-   drop coverage (DESIGN.md section 16). *)
+   a build error, so the optimizer can never silently drop coverage
+   (DESIGN.md section 16). *)
 
 type kind =
   | Welide      (* check removed outright: spatial + temporal both proved *)

@@ -2,8 +2,8 @@
 
     Checkopt's absint phase attaches one witness per elided or
     downgraded check; [Verify] replays each against an independent
-    abstract-interpretation run and rejects the build in Strict mode if
-    any fact cannot be re-derived. *)
+    abstract-interpretation run and rejects the build if any fact cannot
+    be re-derived. *)
 
 type kind =
   | Welide      (** check removed outright *)

@@ -187,16 +187,11 @@ let tbi_wrap m (callee : string) (raw_fn : int array -> int)
     | _ -> res
   end
 
-let rec exec_call m (callee : string) (args : int array) : int =
-  match Hashtbl.find_opt m.vc.Vcode.funcs callee with
-  | Some lf -> exec_func m lf args
-  | None -> exec_named m callee args
-
 (* The by-name slow path: the allocation family, libc builtins (with
    interception and TBI), registered externs.  Pre-resolution guarantees
    [Vnamed] callees are never module functions, so the funcs lookup is
    skipped. *)
-and exec_named m (callee : string) (args : int array) : int =
+let exec_named m (callee : string) (args : int array) : int =
   let st = m.st in
   match run_alloc_family m callee args with
   | Some v -> v
@@ -217,7 +212,7 @@ and exec_named m (callee : string) (args : int array) : int =
         | Some fn -> fn st args
         | None -> Report.trap (Report.Unresolved_external callee)))
 
-and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
+let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
   let st = m.st in
   m.depth <- m.depth + 1;
   let saved_sp = st.State.sp in
@@ -339,24 +334,10 @@ and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
               | Gfield { off; _ }, _ -> b + off
               | Gindex { elem_size; _ }, Some i -> b + (ev i * elem_size)
               | Gindex _, None -> b)
-         | Icall { dst; callee; args } ->
-           State.tick st (Cost.call - 1);
-           let argv = Array.of_list (List.map ev args) in
-           let v = exec_call m callee argv in
-           (match dst with Some d -> regs.(d) <- v | None -> ())
-         | Iintrin { dst; name; args; site } ->
-           let argv = Array.of_list (List.map ev args) in
-           Telemetry.bump_executed st.State.telem site;
-           (match Runtime.find_intrinsic m.rt name with
-            | Some fn ->
-              (* intrinsics receive the site id as a trailing argument *)
-              let v =
-                fn st
-                  (Array.append argv [| site |])
-              in
-              (match dst with Some d -> regs.(d) <- v | None -> ())
-            | None ->
-              Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
+         | Icall _ | Iintrin _ ->
+           (* Vcode.resolve lowers every call/intrinsic to
+              Vcall/Vintrin/Vtelem; a plain one cannot reach the backend *)
+           assert false
        done;
        (match lf.Vcode.terms.(!block) with
         | Tret v ->

@@ -46,11 +46,6 @@ val register_extern : t -> string -> (State.t -> int array -> int) -> unit
 
 val global_addr : t -> string -> int
 
-val exec_call : t -> string -> int array -> int
-(** Calls a function by name: module functions, the allocation family
-    (routed through runtime hooks), libc builtins (with interception and
-    TBI handling), or registered externs. *)
-
 val run : ?entry:string -> ?backend:backend -> ?fuel:Tir.Fuel.t -> t -> outcome
 (** Runs [entry] (default ["main"]) under [backend] (default [Interp]);
     all terminations funnel into [outcome].  [fuel] meters jit

@@ -114,17 +114,9 @@ let resolve_instr funcs globals islot (i : instr) : vinstr =
   | Iintrin { dst; name; args; site } ->
     let args = Array.of_list (List.map r args @ [ Imm site ]) in
     Vintrin { dst; islot = islot name; name; args; site }
-  | Imov { dst; src } -> Vplain (Imov { dst; src = r src })
-  | Ibin { op; dst; a; b } -> Vplain (Ibin { op; dst; a = r a; b = r b })
-  | Icmp { op; dst; a; b } -> Vplain (Icmp { op; dst; a = r a; b = r b })
-  | Isext { dst; src; bytes } -> Vplain (Isext { dst; src = r src; bytes })
-  | Iload { dst; addr; size; signed; safe } ->
-    Vplain (Iload { dst; addr = r addr; size; signed; safe })
-  | Istore { addr; src; size; safe } ->
-    Vplain (Istore { addr = r addr; src = r src; size; safe })
-  | Islot _ -> Vplain i
-  | Igep { dst; base; idx; info } ->
-    Vplain (Igep { dst; base = r base; idx = Option.map r idx; info })
+  | Imov _ | Ibin _ | Icmp _ | Isext _ | Iload _ | Istore _ | Islot _
+  | Igep _ ->
+    Vplain (Tir.Ir.map_opnds r i)
 
 let resolve_term globals = function
   | Tret (Some o) -> Tret (Some (resolve_opnd globals o))

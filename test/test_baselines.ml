@@ -369,6 +369,154 @@ let mechanism_tests =
              Cecsan.sanitizer () ]);
   ]
 
+(* --- digest pin: the instrumented IR of every tool ----------------------- *)
+
+(* PACMem and CryptSan used to name six intrinsics their own way
+   (auth/seal/retire/strip).  The pin maps those whole names to the
+   shared pass's, so code emitting either naming gives one digest. *)
+let pa_rename =
+  Str.regexp
+    "__\\(pacmem\\|cryptsan\\)_\\(auth_load\\|auth_store\\|global_seal\\|\
+     stack_seal\\|stack_retire\\|strip\\)\\b"
+
+let pa_renamed text =
+  Str.global_substitute pa_rename
+    (fun s ->
+       let suffix =
+         match Str.matched_group 2 s with
+         | "auth_load" -> "check_load"
+         | "auth_store" -> "check_store"
+         | "global_seal" -> "global_make"
+         | "stack_seal" -> "stack_make"
+         | "stack_retire" -> "stack_release"
+         | _ -> "extcall_strip"
+       in
+       "__" ^ Str.matched_group 1 s ^ "_" ^ suffix)
+    text
+
+let pin_link_lib = {|
+int lib_sum(int *data, int n) {
+  int s = 0;
+  for (int i = 0; i < n; i++) s += data[i];
+  return s;
+}
+
+char *lib_greet(char *buf) {
+  strcpy(buf, "legacy");
+  return buf;
+}
+|}
+
+let pin_link_main = {|
+extern int lib_sum(int *data, int n);
+extern char *lib_greet(char *buf);
+
+int table[8];
+
+int main() {
+  for (int i = 0; i < 8; i++) table[i] = i;
+  char buf[16];
+  strcpy(buf, "main");
+  char *r = lib_greet(buf);
+  return lib_sum(table, 8) + (r[0] == 'l' ? 1 : 0);
+}
+|}
+
+(* Each module text is digested on its own, so the buffer stays small
+   while every byte of every text still reaches the final digest. *)
+let pin_text buf md =
+  let text = pa_renamed (Tir.Pp.module_to_string md) in
+  Printf.bprintf buf "%d %s\n" (String.length text)
+    (Digest.to_hex (Digest.string text))
+
+let pin_module buf (san : Sanitizer.Spec.t) md =
+  match san.Sanitizer.Spec.instrument md with
+  | exception Sanitizer.Spec.Unsupported _ ->
+    Buffer.add_string buf "excluded\n"
+  | () ->
+    pin_text buf md;
+    san.Sanitizer.Spec.optimize md;
+    pin_text buf md
+
+let pin_two_globals_src = {|
+char ga[16];
+char gb[16];
+
+int get(char *p, int i) { return p[i]; }
+
+int main() { return get(ga, 3) + get(gb, 4); }
+|}
+
+(* Lowered MiniC never puts two global addresses in one instruction, so
+   the programs above cannot see the order in which an operand rewrite
+   that mints registers and sites meets the operands.  These
+   hand-made instructions can. *)
+let pin_two_globals () =
+  let open Tir.Ir in
+  let md =
+    Sanitizer.Driver.compile_cached ~optimize:true pin_two_globals_src
+  in
+  let f = Option.get (find_func md "main") in
+  let ga = Glob "ga" and gb = Glob "gb" in
+  let b0 = f.f_blocks.(0) in
+  b0.b_instrs <-
+    [ Ibin { op = Sub; dst = fresh_reg f; a = ga; b = gb };
+      Icmp { op = Lt; dst = fresh_reg f; a = ga; b = gb };
+      Igep { dst = fresh_reg f; base = ga; idx = Some gb;
+             info = Gindex { elem_size = 1; count = None } };
+      Istore { addr = ga; src = gb; size = 8; safe = false };
+      Icall { dst = None; callee = "memcpy"; args = [ ga; gb; Imm 8 ] } ]
+    @ b0.b_instrs;
+  md
+
+let pin_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let sources =
+    List.map
+      (fun (w : Workloads.Spec2006.t) -> w.Workloads.Spec2006.w_source)
+      (Workloads.Spec2006.all @ Workloads.Spec2017.all)
+    @ List.concat_map
+      (fun (c : Juliet.Case.t) -> [ c.good_src; c.bad_src ])
+      (Juliet.Suite.all ())
+    @ List.map
+      (fun (m : Workloads.Linux_flaws.t) -> m.Workloads.Linux_flaws.source)
+      Workloads.Linux_flaws.all
+    @ List.init 300 (fun seed ->
+        (Fuzz.Gen.generate ~inject:(seed mod 2 = 0) (Fuzz.Tape.fresh ~seed))
+          .Fuzz.Gen.src)
+  in
+  List.iter
+    (fun (san : Sanitizer.Spec.t) ->
+       Printf.bprintf buf "tool %s\n" san.Sanitizer.Spec.name;
+       List.iter
+         (fun src ->
+            pin_module buf san
+              (Sanitizer.Driver.compile_cached ~optimize:true src))
+         sources;
+       pin_module buf san (pin_two_globals ());
+       match
+         Sanitizer.Driver.build_link san
+           [ (pin_link_main, `Instrumented);
+             (pin_link_lib, `Uninstrumented) ]
+       with
+       | exception Sanitizer.Spec.Unsupported _ ->
+         Buffer.add_string buf "excluded\n"
+       | md -> pin_text buf md)
+    [ Cecsan.sanitizer ();
+      Cecsan.sanitizer ~config:Cecsan.Config.no_subobject ();
+      asan; asan_minus; hwasan; softbound; pacmem; cryptsan ];
+  (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let pin_tests =
+  [
+    Alcotest.test_case "instrumented IR matches the pinned digest" `Quick
+      (fun () ->
+         let len, hex = pin_digest () in
+         Alcotest.(check (pair int string)) "digest"
+           (1374791, "b1d0dd494a6d8bf5c976a0e321ba199f")
+           (len, hex));
+  ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -379,4 +527,5 @@ let () =
       "pacmem", pa_tests pacmem;
       "cryptsan", pa_tests cryptsan @ cryptsan_extra;
       "mechanisms", mechanism_tests;
+      "digest-pin", pin_tests;
     ]
