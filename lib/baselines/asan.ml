@@ -266,31 +266,17 @@ let protect_globals (md : modul) : instr list =
   md.m_globals <- with_rz;
   !init
 
-let insert_checks (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Iload { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__asan_check_load";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | Istore { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__asan_check_store";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
-
-let instrument (md : modul) : unit =
+(* Shadow checks on the accesses whose [safe] flag satisfies [checked]:
+   ASan checks all of them, ASan-- only the unproven ones. *)
+let instrument ~(checked : bool -> bool) (md : modul) : unit =
   Tir.Analysis.run md;
   iter_funcs md (fun f ->
       if not f.f_external then begin
         protect_stack md f;
-        insert_checks md f
+        Tir.Rewrite.insert_checks md ~load:"__asan_check_load"
+          ~store:"__asan_check_store" ~returns_addr:false ~checked f
       end);
-  let init = protect_globals md in
-  match find_func md "main" with
-  | Some main -> Tir.Rewrite.insert_prologue main init
-  | None -> ()
+  Tir.Rewrite.insert_main_prologue md (protect_globals md)
 
 (* --- interceptors: narrow family only ---------------------------------------- *)
 
@@ -410,9 +396,8 @@ let verify_spec : Tir.Verify.spec = {
 let sanitizer ?quarantine_cap () : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name;
-    instrument;
+    instrument = instrument ~checked:(fun _ -> true);
     optimize = (fun _ -> ());
     verify = Some verify_spec;
     fresh_runtime = (fun () -> fresh_runtime ?quarantine_cap ());
-    default_policy = Vm.Report.Halt;
   }

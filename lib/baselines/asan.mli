@@ -19,10 +19,11 @@ val asan_free : t -> Vm.State.t -> int -> unit
 val check : t -> Vm.State.t -> write:bool -> int -> int -> unit
 val check_region : t -> Vm.State.t -> write:bool -> int -> int -> unit
 
-val protect_stack : Tir.Ir.modul -> Tir.Ir.func -> unit
-val protect_globals : Tir.Ir.modul -> Tir.Ir.instr list
-val insert_checks : Tir.Ir.modul -> Tir.Ir.func -> unit
-val instrument : Tir.Ir.modul -> unit
+val instrument : checked:(bool -> bool) -> Tir.Ir.modul -> unit
+(** In-frame stack redzones, trailing global redzones poisoned at the
+    start of [main], and a shadow check before every access whose
+    [safe] flag satisfies [checked] ([fun _ -> true] for ASan, [not] for
+    ASan--). *)
 
 val fresh_runtime : ?quarantine_cap:int -> unit -> Vm.Runtime.t
 val sanitizer : ?quarantine_cap:int -> unit -> Sanitizer.Spec.t

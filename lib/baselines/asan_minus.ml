@@ -46,35 +46,6 @@ let spec : Sanitizer.Checkopt.spec = {
   absint = Some model;
 }
 
-(* Unlike plain ASan, skip instrumenting accesses proven in-bounds. *)
-let insert_checks_elided (md : Tir.Ir.modul) (f : Tir.Ir.func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Tir.Ir.Iload { addr; size; safe = false; _ } as i ->
-        [ Tir.Ir.Iintrin { dst = None; name = "__asan_check_load";
-                           args = [ addr; Tir.Ir.Imm size ];
-                           site = Tir.Ir.fresh_site md };
-          i ]
-      | Tir.Ir.Istore { addr; size; safe = false; _ } as i ->
-        [ Tir.Ir.Iintrin { dst = None; name = "__asan_check_store";
-                           args = [ addr; Tir.Ir.Imm size ];
-                           site = Tir.Ir.fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
-
-let instrument (md : Tir.Ir.modul) : unit =
-  Tir.Analysis.run md;
-  Tir.Ir.iter_funcs md (fun f ->
-      if not f.Tir.Ir.f_external then begin
-        Asan.protect_stack md f;
-        insert_checks_elided md f
-      end);
-  let init = Asan.protect_globals md in
-  match Tir.Ir.find_func md "main" with
-  | Some main -> Tir.Rewrite.insert_prologue main init
-  | None -> ()
-
 let optimize (md : Tir.Ir.modul) : unit =
   let is_hazard n = List.mem n spec.hazard_intrinsics in
   let pure = Tir.Analysis.pure_callees md ~is_hazard in
@@ -88,9 +59,9 @@ let optimize (md : Tir.Ir.modul) : unit =
 let sanitizer () : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name;
-    instrument;
+    (* unlike plain ASan, skip accesses proven in-bounds *)
+    instrument = Asan.instrument ~checked:not;
     optimize;
     verify = Some spec;
     fresh_runtime = (fun () -> Asan.fresh_runtime ());
-    default_policy = Vm.Report.Halt;
   }

@@ -5,5 +5,4 @@
 
 val name : string
 val spec : Sanitizer.Checkopt.spec
-val instrument : Tir.Ir.modul -> unit
 val sanitizer : unit -> Sanitizer.Spec.t

@@ -125,128 +125,22 @@ let check (st : Vm.State.t) ~write addr size =
 
 (* --- instrumentation ---------------------------------------------------------- *)
 
-let insert_checks (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Iload { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__hwasan_check_load";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | Istore { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__hwasan_check_store";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
-
 (* Stack tagging: unsafe slots are padded to the granule, tagged in the
    prologue and retagged to 0 in the epilogue; the slot address
    instruction yields the tagged pointer. *)
 let protect_stack (md : modul) (f : func) : unit =
-  let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
-  if unsafe <> [] then begin
-    (* round unsafe slots to whole granules and align them *)
-    f.f_slots <-
-      List.map
-        (fun s ->
-           if s.s_unsafe then
-             { s with
-               s_size = (s.s_size + granule - 1) / granule * granule;
-               s_align = max s.s_align granule }
-           else s)
-        f.f_slots;
-    let tag_reg : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iter (fun s -> Hashtbl.replace tag_reg s.s_id (fresh_reg f)) unsafe;
-    Tir.Rewrite.map_instrs
-      (function
-        | Islot { dst; slot } when Hashtbl.mem tag_reg slot ->
-          [ Imov { dst; src = Reg (Hashtbl.find tag_reg slot) } ]
-        | i -> [ i ])
-      f;
-    let sizes : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
+  f.f_slots <-
+    List.map
       (fun s ->
          if s.s_unsafe then
-           Hashtbl.replace sizes s.s_id
-             ((s.s_size + granule - 1) / granule * granule))
+           { s with
+             s_size = (s.s_size + granule - 1) / granule * granule;
+             s_align = max s.s_align granule }
+         else s)
       f.f_slots;
-    let prologue =
-      List.concat_map
-        (fun s ->
-           let a = fresh_reg f in
-           [ Islot { dst = a; slot = s.s_id };
-             Iintrin { dst = Some (Hashtbl.find tag_reg s.s_id);
-                       name = "__hwasan_tag_stack";
-                       args = [ Reg a; Imm (Hashtbl.find sizes s.s_id) ];
-                       site = fresh_site md } ])
-        unsafe
-    in
-    Tir.Rewrite.insert_prologue f prologue;
-    Tir.Rewrite.insert_before_rets f (fun () ->
-        List.map
-          (fun s ->
-             Iintrin { dst = None; name = "__hwasan_untag_stack";
-                       args = [ Reg (Hashtbl.find tag_reg s.s_id);
-                                Imm (Hashtbl.find sizes s.s_id) ];
-                       site = fresh_site md })
-          unsafe)
-  end
-
-(* Global tagging: unsafe globals are tagged at startup; references load
-   the tagged address through an intrinsic (modelling the tagged-global
-   relocations of the real toolchain). *)
-let protect_globals (md : modul) : unit =
-  let slots =
-    let k = ref (-1) in
-    List.filter_map
-      (fun g ->
-         if g.g_unsafe then begin
-           incr k;
-           Some (g.g_name, g, !k)
-         end
-         else None)
-      md.m_globals
-  in
-  let slot_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, _, k) -> Hashtbl.replace slot_of n k) slots;
-  iter_funcs md (fun f ->
-      if not f.f_external then
-        Array.iter
-          (fun b ->
-             b.b_instrs <-
-               List.concat_map
-                 (fun i ->
-                    let prefix = ref [] in
-                    let fix o =
-                      match o with
-                      | Glob g when Hashtbl.mem slot_of g ->
-                        let r = fresh_reg f in
-                        prefix :=
-                          Iintrin { dst = Some r;
-                                    name = "__hwasan_global_addr";
-                                    args = [ Imm (Hashtbl.find slot_of g) ];
-                                    site = fresh_site md }
-                          :: !prefix;
-                        Reg r
-                      | o -> o
-                    in
-                    (* [fix] pushes onto [prefix]: rewrite first *)
-                    let i' = map_opnds fix i in
-                    List.rev (i' :: !prefix))
-                 b.b_instrs)
-          f.f_blocks);
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun (gname, g, k) ->
-           [ Iintrin { dst = None; name = "__hwasan_tag_global";
-                       args = [ Glob gname; Imm g.g_size; Imm k ];
-                       site = fresh_site md } ])
-        slots
-    in
-    Tir.Rewrite.insert_prologue main init
+  Tir.Rewrite.tag_stack md ~make:"__hwasan_tag_stack"
+    ~release:"__hwasan_untag_stack"
+    ~release_args:(fun p s -> [ p; Imm s.s_size ]) f
 
 (* Unsafe globals must own their granules exclusively: align to the
    granule and pad the size, or tagging would clobber a neighbor. *)
@@ -264,14 +158,24 @@ let granule_align_globals (md : modul) : unit =
          else g)
       md.m_globals
 
+(* Unsafe globals are tagged at startup; references load the tagged
+   address through an intrinsic (modelling the tagged-global relocations
+   of the real toolchain).  Every function's globals are rewritten
+   before stack tagging and checks, which fixes the site numbering. *)
 let instrument (md : modul) : unit =
   Tir.Analysis.run md;
   granule_align_globals md;
-  protect_globals md;
+  let slots = Tir.Rewrite.global_slots md in
+  iter_funcs md (fun f ->
+      if not f.f_external then
+        Tir.Rewrite.load_globals md ~load:"__hwasan_global_addr" slots f);
+  Tir.Rewrite.make_globals md ~make:"__hwasan_tag_global" slots;
   iter_funcs md (fun f ->
       if not f.f_external then begin
         protect_stack md f;
-        insert_checks md f
+        Tir.Rewrite.insert_checks md ~load:"__hwasan_check_load"
+          ~store:"__hwasan_check_store" ~returns_addr:false
+          ~checked:(fun _ -> true) f
       end)
 
 (* --- read-side interceptors ----------------------------------------------------
@@ -391,5 +295,4 @@ let verify_spec : Tir.Verify.spec = {
 
 let sanitizer () : Sanitizer.Spec.t =
   { Sanitizer.Spec.name; instrument; optimize = (fun _ -> ());
-    verify = Some verify_spec; fresh_runtime;
-    default_policy = Vm.Report.Halt }
+    verify = Some verify_spec; fresh_runtime }

@@ -343,5 +343,4 @@ let sanitizer (pol : policy) : Sanitizer.Spec.t =
     optimize = (fun _ -> ());
     verify = Some (verify_spec pol);
     fresh_runtime = fresh_runtime pol;
-    default_policy = Vm.Report.Halt;
   }

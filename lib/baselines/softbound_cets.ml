@@ -160,15 +160,7 @@ let instrument (md : modul) : unit =
   Tir.Analysis.run md;
   iter_funcs md (fun f ->
       if not f.f_external then begin
-        (* allocation family *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Icall { dst; callee; args }
-              when Sanitizer.Spec.is_alloc_family callee ->
-              [ Iintrin { dst; name = "__sb_" ^ callee; args;
-                          site = fresh_site md } ]
-            | i -> [ i ])
-          f;
+        Cecsan.Instrument.rewrite_allocs md ~ns:"__sb" f;
         (* metadata propagation and checks *)
         Tir.Rewrite.map_instrs
           (function
@@ -234,20 +226,13 @@ let instrument (md : modul) : unit =
         end
       end);
   (* globals get whole-program metadata at startup *)
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun g ->
-           if g.g_unsafe then
-             [ Iintrin { dst = None; name = "__sb_global_create";
-                         args = [ Glob g.g_name; Imm g.g_size ];
-                         site = fresh_site md } ]
-           else [])
-        md.m_globals
-    in
-    Tir.Rewrite.insert_prologue main init
+  Tir.Rewrite.insert_main_prologue md
+    (List.map
+       (fun (g, _) ->
+          Iintrin { dst = None; name = "__sb_global_create";
+                    args = [ Glob g.g_name; Imm g.g_size ];
+                    site = fresh_site md })
+       (Tir.Rewrite.global_slots md))
 
 (* --- interceptors: the wrapped subset ------------------------------------------ *)
 
@@ -424,5 +409,4 @@ let verify_spec : Tir.Verify.spec = {
 
 let sanitizer () : Sanitizer.Spec.t =
   { Sanitizer.Spec.name; instrument; optimize = (fun _ -> ());
-    verify = Some verify_spec; fresh_runtime;
-    default_policy = Vm.Report.Halt }
+    verify = Some verify_spec; fresh_runtime }

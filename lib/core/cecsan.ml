@@ -28,7 +28,6 @@ let sanitizer ?(config = Config.default) () : Sanitizer.Spec.t =
          snd
            (Runtime.create
               ~chain_overflow:config.Config.chain_overflow ()));
-    default_policy = config.Config.policy;
   }
 
 (* Named variants used by the ablation benchmarks. *)

@@ -5,32 +5,22 @@
 
 type t = {
   subobject : bool;       (* section II.D: sub-object bound narrowing *)
-  protect_stack : bool;   (* section II.C.3 *)
-  protect_globals : bool; (* section II.C.3: the GPT *)
   opt_redundant : bool;   (* section II.F: redundant check elimination *)
   opt_loop : bool;        (* section II.F.1: invariant + monotonic checks *)
   opt_typeinfo : bool;    (* section II.F.2: statically-safe check removal *)
   opt_absint : bool;      (* DESIGN.md 16: certified elision via Tir.Absint *)
-  check_step : int;       (* monotonic check grouping factor (paper: 5) *)
   (* section V.1 future work: on table exhaustion, chain conflicting
      metadata off shared indices instead of degrading to unprotected *)
   chain_overflow : bool;
-  (* what a failed check does: [Halt] raises on the first finding,
-     [Recover] records findings and keeps the program running *)
-  policy : Vm.Report.policy;
 }
 
 let default = {
   subobject = true;
-  protect_stack = true;
-  protect_globals = true;
   opt_redundant = true;
   opt_loop = true;
   opt_typeinfo = true;
   opt_absint = true;
-  check_step = 5;
   chain_overflow = false;
-  policy = Vm.Report.Halt;
 }
 
 let no_opts = {
@@ -45,19 +35,3 @@ let no_subobject = { default with subobject = false }
 
 (* the section V.1 extension enabled *)
 let with_chain = { default with chain_overflow = true }
-
-(* keep running past findings, with the standard report cap *)
-let recover =
-  { default with
-    policy = Vm.Report.Recover
-        { max_reports = Vm.Report.default_max_reports } }
-
-let to_string c =
-  Printf.sprintf
-    "subobject=%b stack=%b globals=%b redundant=%b loop=%b typeinfo=%b      absint=%b step=%d chain=%b policy=%s"
-    c.subobject c.protect_stack c.protect_globals c.opt_redundant c.opt_loop
-    c.opt_typeinfo c.opt_absint c.check_step c.chain_overflow
-    (match c.policy with
-     | Vm.Report.Halt -> "halt"
-     | Vm.Report.Recover { max_reports } ->
-       Printf.sprintf "recover:%d" max_reports)

@@ -1,25 +1,19 @@
 (** CECSan configuration: feature and optimization toggles used by the
-    ablation experiments. *)
+    ablation experiments.  Stack and global protection are always on,
+    and the finding policy is the driver's ([Driver.run ?policy]). *)
 
 type t = {
   subobject : bool;       (** sub-object bound narrowing (section II.D) *)
-  protect_stack : bool;   (** stack object protection (section II.C.3) *)
-  protect_globals : bool; (** Global Pointer Table (section II.C.3) *)
   opt_redundant : bool;   (** redundant check elimination (II.F) *)
   opt_loop : bool;        (** loop-invariant hoisting + monotonic
                               grouping (II.F.1) *)
   opt_typeinfo : bool;    (** statically-safe check removal (II.F.2) *)
   opt_absint : bool;      (** certified elision from whole-program
                               abstract interpretation (DESIGN.md 16) *)
-  check_step : int;       (** grouping factor of II.F.1 (paper: 5) *)
   chain_overflow : bool;
       (** the section V.1 future-work extension: on metadata-table
           exhaustion, chain conflicting metadata off shared indices
           instead of degrading to unprotected entry-0 pointers *)
-  policy : Vm.Report.policy;
-      (** what a failed check does: [Halt] (the default) raises on the
-          first finding; [Recover] records deduplicated findings and
-          keeps the program running *)
 }
 
 val default : t
@@ -34,7 +28,3 @@ val no_subobject : t
 val with_chain : t
 (** [default] plus the overflow-chain extension of section V.1. *)
 
-val recover : t
-(** [default] with a [Recover] policy at [Vm.Report.default_max_reports]. *)
-
-val to_string : t -> string

@@ -13,6 +13,12 @@ val instrument : ?config:Config.t -> ns:string -> Tir.Ir.modul -> unit
     ["__cecsan"] for CECSan; PACMem and CryptSan run this pass with
     sub-object narrowing off in their own namespaces). *)
 
+val rewrite_allocs : Tir.Ir.modul -> ns:string -> Tir.Ir.func -> unit
+(** Turns calls to [malloc]/[free]/[calloc]/[realloc] into the
+    intrinsics [ns ^ "_malloc"] and so on (SoftBound+CETS uses it under
+    ["__sb"]). *)
+
 val optimize : ?config:Config.t -> Tir.Ir.modul -> unit
 (** The section II.F check optimizations (redundant elimination, loop
-    hoisting/grouping), gated by the config's [opt_*] switches. *)
+    hoisting/grouping, certified elision), gated by the config's
+    [opt_*] switches; each runs {!Sanitizer.Checkopt} over {!Opt.spec}. *)

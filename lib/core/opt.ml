@@ -51,18 +51,3 @@ let spec : Sanitizer.Checkopt.spec = {
 let purity (md : Tir.Ir.modul) : string -> bool =
   let is_hazard n = List.mem n spec.hazard_intrinsics in
   Tir.Analysis.pure_callees md ~is_hazard
-
-let redundant ?(pure = fun _ -> false) (_md : Tir.Ir.modul)
-    (f : Tir.Ir.func) : unit =
-  ignore (Sanitizer.Checkopt.redundant spec ~pure f)
-
-let loops ?(pure = fun _ -> false) (md : Tir.Ir.modul) (config : Config.t)
-    (f : Tir.Ir.func) : unit =
-  ignore
-    (Sanitizer.Checkopt.loops spec ~check_step:config.Config.check_step ~pure
-       md f)
-
-(* Whole-module certified elision; must run after the per-function
-   passes above (they key on the original check names). *)
-let absint (md : Tir.Ir.modul) : Sanitizer.Checkopt.absint_stats =
-  Sanitizer.Checkopt.absint md spec

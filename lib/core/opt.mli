@@ -1,6 +1,8 @@
-(** CECSan's instantiation of the shared check optimizer (section II.F).
-    Unlike redzone tools, CECSan hoists checks on stores as well as
-    loads: a store cannot corrupt the disjoint metadata table. *)
+(** CECSan's instantiation of the shared check optimizer (section II.F):
+    the {!Sanitizer.Checkopt.spec} that [Instrument.optimize] and the
+    verifier both run on.  Unlike redzone tools, CECSan hoists checks on
+    stores as well as loads: a store cannot corrupt the disjoint
+    metadata table. *)
 
 val spec : Sanitizer.Checkopt.spec
 
@@ -11,11 +13,3 @@ val model : Tir.Absint.model
 val purity : Tir.Ir.modul -> string -> bool
 (** Memoized [Tir.Analysis.pure_callees] closure over [spec]'s hazard
     set; share one closure across the passes of a pipeline run. *)
-
-val redundant : ?pure:(string -> bool) -> Tir.Ir.modul -> Tir.Ir.func -> unit
-val loops :
-  ?pure:(string -> bool) -> Tir.Ir.modul -> Config.t -> Tir.Ir.func -> unit
-
-val absint : Tir.Ir.modul -> Sanitizer.Checkopt.absint_stats
-(** Certified check elision over the whole module (DESIGN.md section
-    16); run after {!redundant} and {!loops}. *)

@@ -132,9 +132,8 @@ let redundant (spec : spec) ?(pure = fun _ -> false) (f : func) : int =
 
 type loop_stats = { hoisted : int; endpoints : int; grouped : int }
 
-let loops (spec : spec) ?(check_step = 5) ?(pure = fun _ -> false)
-    (md : modul) (f : func) : loop_stats =
-  ignore check_step;
+let loops (spec : spec) ?(pure = fun _ -> false) (md : modul) (f : func) :
+  loop_stats =
   let stats = ref { hoisted = 0; endpoints = 0; grouped = 0 } in
   let cfg0 = Cfg.build f in
   let idom = Cfg.dominators cfg0 in

@@ -40,12 +40,13 @@ val redundant : spec -> ?pure:(string -> bool) -> Tir.Ir.func -> int
 
 type loop_stats = { hoisted : int; endpoints : int; grouped : int }
 
-val loops : spec -> ?check_step:int -> ?pure:(string -> bool) ->
-  Tir.Ir.modul -> Tir.Ir.func -> loop_stats
+val loops : spec -> ?pure:(string -> bool) -> Tir.Ir.modul -> Tir.Ir.func ->
+  loop_stats
 (** Loop-invariant hoisting and endpoint grouping over the function's
-    natural loops.  Loops containing hazard intrinsics or calls to
-    non-[pure] callees are left alone (their metadata could change
-    mid-loop). *)
+    natural loops.  Grouping checks a loop's whole access range at its
+    extremes, so it has no grouping factor.  Loops containing hazard
+    intrinsics or calls to non-[pure] callees are left alone (their
+    metadata could change mid-loop). *)
 
 type absint_stats = { elided : int; downgraded : int; facts : int }
 

@@ -178,17 +178,14 @@ let build_link (san : Spec.t) ?(optimize = true)
     primary
 
 (* Runs an instrumented module.  [lines]/[packets] feed the dummy input
-   server; [budget] bounds the run in cycles.  [policy] overrides the
-   sanitizer's default finding policy; [fault] threads a fault injector
+   server; [budget] bounds the run in cycles.  [policy] (default [Halt])
+   is what a finding does; [fault] threads a fault injector
    into the run.  [backend] (default [Interp]) selects the interpreter
    or the threaded-code jit; [fuel] meters jit compilation. *)
 let run_module (san : Spec.t) ?(lines = []) ?(packets = []) ?(externs = [])
     ?(budget = Vm.State.default_budget) ?(seed = 0x5EED) ?policy ?fault
     ?(backend = Vm.Machine.Interp) ?fuel (md : Tir.Ir.modul) : run_result =
-  let policy =
-    match policy with Some p -> p | None -> san.Spec.default_policy
-  in
-  let st = Vm.State.create ~cycle_budget:budget ~seed ~policy ?fault () in
+  let st = Vm.State.create ~cycle_budget:budget ~seed ?policy ?fault () in
   List.iter (Vm.Input.provide_line st.Vm.State.input) lines;
   List.iter (Vm.Input.provide_packet st.Vm.State.input) packets;
   let rt = san.Spec.fresh_runtime () in

@@ -85,7 +85,7 @@ val run_module :
   run_result
 (** Runs an instrumented module.  [lines]/[packets] feed the dummy input
     server; [externs] resolve body-less external functions.  [policy]
-    overrides the sanitizer's [default_policy]; [fault] threads a fault
+    (default [Halt]) is what a finding does; [fault] threads a fault
     injector into the run (see {!Vm.Fault}).  [backend] (default
     [Interp]) selects the interpreter or the threaded-code jit; [fuel] meters jit compilation (burned identically whether the
     jit's compile cache hits or misses). *)

@@ -24,8 +24,6 @@ type t = {
   verify : Tir.Verify.spec option;
   (* fresh per-run runtime state *)
   fresh_runtime : unit -> Vm.Runtime.t;
-  (* what the driver does with findings unless told otherwise *)
-  default_policy : Vm.Report.policy;
 }
 
 (* The uninstrumented baseline: what plain `clang -O2` produces. *)
@@ -35,7 +33,6 @@ let none : t = {
   optimize = (fun _ -> ());
   verify = None;
   fresh_runtime = (fun () -> Vm.Runtime.none);
-  default_policy = Vm.Report.Halt;
 }
 
 (* The allocation-family callees that sanitizers rewrite/wrap. *)

@@ -19,9 +19,9 @@ type t = {
       (** how [Tir.Verify] certifies this tool's output; [None] skips
           the coverage half (well-formedness is always checked) *)
   fresh_runtime : unit -> Vm.Runtime.t;
-  default_policy : Vm.Report.policy;
-      (** what the driver does with findings unless its [?policy]
-          argument overrides it; [Halt] for every stock sanitizer *)
+      (** fresh per-run runtime state.  What a finding does is not the
+          sanitizer's: {!Driver.run_module}'s [?policy] decides, and
+          defaults to [Halt] *)
 }
 
 val none : t

@@ -97,26 +97,32 @@ type jfunc = {
 
 type prog = { vc : Vcode.t; jfuncs : (string, jfunc) Hashtbl.t }
 
-let align_down n a = n / a * a
-
 let dead_step : step = fun _ -> assert false
 
-(* The call protocol, byte-for-byte the interpreter's exec_func: depth
-   and frame accounting, the stack-exhaustion trap (which restores
-   depth/sp first), parameter passing, and restoration on both normal
-   and exceptional exit. *)
-let exec_jfunc (c : ctx) (jf : jfunc) (args : int array) : int =
+(* The call protocol of both backends.  [enter] counts the call, carves
+   a 16-byte-aligned frame of [frame_size] below [sp] and makes [sp] its
+   base, or traps on stack exhaustion with depth and [sp] untouched; it
+   returns the caller's [sp], which [leave] restores.  The caller runs
+   [leave] on both normal and exceptional exit. *)
+let enter (c : ctx) (frame_size : int) : int =
   let st = c.st in
-  c.depth <- c.depth + 1;
   let saved_sp = st.State.sp in
-  let frame_base = align_down (st.State.sp - jf.jlf.Vcode.frame_size) 16 in
+  let frame_base = (saved_sp - frame_size) / 16 * 16 in
+  c.depth <- c.depth + 1;
   if frame_base < Layout46.stack_limit || c.depth > Vcode.max_call_depth
   then begin
     c.depth <- c.depth - 1;
-    st.State.sp <- saved_sp;
     Report.trap ~addr:frame_base Report.Stack_exhausted
   end;
   st.State.sp <- frame_base;
+  saved_sp
+
+let leave (c : ctx) (saved_sp : int) : unit =
+  c.depth <- c.depth - 1;
+  c.st.State.sp <- saved_sp
+
+let exec_jfunc (c : ctx) (jf : jfunc) (args : int array) : int =
+  let saved_sp = enter c jf.jlf.Vcode.frame_size in
   let regs =
     match jf.spare with
     | Some r ->
@@ -125,17 +131,15 @@ let exec_jfunc (c : ctx) (jf : jfunc) (args : int array) : int =
       r
     | None -> Array.make jf.nregs 0
   in
-  let env = { c; regs; fb = frame_base; ret = 0 } in
+  let env = { c; regs; fb = c.st.State.sp; ret = 0 } in
   List.iteri
     (fun i r -> if i < Array.length args then env.regs.(r) <- args.(i))
     jf.params;
   (try jf.entry env
    with e ->
-     c.depth <- c.depth - 1;
-     st.State.sp <- saved_sp;
+     leave c saved_sp;
      raise e);
-  c.depth <- c.depth - 1;
-  st.State.sp <- saved_sp;
+  leave c saved_sp;
   jf.spare <- Some regs;
   env.ret
 

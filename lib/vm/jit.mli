@@ -8,8 +8,7 @@
 type ctx = {
   st : State.t;
   itab : Runtime.intrinsic option array;
-      (** the machine's islot -> implementation table (shared with the
-          interpreter, so late-registration memoization benefits both) *)
+      (** the machine's islot -> implementation table *)
   checks : Runtime.check option array;
       (** per slot, the Algorithm 1 check to run inline instead of
           calling [itab]'s closure (see [Machine.create]) *)
@@ -19,11 +18,12 @@ type ctx = {
   reresolve : int -> Runtime.intrinsic option;
       (** re-resolves an intrinsic slot against the machine's runtime,
           memoizing into [itab] *)
-  mutable depth : int;
+  mutable depth : int;  (** live call frames, of either backend *)
 }
-(** Per-run context; compiled code receives it through the environment
+(** A machine's execution context, used by both backends and kept
+    across its runs; compiled code receives it through the environment
     threaded at execution time, so a compiled program captures no
-    per-run state and is reusable across machines and runtimes. *)
+    per-machine state and is reusable across machines and runtimes. *)
 
 type prog
 (** A compiled program. *)
@@ -42,10 +42,19 @@ val compile_cached : ?fuel:Tir.Fuel.t -> Vcode.t -> prog
 
 val find_func : prog -> string -> jfunc option
 
+val enter : ctx -> int -> int
+(** [enter c frame_size] is the call protocol's entry, shared by both
+    backends: counts the call depth, sets [sp] to a fresh 16-byte-aligned
+    frame of [frame_size] bytes (its base), and returns the caller's
+    [sp].  Traps with [Stack_exhausted] past [Vcode.max_call_depth] or
+    the stack limit, leaving depth and [sp] as they were. *)
+
+val leave : ctx -> int -> unit
+(** [leave c saved_sp] undoes {!enter}; run it on normal and exceptional
+    exit alike. *)
+
 val exec_jfunc : ctx -> jfunc -> int array -> int
-(** Calls a compiled function under the interpreter's exact call
-    protocol (depth/frame accounting, stack-exhaustion trap, restore on
-    normal and exceptional exit). *)
+(** Calls a compiled function under {!enter}/{!leave}. *)
 
 val compilations : int ref
 (** Process-wide count of full compilations, for cache regression

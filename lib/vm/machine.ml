@@ -10,9 +10,11 @@
    so creating many machines over one compiled module -- or running one
    module many times -- pays resolution once.  What cannot be shared is
    the runtime binding: intrinsic implementations belong to this
-   machine's runtime, so each machine materializes its own [itab]
-   mapping the resolved code's intrinsic slots to implementations, and
-   its own [checks] marking the slots the jit may run inline. *)
+   machine's runtime, so each machine materializes its own [Jit.ctx]:
+   the [itab] mapping the resolved code's intrinsic slots to
+   implementations, the [checks] marking the slots the jit may run
+   inline, and the call depth of the protocol both backends share
+   ([Jit.enter]/[Jit.leave]). *)
 
 open Tir.Ir
 
@@ -35,14 +37,114 @@ type t = {
   md : modul;
   rt : Runtime.t;
   vc : Vcode.t;
-  itab : Runtime.intrinsic option array;
-  checks : Runtime.check option array;
-  mutable ctx : Libc.ctx;
+  ctx : Jit.ctx;
   externs : (string, State.t -> int array -> int) Hashtbl.t;
-  mutable depth : int;
 }
 
-let align_down n a = n / a * a
+let global_addr m name =
+  match Hashtbl.find_opt m.vc.Vcode.globals name with
+  | Some a -> a
+  | None -> Report.trap Report.Segfault ~detail:("unknown global " ^ name)
+
+let sign_extend v size =
+  let bits = size * 8 in
+  let v = v land ((1 lsl bits) - 1) in
+  if v land (1 lsl (bits - 1)) <> 0 then v - (1 lsl bits) else v
+
+let zero_extend v size = v land ((1 lsl (size * 8)) - 1)
+
+(* allocation-family builtins get special routing through the effective
+   allocator so that both runtime replacement (ASan) and instrumentation
+   rewriting (CECSan) compose with calloc/realloc/strdup *)
+let run_alloc_family (libc : Libc.ctx) name (args : int array) : int option =
+  let st = libc.Libc.st in
+  match name with
+  | "malloc" -> Some (libc.Libc.malloc args.(0))
+  | "free" ->
+    libc.Libc.free args.(0);
+    Some 0
+  | "calloc" ->
+    let n = args.(0) * args.(1) in
+    let p = libc.Libc.malloc n in
+    Memory.fill st.State.mem ~dst:(State.effective st p) ~len:n 0;
+    State.tick st (Cost.mem_op n);
+    Some p
+  | "realloc" ->
+    let old = args.(0) and size = args.(1) in
+    if old = 0 then Some (libc.Libc.malloc size)
+    else begin
+      let old_size =
+        match libc.Libc.usable old with
+        | Some s -> s
+        | None ->
+          Report.trap ~addr:old Report.Heap_corruption
+            ~detail:"realloc(): invalid pointer"
+      in
+      let p = libc.Libc.malloc size in
+      Memory.copy st.State.mem ~src:(State.effective st old)
+        ~dst:(State.effective st p) ~len:(min old_size size);
+      State.tick st (Cost.mem_op (min old_size size));
+      libc.Libc.free old;
+      Some p
+    end
+  | _ -> None
+
+(* Top-byte-ignore emulation at the libc boundary: when the runtime asks
+   for TBI, pointer arguments are masked before the raw builtin runs (the
+   MMU would ignore the tag bits), and for builtins returning one of
+   their pointer arguments the caller's tagged value is restored, offset
+   included -- which is exactly how a tagged pointer survives a round
+   trip through uninstrumented libc on ARM. *)
+let tbi_wrap (rt : Runtime.t) (st : State.t) (callee : string)
+    (raw_fn : int array -> int) (args : int array) : int =
+  if rt.Runtime.tbi_bits = 0 then raw_fn args
+  else begin
+    let mask = st.State.addr_mask in
+    let sig_params =
+      match Minic.Builtins.find callee with
+      | Some s -> s.Minic.Builtins.params
+      | None -> []
+    in
+    let is_ptr i v =
+      match List.nth_opt sig_params i with
+      | Some t -> Minic.Ast.is_pointer t
+      | None -> v land lnot mask <> 0  (* varargs: mask if tagged *)
+    in
+    let masked = Array.mapi (fun i v -> if is_ptr i v then v land mask else v)
+        args
+    in
+    let res = raw_fn masked in
+    match Minic.Builtins.returns_pointer_arg callee with
+    | Some k when res <> 0 && k < Array.length args ->
+      args.(k) + (res - masked.(k))
+    | _ -> res
+  end
+
+(* The by-name slow path: the allocation family, libc builtins (with
+   interception and TBI), registered externs.  Pre-resolution guarantees
+   [Vnamed] callees are never module functions, so the funcs lookup is
+   skipped. *)
+let exec_named (rt : Runtime.t) (libc : Libc.ctx) externs (callee : string)
+    (args : int array) : int =
+  let st = libc.Libc.st in
+  match run_alloc_family libc callee args with
+  | Some v -> v
+  | None ->
+    (match Libc.find callee with
+     | Some raw_fn ->
+       (match rt.Runtime.intercept callee with
+        | Some wrapper ->
+          let raw args = tbi_wrap rt st callee (fun a -> raw_fn libc a) args in
+          wrapper st ~raw args
+        | None ->
+          (* no interceptor and no TBI: call straight through without
+             building the wrapper closures *)
+          if rt.Runtime.tbi_bits = 0 then raw_fn libc args
+          else tbi_wrap rt st callee (fun a -> raw_fn libc a) args)
+     | None ->
+       (match Hashtbl.find_opt externs callee with
+        | Some fn -> fn st args
+        | None -> Report.trap (Report.Unresolved_external callee)))
 
 (* Loads globals into the globals region and binds the resolved code to
    this runtime. *)
@@ -79,150 +181,42 @@ let create ?(st = State.create ()) ?(rt = Runtime.none) (md : modul) : t =
         | None -> None)
       itab
   in
-  let m =
-    { st; md; rt; vc; itab; checks;
-      ctx = { Libc.st; malloc = (fun _ -> 0); free = ignore;
-              usable = (fun _ -> None) };
-      externs = Hashtbl.create 4; depth = 0 }
+  let libc =
+    { Libc.st;
+      malloc =
+        (fun size ->
+           match rt.Runtime.malloc with
+           | Some f -> f st size
+           | None -> Heap.malloc st size);
+      free =
+        (fun p ->
+           match rt.Runtime.free_ with
+           | Some f -> f st p
+           | None -> Heap.free st p);
+      usable =
+        (fun p ->
+           match rt.Runtime.usable_size with
+           | Some f -> f st p
+           | None -> Heap.usable_size st p) }
   in
-  let eff_malloc size =
-    match rt.Runtime.malloc with
-    | Some f -> f st size
-    | None -> Heap.malloc st size
+  let externs = Hashtbl.create 4 in
+  let reresolve islot =
+    match Runtime.find_intrinsic rt vc.Vcode.intrin_names.(islot) with
+    | Some fn ->
+      itab.(islot) <- Some fn;
+      Some fn
+    | None -> None
   in
-  let eff_free p =
-    match rt.Runtime.free_ with
-    | Some f -> f st p
-    | None -> Heap.free st p
-  in
-  let eff_usable p =
-    match rt.Runtime.usable_size with
-    | Some f -> f st p
-    | None -> Heap.usable_size st p
-  in
-  m.ctx <- { Libc.st; malloc = eff_malloc; free = eff_free;
-             usable = eff_usable };
-  m
+  { st; md; rt; vc; externs;
+    ctx = { Jit.st; itab; checks; named = exec_named rt libc externs;
+            reresolve; depth = 0 } }
 
 let register_extern m name fn = Hashtbl.replace m.externs name fn
 
-let global_addr m name =
-  match Hashtbl.find_opt m.vc.Vcode.globals name with
-  | Some a -> a
-  | None -> Report.trap Report.Segfault ~detail:("unknown global " ^ name)
-
-let sign_extend v size =
-  let bits = size * 8 in
-  let v = v land ((1 lsl bits) - 1) in
-  if v land (1 lsl (bits - 1)) <> 0 then v - (1 lsl bits) else v
-
-let zero_extend v size = v land ((1 lsl (size * 8)) - 1)
-
-(* allocation-family builtins get special routing through the effective
-   allocator so that both runtime replacement (ASan) and instrumentation
-   rewriting (CECSan) compose with calloc/realloc/strdup *)
-let run_alloc_family m name (args : int array) : int option =
-  let st = m.st in
-  match name with
-  | "malloc" -> Some (m.ctx.Libc.malloc args.(0))
-  | "free" ->
-    m.ctx.Libc.free args.(0);
-    Some 0
-  | "calloc" ->
-    let n = args.(0) * args.(1) in
-    let p = m.ctx.Libc.malloc n in
-    Memory.fill st.State.mem ~dst:(State.effective st p) ~len:n 0;
-    State.tick st (Cost.mem_op n);
-    Some p
-  | "realloc" ->
-    let old = args.(0) and size = args.(1) in
-    if old = 0 then Some (m.ctx.Libc.malloc size)
-    else begin
-      let old_size =
-        match m.ctx.Libc.usable old with
-        | Some s -> s
-        | None ->
-          Report.trap ~addr:old Report.Heap_corruption
-            ~detail:"realloc(): invalid pointer"
-      in
-      let p = m.ctx.Libc.malloc size in
-      Memory.copy st.State.mem ~src:(State.effective st old)
-        ~dst:(State.effective st p) ~len:(min old_size size);
-      State.tick st (Cost.mem_op (min old_size size));
-      m.ctx.Libc.free old;
-      Some p
-    end
-  | _ -> None
-
-let max_call_depth = Vcode.max_call_depth
-
-(* Top-byte-ignore emulation at the libc boundary: when the runtime asks
-   for TBI, pointer arguments are masked before the raw builtin runs (the
-   MMU would ignore the tag bits), and for builtins returning one of
-   their pointer arguments the caller's tagged value is restored, offset
-   included -- which is exactly how a tagged pointer survives a round
-   trip through uninstrumented libc on ARM. *)
-let tbi_wrap m (callee : string) (raw_fn : int array -> int)
-    (args : int array) : int =
-  if m.rt.Runtime.tbi_bits = 0 then raw_fn args
-  else begin
-    let mask = m.st.State.addr_mask in
-    let sig_params =
-      match Minic.Builtins.find callee with
-      | Some s -> s.Minic.Builtins.params
-      | None -> []
-    in
-    let is_ptr i v =
-      match List.nth_opt sig_params i with
-      | Some t -> Minic.Ast.is_pointer t
-      | None -> v land lnot mask <> 0  (* varargs: mask if tagged *)
-    in
-    let masked = Array.mapi (fun i v -> if is_ptr i v then v land mask else v)
-        args
-    in
-    let res = raw_fn masked in
-    match Minic.Builtins.returns_pointer_arg callee with
-    | Some k when res <> 0 && k < Array.length args ->
-      args.(k) + (res - masked.(k))
-    | _ -> res
-  end
-
-(* The by-name slow path: the allocation family, libc builtins (with
-   interception and TBI), registered externs.  Pre-resolution guarantees
-   [Vnamed] callees are never module functions, so the funcs lookup is
-   skipped. *)
-let exec_named m (callee : string) (args : int array) : int =
-  let st = m.st in
-  match run_alloc_family m callee args with
-  | Some v -> v
-  | None ->
-    (match Libc.find callee with
-     | Some raw_fn ->
-       (match m.rt.Runtime.intercept callee with
-        | Some wrapper ->
-          let raw args = tbi_wrap m callee (fun a -> raw_fn m.ctx a) args in
-          wrapper st ~raw args
-        | None ->
-          (* no interceptor and no TBI: call straight through without
-             building the wrapper closures *)
-          if m.rt.Runtime.tbi_bits = 0 then raw_fn m.ctx args
-          else tbi_wrap m callee (fun a -> raw_fn m.ctx a) args)
-     | None ->
-       (match Hashtbl.find_opt m.externs callee with
-        | Some fn -> fn st args
-        | None -> Report.trap (Report.Unresolved_external callee)))
-
 let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
   let st = m.st in
-  m.depth <- m.depth + 1;
-  let saved_sp = st.State.sp in
-  let frame_base = align_down (st.State.sp - lf.Vcode.frame_size) 16 in
-  if frame_base < Layout46.stack_limit || m.depth > max_call_depth then begin
-    m.depth <- m.depth - 1;
-    st.State.sp <- saved_sp;
-    Report.trap ~addr:frame_base Report.Stack_exhausted
-  end;
-  st.State.sp <- frame_base;
+  let saved_sp = Jit.enter m.ctx lf.Vcode.frame_size in
+  let frame_base = st.State.sp in
   let regs = Array.make (max lf.Vcode.lf.f_nregs 1) 0 in
   List.iteri
     (fun i r -> if i < Array.length args then regs.(r) <- args.(i))
@@ -253,7 +247,7 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
            let v =
              match target with
              | Vcode.Vdirect lf -> exec_func m lf argv
-             | Vcode.Vnamed callee -> exec_named m callee argv
+             | Vcode.Vnamed callee -> m.ctx.Jit.named callee argv
            in
            (match dst with Some d -> regs.(d) <- v | None -> ())
          | Vcode.Vintrin { dst; islot; name; args; site = _ } ->
@@ -261,15 +255,14 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
            (* executed bump BEFORE dispatch, so failing checks count *)
            Telemetry.bump_executed st.State.telem
              argv.(Array.length argv - 1);
-           (match m.itab.(islot) with
+           (match m.ctx.Jit.itab.(islot) with
             | Some fn ->
               let v = fn st argv in
               (match dst with Some d -> regs.(d) <- v | None -> ())
             | None ->
               (* registered after load? re-resolve once, else trap *)
-              (match Runtime.find_intrinsic m.rt name with
+              (match m.ctx.Jit.reresolve islot with
                | Some fn ->
-                 m.itab.(islot) <- Some fn;
                  let v = fn st argv in
                  (match dst with Some d -> regs.(d) <- v | None -> ())
                | None ->
@@ -349,11 +342,9 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
           block := (if ev c <> 0 then bt else bf))
      done
    with e ->
-     m.depth <- m.depth - 1;
-     st.State.sp <- saved_sp;
+     Jit.leave m.ctx saved_sp;
      raise e);
-  m.depth <- m.depth - 1;
-  st.State.sp <- saved_sp;
+  Jit.leave m.ctx saved_sp;
   !result
 
 (* Runs [entry] (default main) under the selected backend.  All ways a
@@ -386,23 +377,7 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
       let prog = Jit.compile_cached ?fuel m.vc in
       (match Jit.find_func prog entry with
        | None -> no_entry ()
-       | Some jf ->
-         let c =
-           { Jit.st = m.st; itab = m.itab; checks = m.checks;
-             named = (fun callee args -> exec_named m callee args);
-             reresolve =
-               (fun islot ->
-                  match
-                    Runtime.find_intrinsic m.rt
-                      m.vc.Vcode.intrin_names.(islot)
-                  with
-                  | Some fn ->
-                    m.itab.(islot) <- Some fn;
-                    Some fn
-                  | None -> None);
-             depth = 0 }
-         in
-         finish (Jit.exec_jfunc c jf [||]))
+       | Some jf -> finish (Jit.exec_jfunc m.ctx jf [||]))
   with
   | outcome -> outcome
   | exception State.Exited code -> finish code

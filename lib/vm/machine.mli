@@ -21,15 +21,13 @@ type t = {
   md : Tir.Ir.modul;
   rt : Runtime.t;
   vc : Vcode.t;  (** resolved code, cached on [md] across machines *)
-  itab : Runtime.intrinsic option array;
-      (** this machine's intrinsic-slot bindings (runtime-specific) *)
-  checks : Runtime.check option array;
-      (** per slot, the check the jit runs inline: set where [itab]'s
-          closure is physically the runtime's registered
-          [ck_intrinsic] *)
-  mutable ctx : Libc.ctx;
+  ctx : Jit.ctx;
+      (** the one execution context both backends run under: this
+          machine's intrinsic-slot bindings (runtime-specific), the
+          checks the jit runs inline (where a slot's closure is
+          physically the runtime's registered [ck_intrinsic]), the
+          by-name call path, late re-resolution and the call depth *)
   externs : (string, State.t -> int array -> int) Hashtbl.t;
-  mutable depth : int;
 }
 
 val create : ?st:State.t -> ?rt:Runtime.t -> Tir.Ir.modul -> t

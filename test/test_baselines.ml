@@ -182,6 +182,31 @@ let hwasan_tests =
         | o ->
           Alcotest.failf "expected granule miss, got %a"
             Vm.Machine.pp_outcome o);
+    Alcotest.test_case "branch on an unsafe global folds to 1" `Quick
+      (fun () ->
+         (* the shared global rewrite folds [cbr @g], always taken, to
+            [cbr 1] for HWASan as for CECSan's Global Pointer Table *)
+         let src =
+           "int g[4]; int main(){ g[0] = 1; if (g) return 1; return 0; }"
+         in
+         let md = Sanitizer.Driver.compile_cached ~optimize:true src in
+         hwasan.Sanitizer.Spec.instrument md;
+         let main = Option.get (Tir.Ir.find_func md "main") in
+         let conds =
+           List.filter_map
+             (fun b ->
+                match b.Tir.Ir.b_term with
+                | Tir.Ir.Tcbr (c, _, _) ->
+                  Some (Format.asprintf "%a" Tir.Pp.pp_opnd c)
+                | Tir.Ir.Tret _ | Tir.Ir.Tbr _ -> None)
+             (Array.to_list main.Tir.Ir.f_blocks)
+         in
+         Alcotest.(check (list string)) "branch conditions" [ "1" ] conds;
+         let r = run hwasan src in
+         Alcotest.(check string) "outcome" "exit 1"
+           (Format.asprintf "%a" Vm.Machine.pp_outcome
+              r.Sanitizer.Driver.outcome);
+         Alcotest.(check int) "cycles" 14 r.Sanitizer.Driver.cycles);
     clean hwasan "no false positives" benign;
     preserves hwasan "semantics preserved" benign;
     clean hwasan "tagged pointers cross libc via TBI"
@@ -345,6 +370,34 @@ let mechanism_tests =
          | Vm.Machine.Exit 99 -> ()
          | o -> Alcotest.failf "PACMem broke realloc: %a"
                   Vm.Machine.pp_outcome o);
+    Alcotest.test_case "pointer compare across objects sees tags" `Quick
+      (fun () ->
+         (* a known limitation, pinned as is: tags ride pointer values,
+            so [<] across objects compares the tags of the tag-based
+            tools.  [r] adds 1 for s < h, 2 for g < h, 4 for g < s and
+            8 for h2 < h; uninstrumented, the layout gives 2 + 4 *)
+         let src =
+           "int g[4]; int main(){ int *h = malloc(16); \
+            int *h2 = malloc(16); int s[4]; int r = 0; \
+            if ((int*)s < h) r += 1; if (g < h) r += 2; \
+            if (g < (int*)s) r += 4; if (h2 < h) r += 8; \
+            free(h); free(h2); return r; }"
+         in
+         List.iter
+           (fun (san, expected) ->
+              List.iter
+                (fun backend ->
+                   let r = Sanitizer.Driver.run san ~backend src in
+                   Alcotest.(check string)
+                     (san.Sanitizer.Spec.name ^ " outcome")
+                     (Printf.sprintf "exit %d" expected)
+                     (Format.asprintf "%a" Vm.Machine.pp_outcome
+                        r.Sanitizer.Driver.outcome))
+                [ Vm.Machine.Interp; Vm.Machine.Jit ])
+           [ (Sanitizer.Spec.none, 6); (asan, 6); (asan_minus, 6);
+             (softbound, 6); (Cecsan.sanitizer (), 7);
+             (Cecsan.sanitizer ~config:Cecsan.Config.no_subobject (), 7);
+             (pacmem, 7); (cryptsan, 7); (hwasan, 0) ]);
     Alcotest.test_case "every tool agrees on a mixed clean workload"
       `Quick
       (fun () ->

@@ -29,6 +29,39 @@ let faults name src pred =
       | Vm.Machine.Fault t when pred t.Vm.Report.t_kind -> ()
       | o -> Alcotest.failf "expected a fault, got %a" Vm.Machine.pp_outcome o)
 
+(* Both backends enter and leave every call through one protocol
+   ([Vm.Jit.enter]/[leave]).  A runaway recursion traps with the same
+   kind, address and cycle count on either backend, and it hits the
+   limit it is meant to ([below_limit]: the 8 MiB stack, else the call
+   depth).  The machine's execution context outlives a run, so a second
+   run of the same machine after the trap must give the same result. *)
+let call_limit name src ~below_limit =
+  Alcotest.test_case name `Quick (fun () ->
+      let md = Sanitizer.Driver.build base src in
+      let observe backend =
+        let st = Vm.State.create () in
+        let m = Vm.Machine.create ~st md in
+        let once () =
+          let c0 = st.Vm.State.cycles in
+          match Vm.Machine.run ~backend m with
+          | Vm.Machine.Fault t ->
+            Alcotest.(check bool) "trap kind" true
+              (t.Vm.Report.t_kind = Vm.Report.Stack_exhausted);
+            Alcotest.(check bool) "limit hit" below_limit
+              (t.Vm.Report.t_addr < Vm.Layout46.stack_limit);
+            (t.Vm.Report.t_addr, st.Vm.State.cycles - c0)
+          | o ->
+            Alcotest.failf "expected a stack trap, got %a"
+              Vm.Machine.pp_outcome o
+        in
+        let first = once () in
+        Alcotest.(check (pair int int)) "second run, same machine" first
+          (once ());
+        first
+      in
+      Alcotest.(check (pair int int)) "interp vs jit: address, cycles"
+        (observe Vm.Machine.Interp) (observe Vm.Machine.Jit))
+
 let arith_tests =
   [
     exit_code "return" "int main() { return 42; }" 42;
@@ -247,6 +280,20 @@ let fault_tests =
        return deep(n + 1) + pad[0]; }\n\
        int main() { return deep(0); }"
       (function Vm.Report.Stack_exhausted -> true | _ -> false);
+    call_limit "stack exhaustion on both backends"
+      "int deep(int n) { char pad[512]; pad[0] = (char)n; \
+       return deep(n + 1) + pad[0]; }\n\
+       int main() { return deep(0); }"
+      ~below_limit:false;
+    call_limit "tiny-frame recursion hits the depth limit"
+      "int f(int n) { return f(n + 1) + 1; }\n\
+       int main() { return f(0); }"
+      ~below_limit:false;
+    call_limit "large frames hit the stack limit"
+      "int deep(int n) { char pad[4096]; pad[0] = (char)n; \
+       return deep(n + 1) + pad[0]; }\n\
+       int main() { return deep(0); }"
+      ~below_limit:true;
     faults "glibc double free abort"
       "int main() { char *p = (char*)malloc(8); free(p); free(p); \
        return 0; }"
