@@ -307,7 +307,8 @@ type absint_stats = { elided : int; downgraded : int; facts : int }
    provably stays inside a live, non-escaping object is removed (Welide,
    both halves proved) or renamed to its spatial-only variant
    (Wdowngrade, temporal half proved) -- each carrying a
-   [Tir.Witness.t] that Verify independently replays on the result.
+   [Tir.Witness.t] that Verify replays on the result, against the
+   function's fixpoint attached as a certificate it checks first.
    Must run LAST among the check optimizations: the earlier passes key
    on the original check names.
 
@@ -328,6 +329,7 @@ let absint (md : modul) (spec : spec) : absint_stats =
     iter_funcs md (fun f ->
         if not f.f_external then begin
           let su = Tir.Absint.analyze ctx f in
+          let minted = !elided + !downgraded in
           facts := !facts + su.Tir.Absint.su_facts;
           Array.iter
             (fun b ->
@@ -398,6 +400,12 @@ let absint (md : modul) (spec : spec) : absint_stats =
                             | _ -> [ i ]))
                       | _ -> [ i ])
                    b.b_instrs)
-            f.f_blocks
+            f.f_blocks;
+          (* the witnesses rest on this fixpoint of the IR before the
+             rewrite; Verify checks it against the IR after it, where
+             each marker and spatial variant transfers as the check it
+             replaced *)
+          if !elided + !downgraded > minted then
+            md.m_certs <- Tir.Absint.certificate su :: md.m_certs
         end);
     { elided = !elided; downgraded = !downgraded; facts = !facts }

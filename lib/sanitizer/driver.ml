@@ -165,14 +165,14 @@ let build_link (san : Spec.t) ?(optimize = true)
     (match first_kind with
      | `Instrumented -> ()
      | `Uninstrumented -> invalid_arg "build_link: main unit must be instrumented");
-    List.iter
-      (fun (src, kind) ->
+    List.iteri
+      (fun k (src, kind) ->
          let md = compile_cached ~optimize src in
          Tir.Link.merge
            ~mark_external:(match kind with
                | `Uninstrumented -> true
                | `Instrumented -> false)
-           ~primary md)
+           ~pos:(k + 1) ~primary md)
       rest;
     instrument_verified san primary;
     primary

@@ -8,8 +8,8 @@
    1. object discovery: every stack slot, allocator intrinsic site,
       modeled allocator call and referenced global becomes an abstract
       object with a descriptor that is stable across Checkopt's own
-      rewrites (so the optimizer's run and the verifier's independent
-      replay name the same objects);
+      rewrites (so the optimizer's run and the verifier's certificate
+      check name the same objects);
    2. derivation closure + escape: a flow-insensitive fixpoint maps
       each register to the set of objects it may derive from; objects
       stored as values, passed to defined functions or unclassified
@@ -18,6 +18,15 @@
       propagated in reverse postorder sweeps over the blocks whose
       entry state changed, widening after a bounded number of joins so
       termination needs no assumptions.
+
+   [check_cert] replaces phase 3 for a verifier holding the optimizer's
+   block entry states: one RPO pass with the same [transfer_block]
+   proves them a post-fixpoint instead of finding one.
+
+   States are dense: one array slot per register in the range the
+   function defines, Vtop stored explicitly, so joins and the order
+   test are index scans.  A register outside that range is never
+   defined, and reads as Vtop.
 
    Soundness notes bound to this VM (not real hardware):
 
@@ -35,7 +44,6 @@
 
 open Ir
 
-module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
 type size_rule = Sarg of int | Sprod of int * int
@@ -68,8 +76,9 @@ type obj = {
 }
 
 type state = {
-  s_regs : aval Int_map.t;
-  s_freed : Int_set.t;
+  s_base : int;                 (* register held in s_regs.(0) *)
+  s_regs : aval array;
+  mutable s_freed : Int_set.t;
 }
 
 type summary = {
@@ -154,16 +163,23 @@ let make_ctx (model : model) ~(pure : string -> bool) (md : modul) : ctx =
 (* --- lattice ------------------------------------------------------------ *)
 
 let regval (st : state) (r : int) : aval =
-  match Int_map.find_opt r st.s_regs with Some v -> v | None -> Vtop
+  let k = r - st.s_base in
+  if k >= 0 && k < Array.length st.s_regs then st.s_regs.(k) else Vtop
 
-(* Canonical form: Vtop is never stored, so map equality means state
-   equality. *)
-let set_val (st : state) (r : int) (v : aval) : state =
-  { st with
-    s_regs =
-      (match v with
-       | Vtop -> Int_map.remove r st.s_regs
-       | _ -> Int_map.add r v st.s_regs) }
+(* In place: [r] is defined by the instruction being transferred, so
+   it is inside the range of the function's states. *)
+let set_val (st : state) (r : int) (v : aval) : unit =
+  st.s_regs.(r - st.s_base) <- v
+
+let copy (st : state) : state = { st with s_regs = Array.copy st.s_regs }
+
+let iter_regs (k : int -> aval -> unit) (st : state) : unit =
+  Array.iteri
+    (fun i v -> match v with Vtop -> () | _ -> k (st.s_base + i) v)
+    st.s_regs
+
+let all_top (st : state) =
+  Array.for_all (function Vtop -> true | _ -> false) st.s_regs
 
 let join_val a b =
   match a, b with
@@ -172,16 +188,20 @@ let join_val a b =
     Vptr { obj = p.obj; lo = min p.lo q.lo; hi = max p.hi q.hi }
   | _ -> Vtop
 
+let union_freed a b =
+  if a.s_freed == b.s_freed then a.s_freed
+  else Int_set.union a.s_freed b.s_freed
+
+(* Joins and widening only meet states of one analysis, which share
+   their layout. *)
 let join_state a b =
-  { s_regs =
-      Int_map.merge
-        (fun _ x y ->
-           match x, y with
-           | Some vx, Some vy ->
-             (match join_val vx vy with Vtop -> None | v -> Some v)
-           | _ -> None)
-        a.s_regs b.s_regs;
-    s_freed = Int_set.union a.s_freed b.s_freed }
+  if a == b then a
+  else
+    { s_base = a.s_base;
+      s_regs =
+        Array.map2 (fun x y -> if x == y then x else join_val x y)
+          a.s_regs b.s_regs;
+      s_freed = union_freed a b }
 
 let val_leq a b =
   match a, b with
@@ -191,10 +211,19 @@ let val_leq a b =
   | Vptr p, Vptr q -> p.obj = q.obj && q.lo <= p.lo && p.hi <= q.hi
   | _ -> false
 
-(* a [= b: since missing bindings are Vtop, only b's bindings matter. *)
+(* a [= b, for states of one layout. *)
 let state_leq a b =
-  Int_set.subset a.s_freed b.s_freed
-  && Int_map.for_all (fun r vb -> val_leq (regval a r) vb) b.s_regs
+  a == b
+  || (a.s_freed == b.s_freed || Int_set.subset a.s_freed b.s_freed)
+     &&
+     let ra = a.s_regs and rb = b.s_regs in
+     let ok = ref true and k = ref 0 in
+     while !ok && !k < Array.length ra do
+       let x = ra.(!k) and y = rb.(!k) in
+       if not (x == y || val_leq x y) then ok := false;
+       incr k
+     done;
+     !ok
 
 let widen_val old v =
   if val_leq v old then old
@@ -204,16 +233,12 @@ let widen_val old v =
       Vptr { obj = p.obj; lo = min_int; hi = max_int }
     | _ -> Vtop
 
-(* [v] is always [join old incoming], so its bindings are a subset of
-   [old]'s; the freed-set is finite and needs no widening. *)
+(* [v] is always [join old incoming]; the freed-set is finite and
+   needs no widening. *)
 let widen_state old v =
-  { s_regs =
-      Int_map.merge
-        (fun _ o n ->
-           match o, n with
-           | Some ov, Some nv ->
-             (match widen_val ov nv with Vtop -> None | w -> Some w)
-           | _ -> None)
+  { s_base = old.s_base;
+    s_regs =
+      Array.map2 (fun o n -> if o == n then o else widen_val o n)
         old.s_regs v.s_regs;
     s_freed = v.s_freed }
 
@@ -265,6 +290,8 @@ type fenv = {
   fe_glob_obj : (string, int) Hashtbl.t;
   fe_derived : Int_set.t array;         (* reg -> may-derive-from objs *)
   fe_escaped : Int_set.t;
+  fe_base : int;                        (* state layout: the lowest and *)
+  fe_len : int;                         (*   count of defined registers *)
 }
 
 let instr_opnds = function
@@ -361,14 +388,16 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
   let nregs = max f.f_nregs 1 in
   let derived = Array.make nregs Int_set.empty in
   let changed = ref true in
+  (* registers outside [0, nregs) -- only in malformed IR -- derive
+     nothing *)
   let add r s =
-    if r < nregs && not (Int_set.subset s derived.(r)) then begin
+    if r >= 0 && r < nregs && not (Int_set.subset s derived.(r)) then begin
       derived.(r) <- Int_set.union derived.(r) s;
       changed := true
     end
   in
   let get = function
-    | Reg r when r < nregs -> derived.(r)
+    | Reg r when r >= 0 && r < nregs -> derived.(r)
     | Glob g ->
       (match Hashtbl.find_opt glob_obj g with
        | Some id -> Int_set.singleton id
@@ -469,8 +498,9 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
 
 (* --- flow transfer ------------------------------------------------------ *)
 
+(* Updates [st] in place. *)
 let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
-    (i : instr) : state =
+    (i : instr) : unit =
   let m = fe.fe_cx.cx_model in
   let aval = function
     | Imm v -> Vint (v, v)
@@ -481,30 +511,29 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
     | Reg r -> regval st r
   in
   let arg0_aval args = match args with a :: _ -> aval a | [] -> Vtop in
+  let free_all extra =
+    st.s_freed <- Int_set.union st.s_freed (Int_set.union fe.fe_escaped extra)
+  in
   (* free with an imprecise argument: every escaped object plus
      everything derivable from the argument may be gone *)
-  let free_arg st arg =
+  let free_arg arg =
     match arg with
     | Some a ->
       (match aval a with
-       | Vptr { obj; _ } ->
-         { st with s_freed = Int_set.add obj st.s_freed }
+       | Vptr { obj; _ } -> st.s_freed <- Int_set.add obj st.s_freed
        | _ ->
-         let extra =
-           match a with
-           | Reg r when r < Array.length fe.fe_derived -> fe.fe_derived.(r)
-           | Glob g ->
-             (match Hashtbl.find_opt fe.fe_glob_obj g with
-              | Some id -> Int_set.singleton id
-              | None -> Int_set.empty)
-           | _ -> Int_set.empty
-         in
-         { st with
-           s_freed =
-             Int_set.union st.s_freed (Int_set.union fe.fe_escaped extra) })
-    | None ->
-      { st with s_freed = Int_set.union st.s_freed fe.fe_escaped }
+         free_all
+           (match a with
+            | Reg r when r >= 0 && r < Array.length fe.fe_derived ->
+              fe.fe_derived.(r)
+            | Glob g ->
+              (match Hashtbl.find_opt fe.fe_glob_obj g with
+               | Some id -> Int_set.singleton id
+               | None -> Int_set.empty)
+            | _ -> Int_set.empty))
+    | None -> free_all Int_set.empty
   in
+  let set_dst dst v = match dst with Some d -> set_val st d v | None -> () in
   match i with
   | Imov { dst; src } -> set_val st dst (aval src)
   | Isext { dst; src; bytes } ->
@@ -566,50 +595,38 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
           | Some d -> shift_ptr ~obj ~lo ~hi d
           | None -> Vptr { obj; lo = min_int; hi = max_int })
      | _ -> set_val st dst Vtop)
-  | Istore _ -> st
+  | Istore _ -> ()
   | Icall { dst; callee; args } ->
-    let st =
-      if List.mem callee m.am_call_frees then free_arg st (List.nth_opt args 0)
-      else st
-    in
+    if List.mem callee m.am_call_frees then free_arg (List.nth_opt args 0);
     (match List.assoc_opt callee m.am_call_allocs with
      | Some _ ->
        let id = Hashtbl.find_opt fe.fe_call_obj (bid, !ord) in
        incr ord;
-       (match dst with
-        | Some d ->
-          set_val st d
-            (match id with
-             | Some obj -> Vptr { obj; lo = 0; hi = 0 }
-             | None -> Vtop)
-        | None -> st)
+       set_dst dst
+         (match id with
+          | Some obj -> Vptr { obj; lo = 0; hi = 0 }
+          | None -> Vtop)
      | None ->
-       let st =
-         if List.mem callee m.am_call_frees || fe.fe_cx.cx_pure callee then st
-         else { st with s_freed = Int_set.union st.s_freed fe.fe_escaped }
-       in
-       (match dst with Some d -> set_val st d Vtop | None -> st))
+       if not (List.mem callee m.am_call_frees || fe.fe_cx.cx_pure callee)
+       then free_all Int_set.empty;
+       set_dst dst Vtop)
   | Iintrin { dst; name; args; site } ->
-    let set_dst v = match dst with Some d -> set_val st d v | None -> st in
     (match intrin_kind fe.fe_cx name with
-     | Kmarker -> st
-     | Kcheck -> set_dst (if m.am_check_alias then arg0_aval args else Vtop)
+     | Kmarker -> ()
+     | Kcheck -> set_dst dst (if m.am_check_alias then arg0_aval args else Vtop)
      | Kalloc { frees; _ } ->
        (* realloc-style: the free leg applies before the fresh object *)
-       let st = if frees then free_arg st (List.nth_opt args 0) else st in
-       (match dst with
-        | Some d ->
-          set_val st d
-            (match Hashtbl.find_opt fe.fe_site_obj site with
-             | Some obj -> Vptr { obj; lo = 0; hi = 0 }
-             | None -> Vtop)
-        | None -> st)
+       if frees then free_arg (List.nth_opt args 0);
+       set_dst dst
+         (match Hashtbl.find_opt fe.fe_site_obj site with
+          | Some obj -> Vptr { obj; lo = 0; hi = 0 }
+          | None -> Vtop)
      | Kfree ->
-       let st = free_arg st (List.nth_opt args 0) in
-       (match dst with Some d -> set_val st d Vtop | None -> st)
-     | Kalias -> set_dst (arg0_aval args)
+       free_arg (List.nth_opt args 0);
+       set_dst dst Vtop
+     | Kalias -> set_dst dst (arg0_aval args)
      | Kgpt_load ->
-       set_dst
+       set_dst dst
          (match args with
           | Imm k :: _ ->
             (match Hashtbl.find_opt fe.fe_cx.cx_gpt k with
@@ -619,51 +636,103 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
                 | None -> Vtop)
              | None -> Vtop)
           | _ -> Vtop)
-     | Kopaque -> set_dst Vtop
+     | Kopaque -> set_dst dst Vtop
      | Kunclassified ->
        (* worst case *)
-       let extra =
-         List.fold_left
-           (fun acc a ->
-              match a with
-              | Reg r when r < Array.length fe.fe_derived ->
-                Int_set.union acc fe.fe_derived.(r)
-              | _ -> acc)
-           Int_set.empty args
-       in
-       let st =
-         { st with
-           s_freed =
-             Int_set.union st.s_freed (Int_set.union fe.fe_escaped extra) }
-       in
-       (match dst with Some d -> set_val st d Vtop | None -> st))
+       free_all
+         (List.fold_left
+            (fun acc a ->
+               match a with
+               | Reg r when r >= 0 && r < Array.length fe.fe_derived ->
+                 Int_set.union acc fe.fe_derived.(r)
+               | _ -> acc)
+            Int_set.empty args);
+       set_dst dst Vtop)
 
+(* A block's exit state from its entry state [st0], which is copied once
+   and then updated in place.  [record] sees a copy of the state before
+   every intrinsic site. *)
 let transfer_block (fe : fenv) (b : block) (st0 : state)
     ~(record : (int -> state -> instr -> unit) option) : state =
+  let st = copy st0 in
   let ord = ref 0 in
-  List.fold_left
-    (fun st i ->
+  List.iter
+    (fun i ->
        (match record, i with
-        | Some k, Iintrin { site; _ } when site >= 0 -> k site st i
+        | Some k, Iintrin { site; _ } when site >= 0 -> k site (copy st) i
         | _ -> ());
        transfer fe b.b_id ord st i)
-    st0 b.b_instrs
+    b.b_instrs;
+  st
 
 (* --- driver ------------------------------------------------------------- *)
 
 let widen_threshold = 3
 
-let analyze ?fuel (cx : ctx) (f : func) : summary =
+(* Phases 1 and 2, and the state layout: the registers the function
+   defines, lowest to highest (malformed IR included, whose negative or
+   over-range registers must keep their meaning). *)
+let make_fenv ?fuel (cx : ctx) (f : func) : fenv =
   let objs, slot_obj, site_obj, call_obj, glob_obj = discover cx f in
   let derived, escaped =
     derive_and_escape ?fuel cx f ~objs ~slot_obj ~site_obj ~call_obj
       ~glob_obj
   in
-  let fe =
-    { fe_cx = cx; fe_objs = objs; fe_slot_obj = slot_obj;
-      fe_site_obj = site_obj; fe_call_obj = call_obj;
-      fe_glob_obj = glob_obj; fe_derived = derived; fe_escaped = escaped }
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun b ->
+       List.iter
+         (fun i ->
+            match defs i with
+            | Some d ->
+              if d < !lo then lo := d;
+              if d > !hi then hi := d
+            | None -> ())
+         b.b_instrs)
+    f.f_blocks;
+  let base, len = if !lo > !hi then (0, 0) else (!lo, !hi - !lo + 1) in
+  { fe_cx = cx; fe_objs = objs; fe_slot_obj = slot_obj;
+    fe_site_obj = site_obj; fe_call_obj = call_obj; fe_glob_obj = glob_obj;
+    fe_derived = derived; fe_escaped = escaped; fe_base = base;
+    fe_len = len }
+
+let initial (fe : fenv) : state =
+  { s_base = fe.fe_base; s_regs = Array.make fe.fe_len Vtop;
+    s_freed = Int_set.empty }
+
+(* One pass over the reachable blocks in reverse postorder, each
+   transferred from its entry state in [block_in]: records the state
+   before every intrinsic site, counts the check sites whose pointer
+   carries a fact, and hands each block's exit state to [edge] once per
+   successor. *)
+let sweep (fe : fenv) (f : func) (cfg : Cfg.t)
+    (block_in : state option array) ~(edge : int -> state -> int -> unit) :
+  summary =
+  let sites : (int, state) Hashtbl.t = Hashtbl.create 32 in
+  let facts = ref 0 in
+  let record site st i =
+    Hashtbl.replace sites site st;
+    match i with
+    | Iintrin { name; args = Reg p :: _; _ } ->
+      (match intrin_kind fe.fe_cx name, regval st p with
+       | Kcheck, Vptr _ -> incr facts
+       | _ -> ())
+    | _ -> ()
   in
+  Array.iter
+    (fun bid ->
+       match block_in.(bid) with
+       | None -> ()
+       | Some st ->
+         let b = f.f_blocks.(bid) in
+         let out = transfer_block fe b st ~record:(Some record) in
+         List.iter (edge bid out) (successors b.b_term))
+    cfg.Cfg.rpo;
+  { su_func = f.f_name; su_objs = fe.fe_objs; su_block_in = block_in;
+    su_sites = sites; su_facts = !facts }
+
+let analyze ?fuel (cx : ctx) (f : func) : summary =
+  let fe = make_fenv ?fuel cx f in
   let cfg = Cfg.build f in
   let nb = Array.length f.f_blocks in
   let in_state : state option array = Array.make nb None in
@@ -675,7 +744,7 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
      round-robin pass would have them. *)
   let dirty = Array.make nb false in
   if nb > 0 then begin
-    in_state.(0) <- Some { s_regs = Int_map.empty; s_freed = Int_set.empty };
+    in_state.(0) <- Some (initial fe);
     dirty.(0) <- true
   end;
   let changed = ref true in
@@ -697,7 +766,7 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
                   changed := true
                 | Some old ->
                   (* join old out [= old exactly when out [= old, so the
-                     usual no-change edge builds no map *)
+                     usual no-change edge builds no state *)
                   if not (state_leq out old) then begin
                     updates.(succ) <- updates.(succ) + 1;
                     let j = join_state old out in
@@ -713,29 +782,68 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
          | _ -> ())
       cfg.Cfg.rpo
   done;
-  let sites : (int, state) Hashtbl.t = Hashtbl.create 32 in
-  let facts = ref 0 in
-  Array.iter
-    (fun bid ->
-       match in_state.(bid) with
-       | None -> ()
-       | Some st ->
-         ignore
-           (transfer_block fe f.f_blocks.(bid) st
-              ~record:
-                (Some
-                   (fun site st i ->
-                      Hashtbl.replace sites site st;
-                      match i with
-                      | Iintrin { name; args = Reg p :: _; _ } ->
-                        (match intrin_kind cx name, regval st p with
-                         | Kcheck, Vptr _ -> incr facts
-                         | _ -> ())
-                      | _ -> ())))
-         |> ignore)
-    cfg.Cfg.rpo;
-  { su_func = f.f_name; su_objs = objs; su_block_in = in_state;
-    su_sites = sites; su_facts = !facts }
+  sweep fe f cfg in_state ~edge:(fun _ _ _ -> ())
+
+(* --- the certificate ------------------------------------------------------ *)
+
+type cert = { c_func : string; c_block_in : state option array }
+
+type Ir.cert += Fixpoint of cert
+
+let certificate (su : summary) : Ir.cert =
+  Fixpoint { c_func = su.su_func; c_block_in = su.su_block_in }
+
+(* Any claimed entry states that pass are a post-fixpoint of the same
+   transfer function [analyze] iterates: they contain the initial state
+   and are closed under every edge, so the site states recorded from
+   them over-approximate every execution exactly as the least fixpoint's
+   do.  Phases 1 and 2 are re-run here, so object numbering is the
+   checker's own. *)
+let check_cert ?fuel (cx : ctx) (f : func) (c : cert) :
+  (summary, string) result =
+  let fe = make_fenv ?fuel cx f in
+  let claimed = c.c_block_in in
+  let nb = Array.length f.f_blocks in
+  let other_layout = function
+    | Some st ->
+      st.s_base <> fe.fe_base || Array.length st.s_regs <> fe.fe_len
+    | None -> false
+  in
+  if Array.length claimed <> nb then
+    Error
+      (Printf.sprintf "certificate covers %d blocks, the function has %d"
+         (Array.length claimed) nb)
+  else if Array.exists other_layout claimed then
+    Error "certificate states are not laid out for the registers the \
+           function defines"
+  else
+    match if nb > 0 then claimed.(0) else Some (initial fe) with
+    | None -> Error "certificate claims the entry block unreachable"
+    | Some st when not (state_leq (initial fe) st) ->
+      Error "certificate entry state is not the initial state"
+    | Some _ ->
+      let cfg = Cfg.build f in
+      Fuel.burn fuel (Array.length cfg.Cfg.rpo);
+      let bad = ref None in
+      let edge src out succ =
+        if Option.is_none !bad then
+          match claimed.(succ) with
+          | None ->
+            bad :=
+              Some
+                (Printf.sprintf
+                   "b%d reaches b%d, which the certificate claims \
+                    unreachable" src succ)
+          | Some inn ->
+            if not (state_leq out inn) then
+              bad :=
+                Some
+                  (Printf.sprintf
+                     "b%d exits in a state the certificate's entry state \
+                      for b%d does not contain" src succ)
+      in
+      let su = sweep fe f cfg claimed ~edge in
+      (match !bad with None -> Ok su | Some what -> Error what)
 
 (* --- pretty printing ---------------------------------------------------- *)
 
@@ -769,13 +877,12 @@ let pp_summary fmt (su : summary) =
        match st with
        | None -> ()
        | Some st ->
-         if not (Int_map.is_empty st.s_regs && Int_set.is_empty st.s_freed)
-         then begin
+         if not (all_top st && Int_set.is_empty st.s_freed) then begin
            Format.fprintf fmt "  block %d:@." bid;
-           Int_map.iter
+           iter_regs
              (fun r v ->
                 Format.fprintf fmt "    r%d = %a@." r (pp_val su.su_objs) v)
-             st.s_regs;
+             st;
            if not (Int_set.is_empty st.s_freed) then
              Format.fprintf fmt "    freed: {%s}@."
                (String.concat ","

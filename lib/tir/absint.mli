@@ -16,10 +16,11 @@
     intrinsics check, allocate, free, alias or are metadata-neutral --
     so the same interpreter serves any tool that provides one.
     [Sanitizer.Checkopt] uses the results to elide or downgrade checks
-    (each with a {!Witness.t}), and [Tir.Verify] independently re-runs
-    the analysis on the post-optimization IR to replay every witness. *)
+    (each with a {!Witness.t}) and attaches the fixpoint as a {!cert};
+    [Tir.Verify] checks that certificate against the post-optimization
+    IR with {!check_cert} and replays every witness against the states
+    it yields. *)
 
-module Int_map : Map.S with type key = int
 module Int_set : Set.S with type elt = int
 
 (** How a modeled allocator derives its byte size from its argument
@@ -86,9 +87,17 @@ type obj = {
   mutable o_escapes : bool;
 }
 
+(** The abstract state at one program point.  Dense: [s_regs.(k)] is
+    the value of register [s_base + k], [Vtop] stored explicitly, over
+    the range of registers the function defines (lowest to highest,
+    negative or over-range ones of malformed IR included).  Any register
+    outside the range reads as [Vtop] through {!regval}.  The states of
+    one function share one layout, so joins and the order test are
+    index scans. *)
 type state = {
-  s_regs : aval Int_map.t;  (** missing register = [Vtop] *)
-  s_freed : Int_set.t;      (** objects a free may have released *)
+  s_base : int;                 (** register held in [s_regs.(0)] *)
+  s_regs : aval array;
+  mutable s_freed : Int_set.t;  (** objects a free may have released *)
 }
 
 type summary = {
@@ -116,7 +125,34 @@ val analyze : ?fuel:Fuel.t -> ctx -> Ir.func -> summary
     unconditional).  Each sweep re-transfers only the blocks whose
     entry state changed since their last transfer. *)
 
+(** The certificate behind a function's witnesses: [analyze]'s block
+    entry states ([su_block_in]), claimed to be a post-fixpoint. *)
+type cert = { c_func : string; c_block_in : state option array }
+
+type Ir.cert += Fixpoint of cert  (** the {!Ir.modul} slot's entry *)
+
+val certificate : summary -> Ir.cert
+(** The summary's block entry states as a certificate for its
+    function. *)
+
+val check_cert :
+  ?fuel:Fuel.t -> ctx -> Ir.func -> cert -> (summary, string) result
+(** Checks a certificate instead of computing a fixpoint.  Re-runs
+    object discovery and the derivation/escape closure (so object
+    numbering is its own), then makes one reverse-postorder pass with
+    the transfer function {!analyze} iterates, requiring that the block
+    count match, that every claimed state be laid out for the registers
+    the function defines, that the entry state contain the initial
+    state, and that every edge's exit state be contained in the
+    successor's claimed entry state (a reachable block claimed [None]
+    fails).  On success the summary's site states are recorded in that
+    same pass from the claimed entry states.  [fuel] burns the
+    closure's sweeps and one pass. *)
+
 val regval : state -> int -> aval
+
+val iter_regs : (int -> aval -> unit) -> state -> unit
+(** The registers whose value is not [Vtop], in ascending order. *)
 
 val in_bounds : lo:int -> hi:int -> size:int -> objsize:int -> bool
 (** Overflow-guarded: every access of [size] bytes at an offset in

@@ -106,6 +106,13 @@ type global = {
    do). *)
 type vm_cache = ..
 
+(* The analysis certificate behind the witnesses: Checkopt attaches the
+   abstract interpreter's per-block entry states, which Verify checks
+   instead of recomputing.  Extensible for the same reason as
+   [vm_cache]: the states are Absint's type, and Absint is built on top
+   of this module. *)
+type cert = ..
+
 type modul = {
   mutable m_globals : global list;
   m_funcs : (string, func) Hashtbl.t;
@@ -113,6 +120,7 @@ type modul = {
   mutable m_next_site : int;     (* generator for Iintrin site ids *)
   mutable m_witnesses : Witness.t list;
     (* elision certificates attached by Checkopt, replayed by Verify *)
+  mutable m_certs : cert list;   (* the fixpoints those witnesses rest on *)
   mutable m_vcache : vm_cache list;
 }
 
@@ -172,6 +180,7 @@ let clone m =
     m_layouts = Hashtbl.copy m.m_layouts;
     m_next_site = m.m_next_site;
     m_witnesses = m.m_witnesses;
+    m_certs = m.m_certs;
     (* a clone is made to be mutated: cached derived code of the
        original must never leak into it *)
     m_vcache = [];

@@ -99,6 +99,12 @@ type vm_cache = ..
     its resolved code and jit-compiled closures here, keyed by its own
     constructors).  Tir itself never reads it; {!clone} resets it. *)
 
+type cert = ..
+(** Extensible slot for the analysis certificate behind the witnesses:
+    Checkopt's absint phase attaches [Absint]'s per-block entry states
+    here under [Absint]'s own constructor, and [Verify] checks them
+    instead of re-running the analysis.  Tir.Ir itself never reads it. *)
+
 type modul = {
   mutable m_globals : global list;
   m_funcs : (string, func) Hashtbl.t;
@@ -108,6 +114,9 @@ type modul = {
       (** elision certificates attached by the optimizer (Checkopt's
           absint phase); {!clone} shares the list, and [Verify] replays
           every entry *)
+  mutable m_certs : cert list;
+      (** the fixpoints the witnesses rest on, one per function that has
+          witnesses (see {!cert}); {!clone} shares the list *)
   mutable m_vcache : vm_cache list;
       (** derived-code memos; see {!vm_cache} and {!clear_vcache} *)
 }

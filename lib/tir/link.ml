@@ -10,7 +10,8 @@
      uninstrumented status -- this is how a "precompiled legacy library"
      with real code enters the pipeline;
    - the secondary's internal globals (string literals) are renamed to
-     avoid collisions, with all references rewritten;
+     avoid collisions, with all references rewritten: the suffix is the
+     unit's position in the link order, so two units never share one;
    - struct layouts must agree across units. *)
 
 open Ir
@@ -55,11 +56,12 @@ let check_struct_compat (a : Minic.Layout.env) (b : Minic.Layout.env) : unit =
          then err "struct %s has incompatible layouts across units" name)
     b
 
-(* Merges [secondary] into [primary] (mutating the primary).  With
-   [mark_external], every function body from the secondary is flagged as
-   uninstrumented legacy code. *)
-let merge ?(mark_external = false) ~(primary : modul) (secondary : modul) :
-  unit =
+(* Merges [secondary], the unit at position [pos] of the link order,
+   into [primary] (mutating the primary).  With [mark_external], every
+   function body from the secondary is flagged as uninstrumented legacy
+   code. *)
+let merge ?(mark_external = false) ~(pos : int) ~(primary : modul)
+    (secondary : modul) : unit =
   clear_vcache primary;
   check_struct_compat primary.m_layouts secondary.m_layouts;
   Hashtbl.iter
@@ -67,12 +69,12 @@ let merge ?(mark_external = false) ~(primary : modul) (secondary : modul) :
        if not (Hashtbl.mem primary.m_layouts name) then
          Hashtbl.replace primary.m_layouts name l)
     secondary.m_layouts;
-  let suffix = Printf.sprintf ".u%d" (Hashtbl.hash secondary land 0xffff) in
-  rename_globals suffix secondary;
-  (* globals: internal ones were renamed; named globals must be unique *)
+  rename_globals (Printf.sprintf ".u%d" pos) secondary;
+  (* globals: internal ones were renamed apart, and every name, renamed
+     or not, must be unique in the result *)
   List.iter
     (fun g ->
-       if not g.g_internal && find_global primary g.g_name <> None then
+       if find_global primary g.g_name <> None then
          err "duplicate global %s across units" g.g_name)
     secondary.m_globals;
   primary.m_globals <- primary.m_globals @ secondary.m_globals;

@@ -755,7 +755,7 @@ let lower (checked : Minic.Sema.checked) : modul =
   let md =
     { m_globals = []; m_funcs = Hashtbl.create 17;
       m_layouts = checked.Minic.Sema.layouts; m_next_site = 0;
-      m_witnesses = []; m_vcache = [] }
+      m_witnesses = []; m_certs = []; m_vcache = [] }
   in
   let strings = ref [] in
   List.iter

@@ -17,11 +17,14 @@ type spec = {
       strip intrinsic *)
   absint : Absint.model option;
   (** abstract-interpretation model of the tool's intrinsics.  When
-      set, every {!Witness.t} on the module is replayed against an
-      independent [Absint] run over the post-optimization IR, validated
-      witnesses regenerate the elided checks' coverage facts, and every
+      set, a function with witnesses or spatial-only checks must carry
+      an {!Absint.cert} in [m_certs] that {!Absint.check_cert} accepts
+      on the post-optimization IR; every {!Witness.t} is replayed
+      against the site states of that check, validated witnesses
+      regenerate the elided checks' coverage facts, and every
       spatial-only (downgraded) check site must carry a valid
-      downgrade certificate.  [None] rejects any witness outright. *)
+      downgrade witness.  A missing or rejected certificate is an
+      error.  [None] rejects any witness outright. *)
 }
 
 type error = {

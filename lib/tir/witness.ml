@@ -1,13 +1,16 @@
 (* Tir.Witness: machine-checkable elision certificates.
 
    Every check that Checkopt's absint phase elides or downgrades carries
-   one of these records -- the exact abstract facts the optimizer used.
-   Tir.Verify replays each witness against its own independent run of
-   Tir.Absint on the *post-optimization* IR: the claimed facts must be
-   re-derivable (the derived interval must be contained in the claimed
-   one, the object must be live and non-escaping, the claimed bounds
-   must imply in-bounds access).  A witness that cannot be re-proved is
-   a build error, so the optimizer can never silently drop coverage
+   one of these records -- the exact abstract facts the optimizer used --
+   and the function carries the fixpoint they rest on as an
+   [Absint.cert].  Tir.Verify checks that certificate against the
+   *post-optimization* IR in one pass ([Absint.check_cert]) and replays
+   each witness against the site states it yields: the claimed facts
+   must be re-derivable (the derived interval must be contained in the
+   claimed one, the object must be live and non-escaping, the claimed
+   bounds must imply in-bounds access).  A witness that cannot be
+   re-proved, or a certificate that is missing or not a fixpoint, is a
+   build error, so the optimizer can never silently drop coverage
    (DESIGN.md section 16). *)
 
 type kind =

@@ -1,9 +1,10 @@
 (** Machine-checkable elision certificates.
 
     Checkopt's absint phase attaches one witness per elided or
-    downgraded check; [Verify] replays each against an independent
-    abstract-interpretation run and rejects the build if any fact cannot
-    be re-derived. *)
+    downgraded check, plus the function's fixpoint as an
+    {!Absint.cert}; [Verify] checks the certificate, replays each
+    witness against the site states the check yields, and rejects the
+    build if any fact cannot be re-derived. *)
 
 type kind =
   | Welide      (** check removed outright *)

@@ -212,6 +212,95 @@ let expect_reject what md =
   Alcotest.(check bool) (what ^ " rejected") true
     (r.Tir.Verify.r_errors <> [])
 
+(* A loop over a stack array and straight-line heap accesses: main has
+   witnesses, several blocks, and a loop whose header holds a range
+   that survives widening ([k] toggles between 0 and 1). *)
+let cert_src =
+  "int main() { int a[8]; int k = 0; \
+   for (int i = 0; i < 8; i++) { a[i] = k; k = 1 - k; } \
+   int *p = (int*)malloc(16); p[0] = a[1]; p[1] = a[2]; \
+   int s = p[0] + p[1]; free(p); return s & 0x7f; }"
+
+let contains sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let main_of md =
+  match Tir.Ir.find_func md "main" with
+  | Some f -> f
+  | None -> Alcotest.fail "no main"
+
+let loop_header md =
+  let f = main_of md in
+  let cfg = Tir.Cfg.build f in
+  match Tir.Cfg.loops f cfg (Tir.Cfg.dominators cfg) with
+  | l :: _ -> l
+  | [] -> Alcotest.fail "no loop"
+
+let with_block (c : Tir.Absint.cert) b k =
+  let c_block_in = Array.copy c.Tir.Absint.c_block_in in
+  (match c_block_in.(b) with
+   | Some st -> c_block_in.(b) <- k st
+   | None -> Alcotest.failf "b%d has no claimed state" b);
+  { c with Tir.Absint.c_block_in }
+
+(* The errors [Driver.build] of [cert_src] under CECSan reports when
+   [tamper] runs on the module right after the optimizer: the Strict
+   gate must reject the build. *)
+let tampered_build_errors tamper =
+  let san = Cecsan.sanitizer () in
+  let tampered =
+    { san with
+      Sanitizer.Spec.optimize =
+        (fun md ->
+           san.Sanitizer.Spec.optimize md;
+           tamper md) }
+  in
+  match Sanitizer.Driver.build tampered cert_src with
+  | (_ : Tir.Ir.modul) -> Alcotest.fail "build accepted"
+  | exception Sanitizer.Driver.Verifier_reject { errors; _ } -> errors
+
+(* main's certificate replaced by [tamper md cert] must be rejected for
+   the certificate; with [from_latch], on a back edge of main's first
+   loop. *)
+let expect_cert_reject ?(from_latch = false) what tamper =
+  let latches = ref [] in
+  let errors =
+    tampered_build_errors (fun md ->
+        if md.Tir.Ir.m_witnesses = [] then
+          Alcotest.fail "expected witnesses in main";
+        let l = loop_header md in
+        latches :=
+          List.map
+            (fun b ->
+               Printf.sprintf "b%d exits in a state the certificate's \
+                               entry state for b%d" b l.Tir.Cfg.header)
+            l.Tir.Cfg.latches;
+        let hit = ref false in
+        md.Tir.Ir.m_certs <-
+          List.map
+            (function
+              | Tir.Absint.Fixpoint c
+                when String.equal c.Tir.Absint.c_func "main" ->
+                hit := true;
+                Tir.Absint.Fixpoint (tamper md c)
+              | cert -> cert)
+            md.Tir.Ir.m_certs;
+        if not !hit then Alcotest.fail "main carries no certificate")
+  in
+  Alcotest.(check bool)
+    (what ^ ": rejected for the certificate") true
+    (List.exists (contains "absint certificate rejected") errors);
+  if from_latch then
+    Alcotest.(check bool)
+      (what ^ ": rejected on a back edge") true
+      (List.exists
+         (fun e -> List.exists (fun l -> contains l e) !latches)
+         errors)
+
 let witness_tests =
   [
     Alcotest.test_case "intact witnesses replay clean" `Quick
@@ -261,6 +350,104 @@ let witness_tests =
            (Printf.sprintf "%d < %d" r.Tir.Verify.r_covered covered_base)
            true
            (r.Tir.Verify.r_covered < covered_base));
+    Alcotest.test_case "a certificate weakened at one block is killed" `Quick
+      (fun () ->
+         (* a free claimed at one block reaches its successor, whose
+            claimed state has none *)
+         expect_cert_reject "weakened block" (fun md c ->
+             let cfg = Tir.Cfg.build (main_of md) in
+             let freed_at b =
+               match c.Tir.Absint.c_block_in.(b) with
+               | Some st -> Tir.Absint.Int_set.mem 0 st.Tir.Absint.s_freed
+               | None -> true
+             in
+             let b =
+               List.find
+                 (fun b ->
+                    b <> 0 && not (freed_at b)
+                    && List.exists (fun s -> not (freed_at s))
+                      cfg.Tir.Cfg.succs.(b))
+                 (Array.to_list cfg.Tir.Cfg.rpo)
+             in
+             with_block c b (fun st ->
+                 Some
+                   { st with
+                     Tir.Absint.s_freed =
+                       Tir.Absint.Int_set.add 0 st.Tir.Absint.s_freed })));
+    Alcotest.test_case "a certificate not inductive on a back edge is killed"
+      `Quick
+      (fun () ->
+         expect_cert_reject ~from_latch:true "narrowed loop header"
+           (fun md c ->
+              let header = (loop_header md).Tir.Cfg.header in
+              with_block c header (fun st ->
+                  let narrowed = ref false in
+                  let s_regs =
+                    Array.map
+                      (function
+                        | Tir.Absint.Vint (l, h) when l < h ->
+                          narrowed := true;
+                          Tir.Absint.Vint (l, l)
+                        | v -> v)
+                      st.Tir.Absint.s_regs
+                  in
+                  if not !narrowed then
+                    Alcotest.fail "loop header has no range to narrow";
+                  Some { st with Tir.Absint.s_regs })));
+    Alcotest.test_case "a missing certificate is killed" `Quick
+      (fun () ->
+         let errors =
+           tampered_build_errors (fun md -> md.Tir.Ir.m_certs <- [])
+         in
+         Alcotest.(check bool) "names the certificate" true
+           (List.exists (contains "no absint certificate") errors));
+    Alcotest.test_case "a certificate with a wrong block count is killed"
+      `Quick
+      (fun () ->
+         expect_cert_reject "extra block" (fun _ c ->
+             { c with
+               Tir.Absint.c_block_in =
+                 Array.append c.Tir.Absint.c_block_in [| None |] }));
+    Alcotest.test_case "an entry that is not the initial state is killed"
+      `Quick
+      (fun () ->
+         expect_cert_reject "narrowed entry" (fun _ c ->
+             with_block c 0 (fun st ->
+                 let s_regs = Array.copy st.Tir.Absint.s_regs in
+                 s_regs.(0) <- Tir.Absint.Vint (0, 0);
+                 Some { st with Tir.Absint.s_regs })));
+    Alcotest.test_case "out-of-range registers never raise in replay"
+      `Quick
+      (fun () ->
+         (* malformed IR gets the lint's errors, and the certificate,
+            laid out for the registers main defined before, is
+            rejected instead of misread *)
+         let md = build_unverified cert_src in
+         let f = main_of md in
+         let n = f.Tir.Ir.f_nregs in
+         let b0 = f.Tir.Ir.f_blocks.(0) in
+         b0.Tir.Ir.b_instrs <-
+           Tir.Ir.Imov { dst = -3; src = Tir.Ir.Reg (n + 5) }
+           :: Tir.Ir.Ibin
+             { op = Tir.Ir.Add; dst = n + 9; a = Tir.Ir.Reg (-3);
+               b = Tir.Ir.Imm 1 }
+           :: b0.Tir.Ir.b_instrs;
+         let r = verify md in
+         let errors =
+           List.map Tir.Verify.error_to_string r.Tir.Verify.r_errors
+         in
+         Alcotest.(check bool) "lint reports r-3" true
+           (List.exists (contains "register r-3 out of range") errors);
+         Alcotest.(check bool) "certificate rejected for its layout" true
+           (List.exists (contains "not laid out for the registers") errors);
+         Alcotest.(check int) "no witness replayed" 0
+           r.Tir.Verify.r_witnesses);
+    Alcotest.test_case "a reachable block claimed unreachable is killed"
+      `Quick
+      (fun () ->
+         expect_cert_reject "dropped block" (fun md c ->
+             let cfg = Tir.Cfg.build (main_of md) in
+             with_block c cfg.Tir.Cfg.rpo.(1) (fun _ -> None)));
   ]
 
 (* --- absint-on/off differential property ---------------------------------- *)
@@ -364,6 +551,20 @@ let pp_aval buf = function
   | Tir.Absint.Vint (l, h) -> Printf.bprintf buf "i%d,%d" l h
   | Tir.Absint.Vptr { obj; lo; hi } -> Printf.bprintf buf "p%d:%d,%d" obj lo hi
 
+let state_str (st : Tir.Absint.state) =
+  let buf = Buffer.create 64 in
+  Tir.Absint.iter_regs (fun r v -> Printf.bprintf buf " r%d=%a" r pp_aval v)
+    st;
+  Tir.Absint.Int_set.iter (Printf.bprintf buf " f%d") st.Tir.Absint.s_freed;
+  Buffer.contents buf
+
+let pin_sites buf (su : Tir.Absint.summary) =
+  Hashtbl.fold (fun site st acc -> (site, st) :: acc)
+    su.Tir.Absint.su_sites []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (site, st) ->
+      Printf.bprintf buf "site %d:%s\n" site (state_str st))
+
 let pin_absint buf (spec : Tir.Verify.spec) md =
   match spec.Tir.Verify.absint with
   | None -> ()
@@ -379,17 +580,7 @@ let pin_absint buf (spec : Tir.Verify.spec) md =
           let su = Tir.Absint.analyze ~fuel cx f in
           Buffer.add_string buf
             (Format.asprintf "%a" Tir.Absint.pp_summary su);
-          Hashtbl.fold (fun site st acc -> (site, st) :: acc)
-            su.Tir.Absint.su_sites []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.iter (fun (site, (st : Tir.Absint.state)) ->
-              Printf.bprintf buf "site %d:" site;
-              Tir.Absint.Int_map.iter
-                (fun r v -> Printf.bprintf buf " r%d=%a" r pp_aval v)
-                st.Tir.Absint.s_regs;
-              Tir.Absint.Int_set.iter (Printf.bprintf buf " f%d")
-                st.Tir.Absint.s_freed;
-              Buffer.add_char buf '\n');
+          pin_sites buf su;
           Printf.bprintf buf "absint fuel %d\n" (Tir.Fuel.remaining fuel)
         end)
 
@@ -463,6 +654,148 @@ let pin_digest () =
     [ Cecsan.sanitizer (); Baselines.Asan_minus.sanitizer () ];
   (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The certificate Checkopt attaches is the fixpoint of the IR before
+   its rewrite; it must equal a fresh analysis of the IR after it,
+   block for block, or the checker would rest witnesses on other states
+   than the ones an analysis of the verified IR finds. *)
+let cert_matches_fixpoint () =
+  let certified = ref 0 in
+  List.iter
+    (fun (san : Sanitizer.Spec.t) ->
+       let spec = Option.get san.Sanitizer.Spec.verify in
+       List.iter
+         (fun src ->
+            match Sanitizer.Driver.build san src with
+            | exception Sanitizer.Spec.Unsupported _ -> ()
+            | md ->
+              let pure =
+                Tir.Analysis.pure_callees md ~is_hazard:(fun n ->
+                    List.mem n spec.Tir.Verify.hazard_intrinsics)
+              in
+              let cx =
+                Tir.Absint.make_ctx (Option.get spec.Tir.Verify.absint)
+                  ~pure md
+              in
+              List.iter
+                (function
+                  | Tir.Absint.Fixpoint c ->
+                    incr certified;
+                    let f =
+                      Option.get (Tir.Ir.find_func md c.Tir.Absint.c_func)
+                    in
+                    let fresh = Tir.Absint.analyze cx f in
+                    let show = Array.map (Option.map state_str) in
+                    Alcotest.(check (array (option string)))
+                      (Printf.sprintf "%s: %s" san.Sanitizer.Spec.name
+                         c.Tir.Absint.c_func)
+                      (show fresh.Tir.Absint.su_block_in)
+                      (show c.Tir.Absint.c_block_in)
+                  | _ -> ())
+                md.Tir.Ir.m_certs)
+         (pin_sources ()))
+    [ Cecsan.sanitizer (); Baselines.Asan_minus.sanitizer () ];
+  Alcotest.(check bool) "certificates compared" true (!certified > 0)
+
+(* A function whose negative and over-range registers -- an Icmp
+   destination and an Imov/Ibin chain -- carry values through a loop.
+   Dense states must print them exactly as the map-based states did;
+   the literal was captured from the map-based analysis. *)
+let out_of_range_src =
+  "int main() { int a[4]; \
+   for (int i = 0; i < 4; i++) a[i] = i; \
+   return a[1]; }"
+
+let out_of_range_dump () =
+  let open Tir.Ir in
+  let md = build_unverified out_of_range_src in
+  let f = main_of md in
+  let n = f.f_nregs in
+  let b0 = f.f_blocks.(0) in
+  let bl = f.f_blocks.(Array.length f.f_blocks - 1) in
+  b0.b_instrs <-
+    Imov { dst = n + 9; src = Imm 7 }
+    :: Icmp { op = Lt; dst = -3; a = Reg (n + 9); b = Imm 9 }
+    :: b0.b_instrs;
+  bl.b_instrs <-
+    Ibin { op = Add; dst = n + 9; a = Reg (n + 9); b = Imm 1 }
+    :: Icmp { op = Eq; dst = -3; a = Reg (-3); b = Reg (n + 9) }
+    :: bl.b_instrs;
+  let spec = Cecsan.Opt.spec in
+  let pure =
+    Tir.Analysis.pure_callees md ~is_hazard:(fun name ->
+        List.mem name spec.Tir.Verify.hazard_intrinsics)
+  in
+  let cx =
+    Tir.Absint.make_ctx (Option.get spec.Tir.Verify.absint) ~pure md
+  in
+  let su = Tir.Absint.analyze cx f in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "nregs %d\n" n;
+  Buffer.add_string buf (Format.asprintf "%a" Tir.Absint.pp_summary su);
+  pin_sites buf su;
+  Buffer.contents buf
+
+let out_of_range_expected = {|nregs 27
+function main (0 facts)
+  obj 0: slot:a:0 size 16
+  block 1:
+    r-3 = int [0,1]
+    r17 = ptr slot:a:0+[0,0]
+    r18 = ptr slot:a:0+[0,0]
+    r21 = ptr slot:a:0+[12,12]
+    r22 = ptr slot:a:0+[12,12]
+    r23 = ptr slot:a:0+[12,12]
+    r24 = ptr slot:a:0+[0,0]
+    r25 = ptr slot:a:0+[0,0]
+    r26 = ptr slot:a:0+[0,0]
+    r36 = int 7
+  block 2:
+    r-3 = int [0,1]
+    r3 = int [0,1]
+    r17 = ptr slot:a:0+[0,0]
+    r18 = ptr slot:a:0+[0,0]
+    r21 = ptr slot:a:0+[12,12]
+    r22 = ptr slot:a:0+[12,12]
+    r23 = ptr slot:a:0+[12,12]
+    r24 = ptr slot:a:0+[0,0]
+    r25 = ptr slot:a:0+[0,0]
+    r26 = ptr slot:a:0+[0,0]
+    r36 = int 7
+  block 3:
+    r-3 = int [0,1]
+    r3 = int [0,1]
+    r6 = ptr slot:a:0+[0,0]
+    r9 = ptr slot:a:0+[-inf,+inf]
+    r17 = ptr slot:a:0+[0,0]
+    r18 = ptr slot:a:0+[0,0]
+    r19 = ptr slot:a:0+[-inf,+inf]
+    r21 = ptr slot:a:0+[12,12]
+    r22 = ptr slot:a:0+[12,12]
+    r23 = ptr slot:a:0+[12,12]
+    r24 = ptr slot:a:0+[0,0]
+    r25 = ptr slot:a:0+[0,0]
+    r26 = ptr slot:a:0+[0,0]
+    r36 = int 7
+  block 4:
+    r-3 = int [0,1]
+    r3 = int [0,1]
+    r17 = ptr slot:a:0+[0,0]
+    r18 = ptr slot:a:0+[0,0]
+    r21 = ptr slot:a:0+[12,12]
+    r22 = ptr slot:a:0+[12,12]
+    r23 = ptr slot:a:0+[12,12]
+    r24 = ptr slot:a:0+[0,0]
+    r25 = ptr slot:a:0+[0,0]
+    r26 = ptr slot:a:0+[0,0]
+    r36 = int 7
+site 0: r-3=i0,1 r18=p0:0,0 r36=i7,7
+site 1: r-3=i0,1 r3=i0,1 r13=p0:0,0 r14=p0:4,4 r17=p0:0,0 r18=p0:0,0 r20=p0:4,4 r21=p0:12,12 r22=p0:12,12 r23=p0:12,12 r24=p0:0,0 r25=p0:0,0 r26=p0:0,0 r36=i7,7
+site 3: r-3=i0,1 r3=i0,1 r6=p0:0,0 r9=p0:-4611686018427387904,4611686018427387903 r17=p0:0,0 r18=p0:0,0 r21=p0:12,12 r22=p0:12,12 r23=p0:12,12 r24=p0:0,0 r25=p0:0,0 r26=p0:0,0 r36=i7,7
+site 4: r-3=i0,1 r3=i0,1 r13=p0:0,0 r14=p0:4,4 r17=p0:0,0 r18=p0:0,0 r21=p0:12,12 r22=p0:12,12 r23=p0:12,12 r24=p0:0,0 r25=p0:0,0 r26=p0:0,0 r36=i7,7
+site 5: r-3=i0,1 r16=i0,0 r17=p0:0,0 r18=p0:0,0 r21=p0:12,12 r22=p0:12,12 r24=p0:0,0 r25=p0:0,0 r26=p0:0,0 r36=i7,7
+site 6: r-3=i0,1 r16=i0,0 r17=p0:0,0 r18=p0:0,0 r24=p0:0,0 r25=p0:0,0 r36=i7,7
+|}
+
 let pin_tests =
   [
     Alcotest.test_case "absint and verify outputs match the pinned digest"
@@ -470,8 +803,14 @@ let pin_tests =
       (fun () ->
          let len, hex = pin_digest () in
          Alcotest.(check (pair int string)) "digest"
-           (5604903, "d609c0f1d9404d681bdd93c6e1b71f0f")
+           (5604903, "5cdd8cc9eeebd73d456da3af22faccb0")
            (len, hex));
+    Alcotest.test_case "out-of-range registers keep their meaning" `Quick
+      (fun () ->
+         Alcotest.(check string) "summary and site states"
+           out_of_range_expected (out_of_range_dump ()));
+    Alcotest.test_case "certificates equal a fresh fixpoint" `Quick
+      cert_matches_fixpoint;
   ]
 
 let () =

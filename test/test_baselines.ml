@@ -566,7 +566,7 @@ let pin_tests =
       (fun () ->
          let len, hex = pin_digest () in
          Alcotest.(check (pair int string)) "digest"
-           (1374791, "b1d0dd494a6d8bf5c976a0e321ba199f")
+           (1374791, "74c9aa085e92110e3e747cbecca1cde0")
            (len, hex));
   ]
 

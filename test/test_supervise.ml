@@ -567,7 +567,7 @@ let pin_tests =
          Alcotest.(check bool) "-j 1 and -j 4 identical" true
            (String.equal seq par);
          Alcotest.(check (pair int string)) "digest"
-           (223822, "a630ec00908b9b2d9b2b0ee128b149a0")
+           (223608, "362b90a9a04cc9c16991cd8625631a59")
            (String.length seq, Digest.to_hex (Digest.string seq)));
   ]
 

@@ -542,6 +542,38 @@ int side(void) { char b[16]; strcpy(b, "shared"); return (int)strlen(b); }
          match r.Sanitizer.Driver.outcome with
          | Vm.Machine.Exit c -> Alcotest.(check int) "result" (6 + 115) c
          | o -> Alcotest.failf "got %a" Vm.Machine.pp_outcome o);
+    Alcotest.test_case "same-shape units keep their own literals" `Quick
+      (fun () ->
+         (* two secondary units whose modules differ only in a string
+            literal: each must keep its own renamed global *)
+         let m = {|
+extern char *fa(char *b);
+extern char *fb(char *b);
+int main() {
+  char x[8];
+  char y[8];
+  printf("%s %s", fa(x), fb(y));
+  return 0;
+}
+|}
+         in
+         let ua = {|char *fa(char *b) { strcpy(b, "alpha"); return b; }|} in
+         let ub = {|char *fb(char *b) { strcpy(b, "beta"); return b; }|} in
+         List.iter
+           (fun (san : Sanitizer.Spec.t) ->
+              let md =
+                Sanitizer.Driver.build_link san
+                  [ (m, `Instrumented); (ua, `Instrumented);
+                    (ub, `Instrumented) ]
+              in
+              List.iter
+                (fun backend ->
+                   let r = Sanitizer.Driver.run_module san ~backend md in
+                   Alcotest.(check string)
+                     (san.Sanitizer.Spec.name ^ " output") "alpha beta"
+                     r.Sanitizer.Driver.output)
+                [ Vm.Machine.Interp; Vm.Machine.Jit ])
+           [ Sanitizer.Spec.none; Cecsan.sanitizer () ]);
     Alcotest.test_case "duplicate definitions rejected" `Quick (fun () ->
         let u = "int f() { return 1; }\nint main() { return f(); }" in
         let v = "int f() { return 2; }" in
