@@ -1,57 +1,9 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (DESIGN.md experiment index), plus the
-   optimization ablation and bechamel microbenchmarks of the core
-   runtime data structures.
-
-     dune exec bench/main.exe                 -- everything
-     dune exec bench/main.exe -- --table N    -- one table (1-5)
-     dune exec bench/main.exe -- --fig N      -- figure 3 or 4
-     dune exec bench/main.exe -- --ablation   -- optimization ablation
-     dune exec bench/main.exe -- --faults     -- fault-injection table
-     dune exec bench/main.exe -- --resilience -- supervised-campaign
-                                                degradation table (writes
-                                                BENCH_resilience.json)
-     dune exec bench/main.exe -- --micro      -- bechamel microbenches
-     dune exec bench/main.exe -- --fuzz N     -- N-program differential
-                                                fuzz campaign
-     dune exec bench/main.exe -- --fuzz-guided N
-                                              -- coverage-guided campaign vs
-                                                the blind baseline at the
-                                                same budget (writes
-                                                BENCH_fuzzcov.json)
-     dune exec bench/main.exe -- --verify     -- Tir.Verify wall time and
-                                                coverage per SPEC kernel
-     dune exec bench/main.exe -- --perf       -- interp-vs-jit wall-clock
-                                                grid (writes BENCH_perf.json)
-     dune exec bench/main.exe -- --serve-sim N
-                                              -- N synthetic requests through
-                                                the serve engine under the
-                                                deterministic simulated clock
-                                                (writes BENCH_serve.json);
-                                                --sim-workers C (default 4)
-                                                and --serve-batch B (default
-                                                16) shape the queue model
-     dune exec bench/main.exe -- --smoke      -- <30 s validation subset
-
-   Modifiers:
-     -j N        run the grid on N domains (N=0: one per core); also
-                 settable via CECSAN_JOBS.  Default 1 (sequential).
-                 Results are bit-for-bit identical at any -j.
-     --seed S    run seed (default 0x5EED), echoed in every section
-                 header so any report is reproducible from its log
-     --backend B execute every run on backend B (interp | jit); results
-                 are bit-for-bit identical on either, only wall clock
-                 moves
-     --timings   print wall-clock per experiment phase at the end, and
-                 emit the BENCH_perf.json perf-trajectory artifact
-     --profile   print each kernel's top-10 hottest check sites (CECSan,
-                 with IR origins) next to the overhead tables; on its
-                 own, runs the overhead tables with profiles
-     --telemetry-json FILE
-                 write the merged telemetry snapshot of every run in the
-                 session as deterministic JSON (byte-identical across
-                 reruns and across -j)
-*)
+   optimization ablation, the robustness tables and bechamel
+   microbenchmarks of the core runtime data structures.  One experiment
+   per run; `dune exec bench/main.exe -- --help` lists them and the
+   modifiers. *)
 
 let fmt = Format.std_formatter
 
@@ -239,7 +191,7 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
    the elision witnesses replayed, and the wall time of the replay-side
    absint runs; the whole grid (minus wall clock, which would break
    byte-for-byte artifact determinism) lands in BENCH_verify.json. *)
-let run_verify () =
+let run_verify ?pool () =
   section "Experiment: static verification (Tir.Verify, SPEC kernels)";
   let tools =
     [ Cecsan.sanitizer ();
@@ -253,76 +205,81 @@ let run_verify () =
   (* independent absint run over the post-optimization module: the same
      state the verifier replays witnesses against, counted as facts *)
   let absint_facts (san : Sanitizer.Spec.t) md =
-    match san.Sanitizer.Spec.verify with
-    | Some { Tir.Verify.absint = Some model; hazard_intrinsics; _ } ->
-      let pure =
-        Tir.Analysis.pure_callees md
-          ~is_hazard:(fun n -> List.mem n hazard_intrinsics)
-      in
-      let cx = Tir.Absint.make_ctx model ~pure md in
+    match
+      Option.bind san.Sanitizer.Spec.verify (fun spec ->
+          Tir.Verify.absint_ctx spec md)
+    with
+    | Some cx ->
       let n = ref 0 in
       Tir.Ir.iter_funcs md (fun f ->
           if not f.Tir.Ir.f_external then
             n := !n + (Tir.Absint.analyze cx f).Tir.Absint.su_facts);
       !n
-    | _ -> 0
+    | None -> 0
   in
-  let rows = ref [] in
+  (* one cell per kernel x tool: independent, so they run on the pool
+     and come back in submission order *)
+  let cell ((w : Workloads.Spec2006.t), (san : Sanitizer.Spec.t)) =
+    match
+      let md =
+        Sanitizer.Driver.compile_cached ~optimize:true
+          w.Workloads.Spec2006.w_source
+      in
+      let spec = san.Sanitizer.Spec.verify in
+      san.Sanitizer.Spec.instrument md;
+      let t0 = Unix.gettimeofday () in
+      let pre = Tir.Verify.check ?spec md in
+      let t1 = Unix.gettimeofday () in
+      san.Sanitizer.Spec.optimize md;
+      let t2 = Unix.gettimeofday () in
+      let post = Tir.Verify.check ?spec md in
+      let t3 = Unix.gettimeofday () in
+      let facts = absint_facts san md in
+      let ta = Unix.gettimeofday () -. t3 in
+      (pre, post, facts, t1 -. t0 +. (t3 -. t2), ta)
+    with
+    | exception Sanitizer.Spec.Unsupported _ -> None
+    | r -> Some r
+  in
+  let cells =
+    List.concat_map
+      (fun w -> List.map (fun san -> (w, san)) tools)
+      (Workloads.Spec2006.all @ Workloads.Spec2017.all)
+  in
   Format.printf "  %-14s %-14s %9s %9s %9s %7s %10s %10s@." "kernel" "tool"
     "accesses" "covered" "witnesses" "facts" "verify" "absint";
-  timed "verify" (fun () ->
-      List.iter
-        (fun (w : Workloads.Spec2006.t) ->
-           List.iter
-             (fun (san : Sanitizer.Spec.t) ->
-                match
-                  let md =
-                    Sanitizer.Driver.compile_cached ~optimize:true
-                      w.Workloads.Spec2006.w_source
-                  in
-                  let spec = san.Sanitizer.Spec.verify in
-                  san.Sanitizer.Spec.instrument md;
-                  let t0 = Unix.gettimeofday () in
-                  let pre = Tir.Verify.check ?spec md in
-                  let t1 = Unix.gettimeofday () in
-                  san.Sanitizer.Spec.optimize md;
-                  let t2 = Unix.gettimeofday () in
-                  let post = Tir.Verify.check ?spec md in
-                  let t3 = Unix.gettimeofday () in
-                  let facts = absint_facts san md in
-                  let ta = Unix.gettimeofday () -. t3 in
-                  let dt = t1 -. t0 +. (t3 -. t2) in
-                  (pre, post, facts, dt, ta)
-                with
-                | exception Sanitizer.Spec.Unsupported _ ->
-                  Format.printf "  %-14s %-14s %9s@."
-                    w.Workloads.Spec2006.w_name san.Sanitizer.Spec.name
-                    "excluded"
-                | pre, post, facts, dt, ta ->
-                  let issues =
-                    List.length pre.Tir.Verify.r_errors
-                    + List.length post.Tir.Verify.r_errors
-                    + (if post.Tir.Verify.r_covered
-                          < pre.Tir.Verify.r_covered
-                       then 1
-                       else 0)
-                  in
-                  rows :=
-                    (w.Workloads.Spec2006.w_name, san.Sanitizer.Spec.name,
-                     post.Tir.Verify.r_accesses, post.Tir.Verify.r_covered,
-                     post.Tir.Verify.r_witnesses, facts, issues)
-                    :: !rows;
-                  Format.printf
-                    "  %-14s %-14s %9d %9d %9d %7d %7.1f ms %7.1f ms%s@."
-                    w.Workloads.Spec2006.w_name san.Sanitizer.Spec.name
-                    post.Tir.Verify.r_accesses post.Tir.Verify.r_covered
-                    post.Tir.Verify.r_witnesses facts (dt *. 1000.)
-                    (ta *. 1000.)
-                    (if issues = 0 then ""
-                     else Printf.sprintf "  (%d issue(s))" issues))
-             tools)
-        (Workloads.Spec2006.all @ Workloads.Spec2017.all));
-  let rows = List.rev !rows in
+  let results =
+    timed "verify" (fun () -> Harness.Pool.maybe_map pool cell cells)
+  in
+  let rows =
+    List.filter_map
+      (fun (((w : Workloads.Spec2006.t), (san : Sanitizer.Spec.t)), r) ->
+         let kernel = w.Workloads.Spec2006.w_name
+         and tool = san.Sanitizer.Spec.name in
+         match r with
+         | None ->
+           Format.printf "  %-14s %-14s %9s@." kernel tool "excluded";
+           None
+         | Some (pre, post, facts, dt, ta) ->
+           let issues =
+             List.length pre.Tir.Verify.r_errors
+             + List.length post.Tir.Verify.r_errors
+             + (if post.Tir.Verify.r_covered < pre.Tir.Verify.r_covered
+                then 1
+                else 0)
+           in
+           Format.printf
+             "  %-14s %-14s %9d %9d %9d %7d %7.1f ms %7.1f ms%s@." kernel tool
+             post.Tir.Verify.r_accesses post.Tir.Verify.r_covered
+             post.Tir.Verify.r_witnesses facts (dt *. 1000.) (ta *. 1000.)
+             (if issues = 0 then ""
+              else Printf.sprintf "  (%d issue(s))" issues);
+           Some
+             (kernel, tool, post.Tir.Verify.r_accesses,
+              post.Tir.Verify.r_covered, post.Tir.Verify.r_witnesses, facts,
+              issues))
+      (List.combine cells results)
+  in
   let file = "BENCH_verify.json" in
   let row (k, s, acc, cov, wit, facts, issues) =
     Json.Obj
@@ -538,135 +495,203 @@ let microbenches () =
          results)
     tests
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let arg_after flag =
-    let rec go = function
-      | a :: b :: _ when String.equal a flag -> Some b
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
+(* --- command line ------------------------------------------------------------ *)
+
+open Cmdliner
+
+type mode =
+  | Everything
+  | Table1 | Table2 | Table3 | Table4 | Table5
+  | Fig3 | Fig4
+  | Ablation | Faults | Resilience | Micro | Verify | Perf | Smoke
+  | Fuzz of int
+  | Fuzz_guided of int
+  | Serve_sim of int
+
+(* Experiments are listed apart from the modifiers in --help. *)
+let experiments = "EXPERIMENTS"
+
+let experiment = Arg.info ~docs:experiments
+
+(* The experiment flags, each naming one mode.  At most one may be
+   given: [mode] rejects a second one before anything runs. *)
+let flag_mode =
+  Arg.(value & vflag None
+         [ (Some Ablation,
+            experiment [ "ablation" ]
+              ~doc:"The optimization ablation (section II.F).");
+           (Some Faults,
+            experiment [ "faults" ]
+              ~doc:"The fault-injection degradation table.");
+           (Some Resilience,
+            experiment [ "resilience" ]
+              ~doc:"The supervised-campaign degradation table under \
+                    injected harness faults (writes \
+                    BENCH_resilience.json).");
+           (Some Micro,
+            experiment [ "micro" ]
+              ~doc:"Bechamel microbenchmarks of the core runtime data \
+                    structures.");
+           (Some Verify,
+            experiment [ "verify" ]
+              ~doc:"Tir.Verify coverage, replayed witnesses and absint \
+                    facts per SPEC kernel and tool, with wall time \
+                    (writes BENCH_verify.json, which carries no wall \
+                    clock).");
+           (Some Perf,
+            experiment [ "perf" ]
+              ~doc:"The interp-vs-jit wall-clock grid (writes \
+                    BENCH_perf.json).");
+           (Some Smoke,
+            experiment [ "smoke" ]
+              ~doc:"A <30 s validation subset: Table I, two Juliet \
+                    families, one Table IV row.") ])
+
+let valued long ~doc values =
+  Arg.(value & opt (some values) None & experiment [ long ] ~docv:"N" ~doc)
+
+let numbered modes =
+  Arg.enum (List.map (fun (n, m) -> (string_of_int n, m)) modes)
+
+let counted long ~doc mk =
+  Term.(const (Option.map mk) $ valued long ~doc Harness.Cli.pos_int)
+
+let mode =
+  let pick modes =
+    match List.filter_map Fun.id modes with
+    | [] -> `Ok Everything
+    | [ m ] -> `Ok m
+    | _ ->
+      `Error
+        (true,
+         "one experiment per run: --table, --fig, --ablation, --faults, \
+          --resilience, --micro, --fuzz, --fuzz-guided, --verify, --perf, \
+          --serve-sim and --smoke exclude each other")
   in
-  let jobs =
-    match arg_after "-j" with
-    | Some s ->
-      (match int_of_string_opt s with
-       | Some 0 -> Domain.recommended_domain_count ()
-       | Some n when n > 0 -> n
-       | Some _ | None ->
-         Format.eprintf "-j %s: expected a non-negative integer@." s;
-         exit 2)
-    | None -> Harness.Pool.default_jobs ()
-  in
-  (match arg_after "--seed" with
-   | Some s ->
-     (match int_of_string_opt s with
-      | Some v when v >= 0 -> run_seed := v
-      | Some _ | None ->
-        Format.eprintf "--seed %s: expected a non-negative integer@." s;
-        exit 2)
-   | None -> ());
-  (* --backend is parsed into a value threaded explicitly through every
-     experiment entry point *)
-  let backend =
-    match arg_after "--backend" with
-    | Some "interp" -> Some Vm.Machine.Interp
-    | Some "jit" -> Some Vm.Machine.Jit
-    | Some s ->
-      Format.eprintf "--backend %s: expected interp or jit@." s;
-      exit 2
-    | None -> None
-  in
-  profile_on := has "--profile";
-  Harness.Pool.with_pool ~jobs (fun p ->
-      let pool = if jobs > 1 then Some p else None in
-      (match (arg_after "--table", arg_after "--fig") with
-       | Some "1", _ -> run_table1 ()
-       | Some "2", _ -> run_table2 ?pool ?backend ()
-       | Some "3", _ -> run_table3 ?backend ()
-       | Some "4", _ -> run_table4 ?pool ?backend ()
-       | Some "5", _ -> run_table5 ?pool ?backend ()
-       | _, Some "3" -> run_fig3 ?backend ()
-       | _, Some "4" -> run_fig4 ?backend ()
-       | _ ->
-         if has "--ablation" then run_ablation ?pool ?backend ()
-         else if has "--faults" then run_faults ?pool ?backend ()
-         else if has "--resilience" then run_resilience ?pool ?backend ()
-         else if has "--micro" then microbenches ()
-         else if has "--fuzz" then begin
-           match Option.bind (arg_after "--fuzz") int_of_string_opt with
-           | Some n when n > 0 -> run_fuzz ?pool ?backend ~jobs n
-           | _ ->
-             Format.eprintf "--fuzz: expected a positive program count@.";
-             exit 2
-         end
-         else if has "--fuzz-guided" then begin
-           match
-             Option.bind (arg_after "--fuzz-guided") int_of_string_opt
-           with
-           | Some n when n > 0 -> run_fuzz_guided ?pool ?backend ~jobs n
-           | _ ->
-             Format.eprintf
-               "--fuzz-guided: expected a positive program count@.";
-             exit 2
-         end
-         else if has "--serve-sim" then begin
-           let int_opt ~default flag =
-             match arg_after flag with
-             | None -> default
-             | Some s ->
-               (match int_of_string_opt s with
-                | Some v when v > 0 -> v
-                | _ ->
-                  Format.eprintf "%s %s: expected a positive integer@."
-                    flag s;
-                  exit 2)
-           in
-           match
-             Option.bind (arg_after "--serve-sim") int_of_string_opt
-           with
-           | Some n when n > 0 ->
-             run_serve_sim ?pool ?backend
-               ~sim_workers:(int_opt ~default:4 "--sim-workers")
-               ~serve_batch:(int_opt ~default:16 "--serve-batch") n
-           | _ ->
-             Format.eprintf "--serve-sim: expected a positive request \
-                             count@.";
-             exit 2
-         end
-         else if has "--verify" then run_verify ()
-         else if has "--perf" then run_perf ()
-         else if has "--smoke" then run_smoke ?pool ?backend ()
-         else if has "--profile" then begin
-           (* bare --profile: the overhead tables, with hot-site tables *)
-           run_table4 ?pool ?backend ();
-           run_table5 ?pool ?backend ()
-         end
-         else begin
-           run_table1 ();
-           run_table2 ?pool ?backend ();
-           run_table3 ?backend ();
-           run_table4 ?pool ?backend ();
-           run_table5 ?pool ?backend ();
-           run_fig3 ?backend ();
-           run_fig4 ?backend ();
-           run_ablation ?pool ?backend ();
-           run_faults ?pool ?backend ();
-           microbenches ();
-           Format.printf "@.All experiments completed.@."
-         end);
-      (match arg_after "--telemetry-json" with
-       | Some file ->
-         Harness.Jsonio.write ~path:file
-           (Telemetry.Snapshot.to_json !merged_telemetry ^ "\n");
-         Format.printf "@.Telemetry snapshot written to %s@." file
-       | None -> ());
-      if has "--timings" then begin
+  Term.(
+    ret
+      (const (fun a b c d e f -> pick [ a; b; c; d; e; f ])
+       $ flag_mode
+       $ valued "table" ~doc:"Table $(docv) (1-5)."
+           (numbered [ (1, Table1); (2, Table2); (3, Table3); (4, Table4);
+                       (5, Table5) ])
+       $ valued "fig" ~doc:"Figure $(docv) (3 or 4)."
+           (numbered [ (3, Fig3); (4, Fig4) ])
+       $ counted "fuzz" ~doc:"An $(docv)-program differential fuzz campaign."
+           (fun n -> Fuzz n)
+       $ counted "fuzz-guided"
+           ~doc:"The coverage-guided campaign against the blind baseline \
+                 at the same $(docv)-program budget (writes \
+                 BENCH_fuzzcov.json)."
+           (fun n -> Fuzz_guided n)
+       $ counted "serve-sim"
+           ~doc:"$(docv) synthetic requests through the serve engine \
+                 under the deterministic simulated clock (writes \
+                 BENCH_serve.json)."
+           (fun n -> Serve_sim n)))
+
+let positive name ~docv ~default ~doc =
+  Arg.(value & opt Harness.Cli.pos_int default & info [ name ] ~docv ~doc)
+
+let flag name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+let main mode jobs seed backend profile timings telemetry_json sim_workers
+    serve_batch =
+  run_seed := seed;
+  profile_on := profile;
+  Harness.Pool.with_jobs jobs (fun pool ->
+      (match mode with
+       | Table1 -> run_table1 ()
+       | Table2 -> run_table2 ?pool ?backend ()
+       | Table3 -> run_table3 ?backend ()
+       | Table4 -> run_table4 ?pool ?backend ()
+       | Table5 -> run_table5 ?pool ?backend ()
+       | Fig3 -> run_fig3 ?backend ()
+       | Fig4 -> run_fig4 ?backend ()
+       | Ablation -> run_ablation ?pool ?backend ()
+       | Faults -> run_faults ?pool ?backend ()
+       | Resilience -> run_resilience ?pool ?backend ()
+       | Micro -> microbenches ()
+       | Fuzz n -> run_fuzz ?pool ?backend ~jobs n
+       | Fuzz_guided n -> run_fuzz_guided ?pool ?backend ~jobs n
+       | Serve_sim n ->
+         run_serve_sim ?pool ?backend ~sim_workers ~serve_batch n
+       | Verify -> run_verify ?pool ()
+       | Perf -> run_perf ()
+       | Smoke -> run_smoke ?pool ?backend ()
+       | Everything when profile ->
+         (* bare --profile: the overhead tables, with hot-site tables *)
+         run_table4 ?pool ?backend ();
+         run_table5 ?pool ?backend ()
+       | Everything ->
+         run_table1 ();
+         run_table2 ?pool ?backend ();
+         run_table3 ?backend ();
+         run_table4 ?pool ?backend ();
+         run_table5 ?pool ?backend ();
+         run_fig3 ?backend ();
+         run_fig4 ?backend ();
+         run_ablation ?pool ?backend ();
+         run_faults ?pool ?backend ();
+         microbenches ();
+         Format.printf "@.All experiments completed.@.");
+      Option.iter
+        (fun path ->
+           Harness.Cli.write_snapshot ~path !merged_telemetry;
+           Format.printf "@.Telemetry snapshot written to %s@." path)
+        telemetry_json;
+      if timings then begin
         (* --timings owns the perf-trajectory artifact: every timed
            bench run also re-measures the interp-vs-jit grid so the
            speedup is tracked PR-over-PR. *)
         if not !perf_done then run_perf ();
         report_timings ~jobs
       end)
+
+let cmd =
+  let doc = "regenerate the CECSan paper's evaluation" in
+  let man =
+    [ `S Manpage.s_description;
+      `P "Runs one experiment of the paper's evaluation section (DESIGN.md \
+          experiment index) per invocation: a table, a figure, the \
+          optimization ablation, a robustness table, a fuzz campaign, the \
+          verification or perf grid, the serve simulation, the \
+          microbenchmarks or the smoke subset.  With no experiment flag \
+          it runs Tables I-V, Figures 3-4, the ablation, the fault table \
+          and the microbenchmarks in turn.";
+      `P "Every section header carries the run seed, so a report is \
+          reproducible from its own text.  Outputs other than wall clock \
+          are bit-for-bit identical at any $(b,-j) and on either \
+          $(b,--backend).";
+      `S experiments;
+      `P "At most one of these per run; none runs the full evaluation.";
+      `S Manpage.s_options;
+      `P "Modifiers, valid with any experiment." ]
+  in
+  Cmd.v
+    (Cmd.info "main" ~doc ~man)
+    Term.(
+      const main $ mode
+      $ Harness.Cli.jobs ~doc:"Run the grid on $(docv) domains."
+      $ Harness.Cli.seed
+          ~doc:"Run seed, echoed in every section header."
+      $ Harness.Cli.backend
+          ~doc:"Execute every run on $(docv) ($(b,interp) or $(b,jit)); \
+                results are identical on either, only wall clock moves."
+      $ flag "profile"
+          ~doc:"Print each kernel's top-10 hottest check sites (CECSan, \
+                with IR origins) next to the overhead tables; on its own, \
+                run Tables IV and V with profiles."
+      $ flag "timings"
+          ~doc:"Print wall clock per experiment phase at the end, and \
+                emit the BENCH_perf.json perf-trajectory artifact."
+      $ Harness.Cli.telemetry_json
+          ~doc:"Write the merged telemetry snapshot of every run in the \
+                session to $(docv) as deterministic JSON (byte-identical \
+                across reruns and across $(b,-j))."
+      $ positive "sim-workers" ~docv:"C" ~default:4
+          ~doc:"Simulated servers of the $(b,--serve-sim) queue model."
+      $ positive "serve-batch" ~docv:"B" ~default:16
+          ~doc:"Requests per batch in the $(b,--serve-sim) queue model.")
+
+let () = exit (Cmd.eval cmd)

@@ -99,12 +99,6 @@ let profile =
            ~doc:"After the run, print the top-10 hottest check sites \
                  (executed / elided / grouped counts with IR origins).")
 
-let telemetry_json =
-  Arg.(value & opt (some string) None
-       & info [ "telemetry-json" ] ~docv:"FILE"
-           ~doc:"Write the run's telemetry snapshot to FILE as \
-                 deterministic JSON.")
-
 let no_opt =
   Arg.(value & flag
        & info [ "O0" ] ~doc:"Disable the -O2 model (slot promotion).")
@@ -145,140 +139,94 @@ let fuel_budget =
                  pipeline (a seeded stand-in for a wall-clock timeout); \
                  exhausting it prints ==FUEL== and exits 5.")
 
-let backend =
-  Arg.(value
-       & opt (enum [ ("interp", Vm.Machine.Interp); ("jit", Vm.Machine.Jit) ])
-           Vm.Machine.Interp
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Execution backend: $(b,interp) (the reference \
-                 interpreter, default) or $(b,jit) (the threaded-code \
-                 compiler).  Outcomes, diagnostics, cycle counts and \
-                 telemetry are identical on both; only wall clock \
-                 differs.")
+(* The one front-end failure handler: every mode compiles through it,
+   and each failure class has its own exit code. *)
+let front_end src_file (san : Sanitizer.Spec.t) f =
+  match f () with
+  | r -> r
+  | exception Minic.Sema.Error (m, l) ->
+    Fmt.epr "%s:%d: error: %s@." src_file l m;
+    exit 2
+  | exception Tir.Lower.Error m ->
+    Fmt.epr "%s: lowering error: %s@." src_file m;
+    exit 2
+  | exception Sanitizer.Spec.Unsupported m ->
+    Fmt.epr "%s: %s cannot compile this program: %s@." src_file
+      san.Sanitizer.Spec.name m;
+    exit 3
+  | exception Tir.Fuel.Exhausted { phase; budget } ->
+    Fmt.epr "==FUEL== exhausted in %s (budget %d steps)@." phase budget;
+    exit 5
 
 let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
     verify dump_absint stats profile telemetry_json no_opt budget recover
     max_reports inject fuel_budget backend =
-  let src =
-    let ic = open_in_bin src_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
+  let src = In_channel.with_open_bin src_file In_channel.input_all in
   let fuel =
     match fuel_budget with
     | Some b when b < 0 -> Fmt.epr "--fuel: expected >= 0@."; exit 2
     | Some b -> Some (Tir.Fuel.make ~phase:"compile" ~budget:b)
     | None -> None
   in
-  (* Static modes: --dump-tir and --verify drive the phases by hand
-     (instrument, then optimize) instead of going through the one-shot
-     [Driver.build] gate, so they can observe the IR between the two. *)
+  let front_end f = front_end src_file san f in
+  let compile () =
+    Sanitizer.Driver.compile_cached ~optimize:(not no_opt) ?fuel src
+  in
+  let name = san.Sanitizer.Spec.name in
+  (* The static modes stop short of running the program.  The dumps
+     drive the phases by hand, without the verifier; --verify goes
+     through the Driver's gate and prints the reports it accepted. *)
+  let instrumented ~optimize =
+    front_end (fun () ->
+        let md = compile () in
+        san.Sanitizer.Spec.instrument md;
+        if optimize then san.Sanitizer.Spec.optimize md;
+        md)
+  in
   if dump_absint then begin
+    let md = instrumented ~optimize:true in
     match
-      let md =
-        Sanitizer.Driver.compile_cached ~optimize:(not no_opt) ?fuel src
-      in
-      san.Sanitizer.Spec.instrument md;
-      san.Sanitizer.Spec.optimize md;
-      md
+      Option.bind san.Sanitizer.Spec.verify (fun spec ->
+          Tir.Verify.absint_ctx spec md)
     with
-    | exception Minic.Sema.Error (m, l) ->
-      Fmt.epr "%s:%d: error: %s@." src_file l m;
-      exit 2
-    | exception Tir.Lower.Error m ->
-      Fmt.epr "%s: lowering error: %s@." src_file m;
-      exit 2
-    | exception Sanitizer.Spec.Unsupported m ->
-      Fmt.epr "%s: %s cannot compile this program: %s@." src_file
-        san.Sanitizer.Spec.name m;
+    | Some cx ->
+      Tir.Ir.iter_funcs md (fun f ->
+          if not f.Tir.Ir.f_external then
+            Fmt.pr "%a@." Tir.Absint.pp_summary
+              (Tir.Absint.analyze ?fuel cx f));
+      exit 0
+    | None ->
+      Fmt.epr "--dump-absint: %s carries no abstract-interpretation \
+               model@." name;
       exit 3
-    | exception Tir.Fuel.Exhausted { phase; budget } ->
-      Fmt.epr "==FUEL== exhausted in %s (budget %d steps)@." phase budget;
-      exit 5
-    | md ->
-      (match san.Sanitizer.Spec.verify with
-       | Some { Tir.Verify.absint = Some model; hazard_intrinsics; _ } ->
-         let pure =
-           Tir.Analysis.pure_callees md
-             ~is_hazard:(fun n -> List.mem n hazard_intrinsics)
-         in
-         let cx = Tir.Absint.make_ctx model ~pure md in
-         Tir.Ir.iter_funcs md (fun f ->
-             if not f.Tir.Ir.f_external then
-               Fmt.pr "%a@." Tir.Absint.pp_summary
-                 (Tir.Absint.analyze ?fuel cx f));
-         exit 0
-       | _ ->
-         Fmt.epr "--dump-absint: %s carries no abstract-interpretation \
-                  model@." san.Sanitizer.Spec.name;
-         exit 3)
   end;
-  if dump_tir <> None || verify then begin
+  Option.iter
+    (fun stage ->
+       print_string
+         (Tir.Pp.module_to_string
+            (instrumented ~optimize:(stage = `Postopt)));
+       exit 0)
+    dump_tir;
+  if verify then begin
     match
-      let md =
-        Sanitizer.Driver.compile_cached ~optimize:(not no_opt) ?fuel src
-      in
-      let spec = san.Sanitizer.Spec.verify in
-      san.Sanitizer.Spec.instrument md;
-      if dump_tir = Some `Preopt then begin
-        print_string (Tir.Pp.module_to_string md);
-        exit 0
-      end;
-      let pre = Tir.Verify.check ?spec ?fuel md in
-      san.Sanitizer.Spec.optimize md;
-      if dump_tir = Some `Postopt then begin
-        print_string (Tir.Pp.module_to_string md);
-        exit 0
-      end;
-      let post = Tir.Verify.check ?spec ?fuel md in
-      (pre, post)
+      front_end (fun () ->
+          Sanitizer.Driver.instrument_verified ?fuel san (compile ()))
     with
-    | exception Minic.Sema.Error (m, l) ->
-      Fmt.epr "%s:%d: error: %s@." src_file l m;
-      exit 2
-    | exception Tir.Lower.Error m ->
-      Fmt.epr "%s: lowering error: %s@." src_file m;
-      exit 2
-    | exception Sanitizer.Spec.Unsupported m ->
-      Fmt.epr "%s: %s cannot compile this program: %s@." src_file
-        san.Sanitizer.Spec.name m;
-      exit 3
-    | exception Tir.Fuel.Exhausted { phase; budget } ->
-      Fmt.epr "==FUEL== exhausted in %s (budget %d steps)@." phase budget;
-      exit 5
+    | exception Sanitizer.Driver.Verifier_reject { stage; errors; _ } ->
+      List.iter (fun e -> Fmt.pr "[verify] %s: %s@." stage e) errors;
+      Fmt.epr "==VERIFY== %s: rejected@." name;
+      exit 4
     | pre, post ->
       let report stage (r : Tir.Verify.report) =
         Fmt.pr "[verify] %s/%s: %d function(s), %d/%d unsafe accesses \
                 covered, %d witness(es) replayed@."
-          san.Sanitizer.Spec.name stage r.Tir.Verify.r_funcs
-          r.Tir.Verify.r_covered r.Tir.Verify.r_accesses
-          r.Tir.Verify.r_witnesses;
-        List.iter
-          (fun e -> Fmt.pr "[verify] %s: %s@." stage
-              (Tir.Verify.error_to_string e))
-          r.Tir.Verify.r_errors
+          name stage r.Tir.Verify.r_funcs r.Tir.Verify.r_covered
+          r.Tir.Verify.r_accesses r.Tir.Verify.r_witnesses
       in
       report "preopt" pre;
       report "postopt" post;
-      let shrank =
-        post.Tir.Verify.r_covered < pre.Tir.Verify.r_covered
-      in
-      if shrank then
-        Fmt.pr "[verify] coverage shrank across optimization: %d covered \
-                before, %d after@."
-          pre.Tir.Verify.r_covered post.Tir.Verify.r_covered;
-      if pre.Tir.Verify.r_errors = [] && post.Tir.Verify.r_errors = []
-      && not shrank
-      then begin
-        Fmt.pr "[verify] %s: verified@." san.Sanitizer.Spec.name;
-        exit 0
-      end
-      else begin
-        Fmt.epr "==VERIFY== %s: rejected@." san.Sanitizer.Spec.name;
-        exit 4
-      end
+      Fmt.pr "[verify] %s: verified@." name;
+      exit 0
   end;
   let policy =
     if recover || max_reports <> None then
@@ -302,85 +250,67 @@ let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
     in
     Vm.Fault.of_specs specs
   in
-  (* --inject fuel:N without --fuel still reaches the pipeline, the
-     same bridging Driver.run performs. *)
-  let fuel =
-    match fuel, fault.Vm.Fault.fuel_budget with
-    | (Some _ as f), _ | f, None -> f
-    | None, Some b -> Some (Tir.Fuel.make ~phase:"compile" ~budget:b)
+  (* --inject fuel:N without --fuel still reaches the pipeline *)
+  let fuel = Sanitizer.Driver.pipeline_fuel ?fuel (Some fault) in
+  let md =
+    front_end (fun () ->
+        Sanitizer.Driver.build san ~optimize:(not no_opt) ?fuel src)
   in
-  match Sanitizer.Driver.build san ~optimize:(not no_opt) ?fuel src with
-  | exception Minic.Sema.Error (m, l) ->
-    Fmt.epr "%s:%d: error: %s@." src_file l m;
-    exit 2
-  | exception Tir.Lower.Error m ->
-    Fmt.epr "%s: lowering error: %s@." src_file m;
-    exit 2
-  | exception Sanitizer.Spec.Unsupported m ->
-    Fmt.epr "%s: %s cannot compile this program: %s@." src_file
-      san.Sanitizer.Spec.name m;
-    exit 3
-  | exception Tir.Fuel.Exhausted { phase; budget } ->
-    Fmt.epr "==FUEL== exhausted in %s (budget %d steps)@." phase budget;
-    exit 5
-  | md ->
-    if dump_ir then begin
-      print_string (Tir.Pp.module_to_string md);
-      exit 0
+  if dump_ir then begin
+    print_string (Tir.Pp.module_to_string md);
+    exit 0
+  end;
+  let r =
+    match
+      Sanitizer.Driver.run_module san ~lines ~packets ~budget ~policy
+        ~fault ?backend md
+    with
+    | r -> r
+    | exception Vm.Fault.Injected_crash { after } ->
+      Fmt.epr "==INJECTED-CRASH== task killed after %d allocations@."
+        after;
+      exit 97
+  in
+  print_string r.Sanitizer.Driver.output;
+  if not (String.equal r.Sanitizer.Driver.output "") then print_newline ();
+  Option.iter
+    (fun path -> Harness.Cli.write_snapshot ~path r.Sanitizer.Driver.snapshot)
+    telemetry_json;
+  let print_stats c =
+    if stats then begin
+      Fmt.pr "[%s] exit %d, %d cycles, %d bytes resident@."
+        name c r.Sanitizer.Driver.cycles
+        r.Sanitizer.Driver.resident;
+      List.iter (fun (k, v) -> Fmt.pr "[stat] %s = %d@." k v)
+        r.Sanitizer.Driver.snapshot.Telemetry.Snapshot.gauges
     end;
-    let r =
-      match
-        Sanitizer.Driver.run_module san ~lines ~packets ~budget ~policy
-          ~fault ~backend md
-      with
-      | r -> r
-      | exception Vm.Fault.Injected_crash { after } ->
-        Fmt.epr "==INJECTED-CRASH== task killed after %d allocations@."
-          after;
-        exit 97
-    in
-    print_string r.Sanitizer.Driver.output;
-    if not (String.equal r.Sanitizer.Driver.output "") then print_newline ();
-    (match telemetry_json with
-     | Some f ->
-       Harness.Jsonio.write ~path:f
-         (Telemetry.Snapshot.to_json r.Sanitizer.Driver.snapshot ^ "\n")
-     | None -> ());
-    let print_stats c =
-      if stats then begin
-        Fmt.pr "[%s] exit %d, %d cycles, %d bytes resident@."
-          san.Sanitizer.Spec.name c r.Sanitizer.Driver.cycles
-          r.Sanitizer.Driver.resident;
-        List.iter (fun (k, v) -> Fmt.pr "[stat] %s = %d@." k v)
-          r.Sanitizer.Driver.telemetry
-      end;
-      if profile then begin
-        Fmt.pr "[%s] hottest check sites@." san.Sanitizer.Spec.name;
-        let label site =
-          List.assoc_opt site r.Sanitizer.Driver.site_labels
-        in
-        Telemetry.Snapshot.report ~top:10 ~label Format.std_formatter
-          r.Sanitizer.Driver.snapshot
-      end
-    in
-    (match r.Sanitizer.Driver.outcome with
-     | Vm.Machine.Exit c ->
-       print_stats c;
-       exit (c land 0x7f)
-     | Vm.Machine.Completed_with_bugs { code; reports; suppressed } ->
-       List.iter (fun b -> Fmt.epr "==RECOVERED== %a@." Vm.Report.pp b)
-         reports;
-       Fmt.epr "==SUMMARY== %d finding(s) recorded, %d suppressed@."
-         (List.length reports) suppressed;
-       print_stats code;
-       (* recover mode preserves the program's own exit code *)
-       exit (code land 0x7f)
-     | Vm.Machine.Bug b ->
-       Fmt.epr "==ERROR== %a@." Vm.Report.pp b;
-       exit 99
-     | Vm.Machine.Fault t ->
-       Fmt.epr "==CRASH== %a@." Vm.Report.pp_trap t;
-       exit 98)
+    if profile then begin
+      Fmt.pr "[%s] hottest check sites@." name;
+      let label site =
+        List.assoc_opt site r.Sanitizer.Driver.site_labels
+      in
+      Telemetry.Snapshot.report ~top:10 ~label Format.std_formatter
+        r.Sanitizer.Driver.snapshot
+    end
+  in
+  (match r.Sanitizer.Driver.outcome with
+   | Vm.Machine.Exit c ->
+     print_stats c;
+     exit (c land 0x7f)
+   | Vm.Machine.Completed_with_bugs { code; reports; suppressed } ->
+     List.iter (fun b -> Fmt.epr "==RECOVERED== %a@." Vm.Report.pp b)
+       reports;
+     Fmt.epr "==SUMMARY== %d finding(s) recorded, %d suppressed@."
+       (List.length reports) suppressed;
+     print_stats code;
+     (* recover mode preserves the program's own exit code *)
+     exit (code land 0x7f)
+   | Vm.Machine.Bug b ->
+     Fmt.epr "==ERROR== %a@." Vm.Report.pp b;
+     exit 99
+   | Vm.Machine.Fault t ->
+     Fmt.epr "==CRASH== %a@." Vm.Report.pp_trap t;
+     exit 98)
 
 let cmd =
   let doc = "compile and run a MiniC program under a memory-safety \
@@ -389,7 +319,15 @@ let cmd =
     (Cmd.info "cecsan_cli" ~version:"1.0" ~doc)
     Term.(const run_cmd $ sanitizer $ file $ stdin_lines $ packets
           $ dump_ir $ dump_tir $ verify $ dump_absint $ stats $ profile
-          $ telemetry_json $ no_opt $ budget $ recover $ max_reports
-          $ inject $ fuel_budget $ backend)
+          $ Harness.Cli.telemetry_json
+              ~doc:"Write the run's telemetry snapshot to $(docv) as \
+                    deterministic JSON."
+          $ no_opt $ budget $ recover $ max_reports $ inject $ fuel_budget
+          $ Harness.Cli.backend
+              ~doc:"Execution backend: $(b,interp) (the reference \
+                    interpreter, default) or $(b,jit) (the threaded-code \
+                    compiler).  Outcomes, diagnostics, cycle counts and \
+                    telemetry are identical on both; only wall clock \
+                    differs.")
 
 let () = exit (Cmd.eval cmd)

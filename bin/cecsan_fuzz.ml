@@ -17,29 +17,9 @@
 
 open Cmdliner
 
-let seed_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> Ok v
-    | _ -> Error (`Msg ("expected a non-negative integer (0x.. ok): " ^ s))
-  in
-  Arg.conv (parse, fun fmt v -> Fmt.pf fmt "0x%x" v)
-
 let n_programs =
   Arg.(value & opt int 500
        & info [ "n" ] ~docv:"N" ~doc:"Number of programs to generate.")
-
-let seed =
-  Arg.(value & opt seed_conv 0x5EED
-       & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Campaign seed; every per-program seed derives from it, \
-                 so a campaign is reproducible from the report header.")
-
-let jobs =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"J"
-           ~doc:"Run the campaign on J domains (0: one per core).  \
-                 Verdicts are bit-for-bit identical at any J.")
 
 let smoke =
   Arg.(value & flag
@@ -107,12 +87,6 @@ let min_corpus =
                  bitmap, rebuilt from its tape header, survives \
                  $(b,Corpus.minimize)).  Exit 0 if minimal, 1 if not.")
 
-let telemetry_json =
-  Arg.(value & opt (some string) None
-       & info [ "telemetry-json" ] ~docv:"FILE"
-           ~doc:"Write the campaign's merged CECSan telemetry snapshot to \
-                 FILE as deterministic JSON (identical at any -j).")
-
 let faults =
   Arg.(value & opt string ""
        & info [ "faults" ] ~docv:"SPECS"
@@ -147,21 +121,12 @@ let max_retries =
            ~doc:"Deterministic retry budget before a dead task is \
                  quarantined.")
 
-let backend =
-  Arg.(value
-       & opt (enum [ ("interp", Vm.Machine.Interp); ("jit", Vm.Machine.Jit) ])
-           Vm.Machine.Interp
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Execution backend for every run in the campaign: \
-                 $(b,interp) (default) or $(b,jit).  Verdicts and \
-                 ledgers are bit-for-bit identical on both.")
-
 let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     corpus_dir corpus_count guided mutate_only min_corpus telemetry_json
     faults checkpoint resume shard_size max_retries backend =
   (* The backend is threaded explicitly into every campaign entry point. *)
   if min_corpus then begin
-    match Fuzz.Campaign.check_corpus_minimal ~dir:corpus_dir ~backend () with
+    match Fuzz.Campaign.check_corpus_minimal ~dir:corpus_dir ?backend () with
     | Ok [] ->
       Fmt.pr "corpus %s: minimal@." corpus_dir;
       exit 0
@@ -174,7 +139,7 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
   if write_corpus then begin
     let paths =
       Fuzz.Campaign.write_corpus ~dir:corpus_dir ~seed ~count:corpus_count
-        ~backend ()
+        ?backend ()
     in
     Fmt.pr "Corpus: seed=0x%x, %d entries under %s@." seed
       (List.length paths) corpus_dir;
@@ -216,22 +181,16 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     { Harness.Supervise.default_policy with max_retries }
   in
   let n = if smoke then 120 else n in
-  let jobs =
-    if jobs = 0 then Domain.recommended_domain_count ()
-    else if jobs < 1 then (Fmt.epr "-j: expected >= 0@."; exit 2)
-    else jobs
-  in
   let schedule =
     if mutate_only then Fuzz.Campaign.Mutate_only
     else if guided then Fuzz.Campaign.Alternate
     else Fuzz.Campaign.Blind
   in
   let summary =
-    Harness.Pool.with_pool ~jobs (fun p ->
-        let pool = if jobs > 1 then Some p else None in
+    Harness.Pool.with_jobs jobs (fun pool ->
         Fuzz.Campaign.run ?pool ~tool_names ~max_shrink
           ~faults:fault_specs ~policy ?checkpoint ~resume ~shard_size
-          ~backend ~schedule ~seed ~n ())
+          ?backend ~schedule ~seed ~n ())
   in
   Fuzz.Campaign.render Format.std_formatter ~jobs summary;
   (match checkpoint with
@@ -239,12 +198,11 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
      let mismatch, quarantine = Fuzz.Campaign.write_ledgers ~dir summary in
      Fmt.pr "ledgers written: %s %s@." mismatch quarantine
    | None -> ());
-  (match telemetry_json with
-   | Some f ->
-     Harness.Jsonio.write ~path:f
-       (Telemetry.Snapshot.to_json (Fuzz.Campaign.telemetry summary) ^ "\n");
-     Fmt.pr "telemetry snapshot written: %s@." f
-   | None -> ());
+  Option.iter
+    (fun path ->
+       Harness.Cli.write_snapshot ~path (Fuzz.Campaign.telemetry summary);
+       Fmt.pr "telemetry snapshot written: %s@." path)
+    telemetry_json;
   (match repro_dir with
    | Some dir when summary.Fuzz.Campaign.shrunk <> [] ->
      let paths = Fuzz.Campaign.write_repros ~dir summary in
@@ -257,10 +215,23 @@ let cmd =
              program generation, cross-sanitizer oracle, tape shrinking" in
   Cmd.v
     (Cmd.info "cecsan_fuzz" ~version:"1.0" ~doc)
-    Term.(const run_cmd $ n_programs $ seed $ jobs $ smoke $ tools
-          $ max_shrink $ repro_dir $ write_corpus $ corpus_dir
-          $ corpus_count $ guided $ mutate_only $ min_corpus
-          $ telemetry_json $ faults $ checkpoint $ resume
-          $ shard_size $ max_retries $ backend)
+    Term.(const run_cmd $ n_programs
+          $ Harness.Cli.seed
+              ~doc:"Campaign seed; every per-program seed derives from it, \
+                    so a campaign is reproducible from the report header."
+          $ Harness.Cli.jobs
+              ~doc:"Run the campaign on $(docv) domains.  Verdicts are \
+                    bit-for-bit identical at any $(docv)."
+          $ smoke $ tools $ max_shrink $ repro_dir $ write_corpus
+          $ corpus_dir $ corpus_count $ guided $ mutate_only $ min_corpus
+          $ Harness.Cli.telemetry_json
+              ~doc:"Write the campaign's merged CECSan telemetry snapshot \
+                    to $(docv) as deterministic JSON (identical at any \
+                    -j)."
+          $ faults $ checkpoint $ resume $ shard_size $ max_retries
+          $ Harness.Cli.backend
+              ~doc:"Execution backend for every run in the campaign: \
+                    $(b,interp) (default) or $(b,jit).  Verdicts and \
+                    ledgers are bit-for-bit identical on both.")
 
 let () = Cmd.eval cmd |> exit

@@ -21,30 +21,16 @@
    and for any flush grouping: every answer derives only from the
    request itself, and aggregation is submission-ordered.
 
-   Exit codes: 0 shutdown/EOF, 2 usage error.  Malformed lines get an
+   Exit codes: 0 shutdown/EOF, 2 bad --batch, 124 any other usage
+   error (the shared flags of Harness.Cli).  Malformed lines get an
    {"id": -1, ...} error response and the daemon keeps serving. *)
 
 open Cmdliner
-
-let jobs =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"J"
-           ~doc:"Schedule request batches on J domains (0: one per \
-                 core).  Responses are bit-for-bit identical at any J.")
 
 let batch =
   Arg.(value & opt int 16
        & info [ "batch" ] ~docv:"B"
            ~doc:"Consecutive requests executed per pool slot.")
-
-let backend =
-  Arg.(value
-       & opt (some (enum [ ("interp", Vm.Machine.Interp);
-                           ("jit", Vm.Machine.Jit) ])) None
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Default backend for requests that carry none: \
-                 $(b,interp) or $(b,jit).  Threaded explicitly into \
-                 every run; per-request backends win.")
 
 let snapshot_json =
   Arg.(value & opt (some string) None
@@ -68,13 +54,7 @@ let serve jobs batch backend snapshot_json =
     Fmt.epr "--batch: expected >= 1@.";
     exit 2
   end;
-  let jobs =
-    if jobs = 0 then Domain.recommended_domain_count ()
-    else if jobs < 1 then (Fmt.epr "-j: expected >= 0@."; exit 2)
-    else jobs
-  in
-  Harness.Pool.with_pool ~jobs (fun p ->
-      let pool = if jobs > 1 then Some p else None in
+  Harness.Pool.with_jobs jobs (fun pool ->
       let agg = ref Serve.Engine.empty_aggregate in
       let pending = ref [] in   (* newest first *)
       let pending_n = ref 0 in
@@ -134,6 +114,15 @@ let cmd =
   let doc = "batched sanitizer-analysis daemon over line-delimited JSON" in
   Cmd.v
     (Cmd.info "cecsan_serve" ~version:"1.0" ~doc)
-    Term.(const serve $ jobs $ batch $ backend $ snapshot_json)
+    Term.(const serve
+          $ Harness.Cli.jobs
+              ~doc:"Schedule request batches on $(docv) domains.  \
+                    Responses are bit-for-bit identical at any $(docv)."
+          $ batch
+          $ Harness.Cli.backend
+              ~doc:"Default backend for requests that carry none: \
+                    $(b,interp) or $(b,jit).  Threaded explicitly into \
+                    every run; per-request backends win."
+          $ snapshot_json)
 
 let () = Cmd.eval cmd |> exit

@@ -4,7 +4,6 @@
    two-sided compare of Algorithm 1. *)
 
 let check = 24            (* dependent, often-cold table load + fused compare + strip *)
-let check_filtered = 2    (* monotonic grouped check, filtered iteration *)
 let check_spatial = 16    (* temporal half proven statically: the entry cannot
                              be invalidated before this site, so the table load
                              stays warm/hoistable; compare + strip remain *)

@@ -4,7 +4,6 @@
     plus the fused two-sided compare of Algorithm 1. *)
 
 val check : int
-val check_filtered : int
 val check_spatial : int
   (* spatial-only downgraded check (DESIGN.md 16): same fused compare,
      but the statically-proven temporal half keeps the entry load warm *)

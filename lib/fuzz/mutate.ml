@@ -30,8 +30,6 @@ let op_name = function
   | Extend -> "extend"
   | Crossover -> "crossover"
 
-let op_of_name s = List.find_opt (fun o -> String.equal (op_name o) s) all_ops
-
 (* Values that matter to the generator's draw sites: small choice
    indices (action selectors draw mod 12, class selectors mod 7), the
    boundary counts, and a couple of large values that stress the mod

@@ -10,7 +10,6 @@ type op = Splice | Havoc | Interesting | Truncate | Extend | Crossover
 
 val all_ops : op list
 val op_name : op -> string
-val op_of_name : string -> op option
 
 val interesting : int array
 (** Substitution values aimed at the generator's draw sites (small

@@ -61,8 +61,9 @@ let run_cell ?backend (san : Sanitizer.Spec.t)
     { c_status = "excluded"; c_reports = 0; c_suppressed = 0;
       c_fallbacks = 0; c_chained = 0 }
   | r ->
-    let fallbacks = stat r.Sanitizer.Driver.telemetry "exhausted_fallbacks" in
-    let chained = stat r.Sanitizer.Driver.telemetry "chained" in
+    let gauges = r.Sanitizer.Driver.snapshot.Telemetry.Snapshot.gauges in
+    let fallbacks = stat gauges "exhausted_fallbacks" in
+    let chained = stat gauges "chained" in
     let status =
       match r.Sanitizer.Driver.outcome with
       | Vm.Machine.Exit c when c = w.Workloads.Spec2006.w_expected -> "ok"

@@ -27,25 +27,6 @@ type t = {
   mutable mapping : bool;   (* a map is in flight on this pool *)
 }
 
-let env_var = "CECSAN_JOBS"
-
-(* CECSAN_JOBS resolution: unset/empty -> 1; 0 -> one worker per
-   recommended domain; anything else non-positive or non-numeric is
-   rejected with a one-line stderr warning naming the value, then runs
-   with 1 (sequential by construction, so CI and tests stay
-   reproducible rather than dying over an environment typo). *)
-let default_jobs () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> 1
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some 0 -> Domain.recommended_domain_count ()
-     | Some n when n > 0 -> n
-     | Some _ | None ->
-       Printf.eprintf "warning: %s=%s is not a valid job count; running with -j 1\n%!"
-         env_var s;
-       1)
-
 let worker pool () =
   let rec loop () =
     Mutex.lock pool.lock;
@@ -94,6 +75,9 @@ let shutdown pool =
 let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let with_jobs jobs f =
+  with_pool ~jobs (fun p -> f (if jobs > 1 then Some p else None))
 
 (* Deterministic parallel map, total version: item i's result (or
    exception) goes to slot i, and the caller gets all n slots.  The

@@ -9,15 +9,6 @@
 
 type t
 
-val env_var : string
-(** ["CECSAN_JOBS"]. *)
-
-val default_jobs : unit -> int
-(** Resolves [CECSAN_JOBS]: unset/empty means 1 (sequential), [0] means
-    [Domain.recommended_domain_count ()].  Anything else non-positive or
-    non-numeric prints a one-line stderr warning naming the rejected
-    value and runs with 1. *)
-
 val create : jobs:int -> t
 (** [jobs] total workers (the submitting thread counts as one, so
     [jobs - 1] domains are spawned).  [jobs = 0] means one worker per
@@ -32,6 +23,11 @@ val shutdown : t -> unit
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create]/[shutdown] bracket. *)
+
+val with_jobs : int -> (t option -> 'a) -> 'a
+(** [with_pool] for a resolved [-j] count: the callback gets [None] at
+    one job (everything runs on the caller), the pool otherwise -- the
+    [?pool] argument of every harness, campaign and serve entry point. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with results in submission order.  Every task

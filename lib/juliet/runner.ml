@@ -55,15 +55,11 @@ let run_one ?backend (san : Sanitizer.Spec.t) (c : t) : case_result =
     with
     | bad, good ->
       let verdict =
-        match bad.Sanitizer.Driver.outcome with
-        | Vm.Machine.Bug _ | Vm.Machine.Completed_with_bugs _ -> Detected
-        | Vm.Machine.Exit _ | Vm.Machine.Fault _ -> Missed
+        if Vm.Machine.outcome_is_bug bad.Sanitizer.Driver.outcome then
+          Detected
+        else Missed
       in
-      let good_fp =
-        match good.Sanitizer.Driver.outcome with
-        | Vm.Machine.Bug _ | Vm.Machine.Completed_with_bugs _ -> true
-        | Vm.Machine.Exit _ | Vm.Machine.Fault _ -> false
-      in
+      let good_fp = Vm.Machine.outcome_is_bug good.Sanitizer.Driver.outcome in
       { case = c; verdict; good_fp }
     | exception Sanitizer.Spec.Unsupported _ ->
       { case = c; verdict = Excluded; good_fp = false }
@@ -98,19 +94,6 @@ let rate (tr : tool_results) (cwe : cwe) : float option =
 let false_positives (tr : tool_results) : int =
   List.length
     (List.filter (fun r -> r.good_fp && r.verdict <> Excluded) tr.results)
-
-(* Misses grouped by mechanism family, for diagnostics / EXPERIMENTS.md. *)
-let misses_by_family (tr : tool_results) : (string * int) list =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-       if r.verdict = Missed then
-         Hashtbl.replace tbl r.case.fam_name
-           (1 + Option.value (Hashtbl.find_opt tbl r.case.fam_name)
-              ~default:0))
-    tr.results;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 (* The sanitizer lineup of Table II. *)
 let lineup () : Sanitizer.Spec.t list =

@@ -44,9 +44,6 @@ val rate : tool_results -> Case.cwe -> float option
 
 val false_positives : tool_results -> int
 
-val misses_by_family : tool_results -> (string * int) list
-(** Missed cases grouped by mechanism family, most-missed first. *)
-
 val lineup : unit -> Sanitizer.Spec.t list
 (** The Table II column order: CECSan, PACMem, CryptSan, HWASan, ASan,
     SoftBound/CETS. *)

@@ -19,7 +19,6 @@ type run_result = {
   instrumented_size : int; (* static instruction count after the pass *)
   reports : Vm.Report.t list;  (* sink contents, submission order *)
   suppressed : int;            (* findings deduplicated or over the cap *)
-  telemetry : (string * int) list; (* runtime gauges, sorted by key *)
   snapshot : Telemetry.Snapshot.t; (* full telemetry: sites, counters,
                                       gauges, event ring *)
   site_labels : (int * string) list; (* site id -> IR origin, sorted *)
@@ -120,8 +119,10 @@ let () =
 
 (* Instrument, then optimize, with [Tir.Verify] run on both sides and the
    covered-obligation count required non-shrinking across the
-   optimization (translation validation of the section II.F passes). *)
-let instrument_verified ?fuel (san : Spec.t) (md : Tir.Ir.modul) : unit =
+   optimization (translation validation of the section II.F passes).
+   Returns the two reports the gate accepted. *)
+let instrument_verified ?fuel (san : Spec.t) (md : Tir.Ir.modul) :
+  Tir.Verify.report * Tir.Verify.report =
   let gate stage = function
     | [] -> ()
     | errors ->
@@ -140,14 +141,15 @@ let instrument_verified ?fuel (san : Spec.t) (md : Tir.Ir.modul) : unit =
     gate "postopt"
       [ Printf.sprintf
           "coverage shrank across optimization: %d covered before, %d after"
-          pre.Tir.Verify.r_covered post.Tir.Verify.r_covered ]
+          pre.Tir.Verify.r_covered post.Tir.Verify.r_covered ];
+  (pre, post)
 
 (* Compiles under a sanitizer.  May raise [Spec.Unsupported] or
    [Verifier_reject]; with [fuel] given, [Tir.Fuel.Exhausted]. *)
 let build (san : Spec.t) ?(optimize = true) ?fuel (src : string)
   : Tir.Ir.modul =
   let md = compile_cached ~optimize ?fuel src in
-  instrument_verified ?fuel san md;
+  ignore (instrument_verified ?fuel san md);
   md
 
 (* Multi-translation-unit build: compiles each unit, links them
@@ -174,7 +176,7 @@ let build_link (san : Spec.t) ?(optimize = true)
                | `Instrumented -> false)
            ~pos:(k + 1) ~primary md)
       rest;
-    instrument_verified san primary;
+    ignore (instrument_verified san primary);
     primary
 
 (* Runs an instrumented module.  [lines]/[packets] feed the dummy input
@@ -214,24 +216,25 @@ let run_module (san : Spec.t) ?(lines = []) ?(packets = []) ?(externs = [])
     instrumented_size = Tir.Ir.module_size md;
     reports = Vm.Report.sink_reports st.Vm.State.sink;
     suppressed = Vm.Report.sink_suppressed st.Vm.State.sink;
-    telemetry = snapshot.Telemetry.Snapshot.gauges;
     snapshot;
     site_labels = Tir.Ir.site_origins md;
   }
 
+(* A [Fault.Fuel n] injection bridged into pipeline fuel: the injector
+   carries the budget so the CLI/campaign fault surface ("fuel:N")
+   reaches compile and verify without a second plumbing path.  An
+   explicit [fuel] wins. *)
+let pipeline_fuel ?fuel (fault : Vm.Fault.t option) : Tir.Fuel.t option =
+  match fuel, fault with
+  | (Some _ as f), _ | f, None -> f
+  | None, Some fl ->
+    Option.map
+      (fun budget -> Tir.Fuel.make ~phase:"compile" ~budget)
+      fl.Vm.Fault.fuel_budget
+
 let run (san : Spec.t) ?lines ?packets ?externs ?budget ?seed ?policy ?fault
     ?fuel ?backend ?(optimize = true) (src : string) : run_result =
-  (* bridge a [Fault.Fuel n] injection into pipeline fuel: the injector
-     carries the budget so the CLI/campaign fault surface ("fuel:N")
-     reaches compile and verify without a second plumbing path *)
-  let fuel =
-    match fuel, fault with
-    | (Some _ as f), _ | f, None -> f
-    | None, Some fl ->
-      (match fl.Vm.Fault.fuel_budget with
-       | Some b -> Some (Tir.Fuel.make ~phase:"compile" ~budget:b)
-       | None -> None)
-  in
+  let fuel = pipeline_fuel ?fuel fault in
   run_module san ?lines ?packets ?externs ?budget ?seed ?policy ?fault
     ?backend ?fuel
     (build san ~optimize ?fuel src)

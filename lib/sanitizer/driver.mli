@@ -13,13 +13,11 @@ type run_result = {
       (** findings recorded by a [Recover] sink, in submission order;
           empty under [Halt] (the finding is in [outcome]) *)
   suppressed : int;        (** findings deduplicated or over the cap *)
-  telemetry : (string * int) list;
-      (** runtime gauges (metadata-table degradation, injected faults),
-          sorted by key — [snapshot.gauges], kept for callers that only
-          want the counters *)
   snapshot : Telemetry.Snapshot.t;
       (** the run's full telemetry: per-check-site counters, named
-          counters/gauges, the bounded event ring *)
+          counters, the gauges (metadata-table degradation, injected
+          faults, allocator peaks; sorted by key), the bounded event
+          ring *)
   site_labels : (int * string) list;
       (** site id -> IR origin ("func.bN\[i\] intrinsic"), sorted — the
           labels behind the [--profile] hot-site report *)
@@ -49,12 +47,17 @@ exception
     ["preopt"] or ["postopt"]; [errors] are rendered [Tir.Verify.error]s
     (plus the coverage-shrink violation, if any). *)
 
-val instrument_verified : ?fuel:Tir.Fuel.t -> Spec.t -> Tir.Ir.modul -> unit
+val instrument_verified :
+  ?fuel:Tir.Fuel.t -> Spec.t -> Tir.Ir.modul ->
+  Tir.Verify.report * Tir.Verify.report
 (** The gate itself: instrument, verify, optimize, verify again, and
     require the covered-obligation count non-shrinking across the
-    optimization.  Exposed for tools (CLI [--verify], bench) that need
-    the phases on a module they built themselves.  [fuel] bounds the
-    verifier dataflow fixpoints. *)
+    optimization.  Returns the accepted preopt and postopt reports;
+    raises [Verifier_reject] at the first stage that fails.  [build]
+    and [build_link] run it; [cecsan_cli --verify] calls it directly
+    to print the reports.  [fuel] burns the instrumented module's size
+    and bounds the verifier dataflow fixpoints, exactly as in
+    [build]. *)
 
 val build : Spec.t -> ?optimize:bool -> ?fuel:Tir.Fuel.t -> string -> Tir.Ir.modul
 (** [compile_cached], then instrument + optimize under the verification
@@ -90,6 +93,11 @@ val run_module :
     [Interp]) selects the interpreter or the threaded-code jit; [fuel] meters jit compilation (burned identically whether the
     jit's compile cache hits or misses). *)
 
+val pipeline_fuel : ?fuel:Tir.Fuel.t -> Vm.Fault.t option -> Tir.Fuel.t option
+(** The pipeline fuel of a run: [fuel] when given, else a compile-phase
+    fuel of [n] steps when the fault injector carries a [Fuel n]
+    injection (the ["fuel:N"] fault surface), else [None]. *)
+
 val run :
   Spec.t ->
   ?lines:string list ->
@@ -104,7 +112,6 @@ val run :
   ?optimize:bool ->
   string ->
   run_result
-(** [build] + [run_module] in one step.  When no [fuel] is given but
-    [fault] carries a [Fuel n] injection, a compile-phase fuel of [n]
-    steps is created from it, so the ["fuel:N"] fault surface reaches
-    the pipeline (jit compilation included). *)
+(** [build] + [run_module] in one step, under [pipeline_fuel ?fuel
+    fault], so the ["fuel:N"] fault surface reaches the pipeline (jit
+    compilation included). *)

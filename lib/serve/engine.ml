@@ -35,27 +35,17 @@ let kernel_of_name (name : string) : Workloads.Spec2006.t option =
 let outcome_string (o : Vm.Machine.outcome) : string =
   Format.asprintf "%a" Vm.Machine.pp_outcome o
 
-let detected (o : Vm.Machine.outcome) : bool =
-  match o with
-  | Vm.Machine.Bug _ | Vm.Machine.Completed_with_bugs _ -> true
-  | Vm.Machine.Exit _ | Vm.Machine.Fault _ -> false
-
 (* Exception -> stable "class: detail" error string.  The class prefix
    is what tests and operators key on; the detail is best-effort. *)
 let error_string = function
   | Minic.Sema.Error (m, line) ->
     Printf.sprintf "sema: %s (line %d)" m line
-  | Minic.Parser.Error (m, line) ->
-    Printf.sprintf "parse: %s (line %d)" m line
-  | Minic.Lexer.Error (m, line) ->
-    Printf.sprintf "lex: %s (line %d)" m line
   | Tir.Lower.Error m -> "lower: " ^ m
   | Sanitizer.Spec.Unsupported m -> "unsupported: " ^ m
   | Sanitizer.Driver.Verifier_reject { tool; stage; _ } ->
     Printf.sprintf "verifier-reject: %s (%s)" tool stage
   | Tir.Fuel.Exhausted { phase; budget } ->
     Printf.sprintf "fuel: %s (budget %d)" phase budget
-  | Fuzz.Oracle.Compile_error m -> "compile: " ^ m
   | Failure m -> "failure: " ^ m
   | Invalid_argument m -> "invalid: " ^ m
   | e -> "exn: " ^ Printexc.to_string e
@@ -68,7 +58,7 @@ let ok_row (req : Protocol.request) (r : Sanitizer.Driver.run_result) : row =
         Protocol.rs_id = req.Protocol.id;
         rs_ok = true;
         rs_outcome = outcome_string r.Sanitizer.Driver.outcome;
-        rs_detected = detected r.Sanitizer.Driver.outcome;
+        rs_detected = Vm.Machine.outcome_is_bug r.Sanitizer.Driver.outcome;
         rs_cycles = r.Sanitizer.Driver.cycles;
         rs_reports = List.length r.Sanitizer.Driver.reports;
         rs_error = "";

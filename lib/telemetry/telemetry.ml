@@ -115,18 +115,10 @@ let add_counter t key n =
   | Some v -> Hashtbl.replace t.counters key (v + n)
   | None -> Hashtbl.replace t.counters key n
 
-let incr_counter t key = add_counter t key 1
-
 let counter t key =
   match Hashtbl.find_opt t.counters key with Some v -> v | None -> 0
 
 let set_gauge t key v = Hashtbl.replace t.gauges key v
-
-(* A gauge that only ever rises (high-water marks). *)
-let raise_gauge t key v =
-  match Hashtbl.find_opt t.gauges key with
-  | Some v0 when v0 >= v -> ()
-  | _ -> Hashtbl.replace t.gauges key v
 
 let gauge t key =
   match Hashtbl.find_opt t.gauges key with Some v -> v | None -> 0
@@ -248,8 +240,6 @@ module Snapshot = struct
       events = drop over evs;
       dropped = a.dropped + b.dropped + over;
     }
-
-  let merge_all = List.fold_left merge empty
 
   (* The snapshot (and its pinned JSON) omit all-zero site rows, which
      makes "instrumented but never reached" indistinguishable from "not

@@ -41,12 +41,8 @@ val covered : t -> int -> int
 (** {1 Named counters and gauges} *)
 
 val add_counter : t -> string -> int -> unit
-val incr_counter : t -> string -> unit
 val counter : t -> string -> int
 val set_gauge : t -> string -> int -> unit
-
-val raise_gauge : t -> string -> int -> unit
-(** Set the gauge to [max current v] — for high-water marks. *)
 
 val gauge : t -> string -> int
 
@@ -80,8 +76,6 @@ module Snapshot : sig
   (** [merge a b] with [a] happened-before [b]: sites/counters add,
       gauges max, event streams concatenate with overflow past
       {!ring_capacity} counted as dropped. *)
-
-  val merge_all : t list -> t
 
   val sites_full : sites:int list -> t -> site_row list
   (** The snapshot's site rows re-inflated against the full

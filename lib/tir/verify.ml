@@ -901,13 +901,17 @@ let coverage_func ?fuel (spec : spec) ~(pure : string -> bool) ~actx
     { fc_errors = List.rev !errors; fc_accesses = !accesses;
       fc_covered = !covered; fc_witnesses = Hashtbl.length valid_wit }
 
-let coverage ?fuel (spec : spec) (md : modul) : report =
+(* The metadata-pure callees and, for a tool with an absint model, the
+   absint context over them: what [coverage] replays witnesses and
+   checks certificates against. *)
+let context (spec : spec) (md : modul) =
   let pure = Analysis.pure_callees md ~is_hazard:(is_hazard spec) in
-  let actx =
-    match spec.absint with
-    | Some m -> Some (Absint.make_ctx m ~pure md)
-    | None -> None
-  in
+  (pure, Option.map (fun m -> Absint.make_ctx m ~pure md) spec.absint)
+
+let absint_ctx spec md = snd (context spec md)
+
+let coverage ?fuel (spec : spec) (md : modul) : report =
+  let pure, actx = context spec md in
   (* index the module's witnesses by function, rejecting duplicates and
      certificates naming unknown or external functions *)
   let errors = ref [] in

@@ -49,6 +49,11 @@ val well_formed : ?fuel:Fuel.t -> Ir.modul -> error list
     sanity, return arity, definite assignment.  [fuel] bounds the
     dataflow fixpoints; exhaustion raises {!Fuel.Exhausted}. *)
 
+val absint_ctx : spec -> Ir.modul -> Absint.ctx option
+(** The absint context [coverage] checks certificates and replays
+    witnesses against: the tool's model over the module's
+    metadata-pure callees.  [None] when the tool has no model. *)
+
 val coverage : ?fuel:Fuel.t -> spec -> Ir.modul -> report
 (** Coverage dataflow only (no lint errors in the report). *)
 

@@ -13,7 +13,6 @@ let gep = 1
 let load = 3
 let store = 3
 let call = 5              (* call/ret pair plus frame setup *)
-let intrin_base = 1       (* dispatch overhead of an inlined runtime call *)
 
 (* default allocator *)
 let malloc_base = 60

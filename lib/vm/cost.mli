@@ -9,7 +9,6 @@ val gep : int
 val load : int
 val store : int
 val call : int
-val intrin_base : int
 
 val malloc_base : int
 val malloc_per_64b : int

@@ -103,10 +103,6 @@ let clone t = {
   rng = t.rng;
 }
 
-let active t =
-  t.oom_after <> None || t.table_limit <> None || t.tagflip_every <> None
-  || t.crash_after <> None || t.fuel_budget <> None
-
 (* "oom:N" | "table:N" | "tagflip:N" | "crash:N" | "fuel:N" — the CLI
    surface. *)
 let parse s : (spec, string) result =

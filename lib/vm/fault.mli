@@ -39,8 +39,6 @@ val clone : t -> t
     [State.create] clones its injector so runs sharing one [t] never
     race on or accumulate each other's counters. *)
 
-val active : t -> bool
-
 val parse : string -> (spec, string) result
 (** Parses the CLI surface: ["oom:N"], ["table:N"], ["tagflip:N"],
     ["crash:N"], ["fuel:N"]. *)

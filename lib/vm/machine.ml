@@ -395,8 +395,8 @@ let pp_outcome fmt = function
   | Bug r -> Fmt.pf fmt "BUG %a" Report.pp r
   | Fault t -> Fmt.pf fmt "FAULT %a" Report.pp_trap t
 
-(* Convenience wrapper used throughout tests and the harness: compile a
-   MiniC source and run it under a runtime. *)
+(* Whether the outcome carries a sanitizer finding: halted on one, or
+   completed with recovered ones.  A trap is not a finding. *)
 let outcome_is_bug = function
   | Bug _ | Completed_with_bugs _ -> true
   | Exit _ | Fault _ -> false

@@ -666,7 +666,7 @@ int main() {
            Alcotest.failf "fallback run should complete with 'a', got %a"
              Vm.Machine.pp_outcome o);
         match List.assoc_opt "exhausted_fallbacks"
-                r.Sanitizer.Driver.telemetry with
+                r.Sanitizer.Driver.snapshot.Telemetry.Snapshot.gauges with
         | Some n when n > 0 -> ()
         | _ -> Alcotest.fail "exhausted_fallbacks not published");
     Alcotest.test_case "chain mode stays clean on correct programs" `Quick

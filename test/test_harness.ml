@@ -225,13 +225,14 @@ let parallel_tests =
          match Harness.Pool.create ~jobs:(-1) with
          | _ -> Alcotest.fail "expected Invalid_argument"
          | exception Invalid_argument _ -> ());
-    Alcotest.test_case "default_jobs warns and falls back on bad env"
-      `Quick
+    Alcotest.test_case "with_jobs hands a pool only above one job" `Quick
       (fun () ->
-         Unix.putenv "CECSAN_JOBS" "not-a-number";
-         let j = Harness.Pool.default_jobs () in
-         Unix.putenv "CECSAN_JOBS" "";
-         Alcotest.(check int) "falls back to 1" 1 j);
+         Alcotest.(check bool) "-j 1: none" true
+           (Harness.Pool.with_jobs 1 Option.is_none);
+         Alcotest.(check (list int)) "-j 3: a pool that maps" [ 2; 4 ]
+           (Harness.Pool.with_jobs 3 (fun pool ->
+                Alcotest.(check bool) "some" true (Option.is_some pool);
+                Harness.Pool.maybe_map pool (fun x -> x * 2) [ 1; 2 ])));
     Alcotest.test_case "-j 4 Table II subset equals sequential" `Quick
       (fun () ->
          let cases = Juliet.Suite.cases_for Juliet.Case.C415 in
@@ -252,6 +253,57 @@ let parallel_tests =
          Alcotest.(check bool) "identical rows" true (seq = par));
   ]
 
+(* The shared flags, parsed from argv arrays exactly as a binary's
+   [Cmd.eval] would: [Some v] is the term's value, [None] a rejection. *)
+let parse term args =
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match
+    Cmdliner.Cmd.eval_value ~help:null ~err:null
+      ~argv:(Array.of_list ("prog" :: args))
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "prog") term)
+  with
+  | Ok (`Ok v) -> Some v
+  | Ok (`Help | `Version) | Error _ -> None
+
+let flag_tests =
+  let backend =
+    Alcotest.testable
+      (fun fmt b ->
+         Format.pp_print_string fmt
+           (match b with Vm.Machine.Interp -> "interp" | Vm.Machine.Jit -> "jit"))
+      ( = )
+  in
+  let jobs = Harness.Cli.jobs ~doc:"" and seed = Harness.Cli.seed ~doc:"" in
+  [
+    Alcotest.test_case "-j 0 resolves to one job per core, -j -1 rejected"
+      `Quick (fun () ->
+          Alcotest.(check (option int)) "-j 0"
+            (Some (Domain.recommended_domain_count ())) (parse jobs [ "-j"; "0" ]);
+          Alcotest.(check (option int)) "--jobs 3" (Some 3)
+            (parse jobs [ "--jobs"; "3" ]);
+          Alcotest.(check (option int)) "default" (Some 1) (parse jobs []);
+          Alcotest.(check (option int)) "-j -1" None (parse jobs [ "-j"; "-1" ]);
+          Alcotest.(check (option int)) "--jobs=-1" None
+            (parse jobs [ "--jobs=-1" ]);
+          Alcotest.(check (option int)) "-j x" None (parse jobs [ "-j"; "x" ]));
+    Alcotest.test_case "--seed takes 0x, rejects negatives" `Quick (fun () ->
+        Alcotest.(check (option int)) "0xBEEF" (Some 0xBEEF)
+          (parse seed [ "--seed"; "0xBEEF" ]);
+        Alcotest.(check (option int)) "default" (Some 0x5EED) (parse seed []);
+        Alcotest.(check (option int)) "--seed -3" None
+          (parse seed [ "--seed"; "-3" ]);
+        Alcotest.(check (option int)) "--seed=-3" None
+          (parse seed [ "--seed=-3" ]));
+    Alcotest.test_case "--backend takes interp|jit only" `Quick (fun () ->
+        let b = Harness.Cli.backend ~doc:"" in
+        Alcotest.(check (option (option backend))) "jit"
+          (Some (Some Vm.Machine.Jit)) (parse b [ "--backend"; "jit" ]);
+        Alcotest.(check (option (option backend))) "absent" (Some None)
+          (parse b []);
+        Alcotest.(check (option (option backend))) "x" None
+          (parse b [ "--backend"; "x" ]));
+  ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -259,4 +311,5 @@ let () =
       "rendering", rendering_tests;
       "sampled-eval", sampled_eval_tests;
       "parallel", parallel_tests;
+      "flags", flag_tests;
     ]
