@@ -104,7 +104,7 @@ let no_opt =
        & info [ "O0" ] ~doc:"Disable the -O2 model (slot promotion).")
 
 let budget =
-  Arg.(value & opt int Vm.State.default_budget
+  Arg.(value & opt Harness.Cli.nonneg_int Vm.State.default_budget
        & info [ "budget" ] ~docv:"CYCLES" ~doc:"Cycle budget for the run.")
 
 let recover =
@@ -115,7 +115,7 @@ let recover =
                  halting the program.")
 
 let max_reports =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some Harness.Cli.nonneg_int) None
        & info [ "max-reports" ] ~docv:"N"
            ~doc:"Cap on recorded findings under $(b,--recover) (default \
                  64); further findings are counted as suppressed.  \
@@ -133,7 +133,7 @@ let inject =
                  pipeline an N-step budget (exit 5).")
 
 let fuel_budget =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some Harness.Cli.nonneg_int) None
        & info [ "fuel" ] ~docv:"STEPS"
            ~doc:"Deterministic step budget for the compile/verify \
                  pipeline (a seeded stand-in for a wall-clock timeout); \
@@ -163,10 +163,7 @@ let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
     max_reports inject fuel_budget backend =
   let src = In_channel.with_open_bin src_file In_channel.input_all in
   let fuel =
-    match fuel_budget with
-    | Some b when b < 0 -> Fmt.epr "--fuel: expected >= 0@."; exit 2
-    | Some b -> Some (Tir.Fuel.make ~phase:"compile" ~budget:b)
-    | None -> None
+    Option.map (fun b -> Tir.Fuel.make ~phase:"compile" ~budget:b) fuel_budget
   in
   let front_end f = front_end src_file san f in
   let compile () =

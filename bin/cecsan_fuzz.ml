@@ -18,7 +18,7 @@
 open Cmdliner
 
 let n_programs =
-  Arg.(value & opt int 500
+  Arg.(value & opt Harness.Cli.pos_int 500
        & info [ "n" ] ~docv:"N" ~doc:"Number of programs to generate.")
 
 let smoke =
@@ -34,7 +34,7 @@ let tools =
                  cryptsan.")
 
 let max_shrink =
-  Arg.(value & opt int 5
+  Arg.(value & opt Harness.Cli.nonneg_int 5
        & info [ "max-shrink" ] ~docv:"K"
            ~doc:"Shrink at most K failing cases (shrinking is \
                  sequential).")
@@ -58,7 +58,7 @@ let corpus_dir =
            ~doc:"Target directory for $(b,--write-corpus).")
 
 let corpus_count =
-  Arg.(value & opt int 10
+  Arg.(value & opt Harness.Cli.pos_int 10
        & info [ "corpus-count" ] ~docv:"N"
            ~doc:"Corpus entries to write under $(b,--write-corpus).")
 
@@ -111,12 +111,12 @@ let resume =
                  are byte-identical to an uninterrupted run.")
 
 let shard_size =
-  Arg.(value & opt int 256
+  Arg.(value & opt Harness.Cli.pos_int 256
        & info [ "shard-size" ] ~docv:"N"
            ~doc:"Programs per checkpointed shard.")
 
 let max_retries =
-  Arg.(value & opt int 1
+  Arg.(value & opt Harness.Cli.nonneg_int 1
        & info [ "max-retries" ] ~docv:"K"
            ~doc:"Deterministic retry budget before a dead task is \
                  quarantined.")
@@ -171,10 +171,6 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
   in
   if resume && checkpoint = None then begin
     Fmt.epr "--resume requires --checkpoint DIR@.";
-    exit 2
-  end;
-  if max_retries < 0 then begin
-    Fmt.epr "--max-retries: expected >= 0@.";
     exit 2
   end;
   let policy =

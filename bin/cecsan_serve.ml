@@ -21,14 +21,14 @@
    and for any flush grouping: every answer derives only from the
    request itself, and aggregation is submission-ordered.
 
-   Exit codes: 0 shutdown/EOF, 2 bad --batch, 124 any other usage
-   error (the shared flags of Harness.Cli).  Malformed lines get an
+   Exit codes: 0 shutdown/EOF, 124 a usage error (a malformed flag,
+   or a --batch below 1).  Malformed lines get an
    {"id": -1, ...} error response and the daemon keeps serving. *)
 
 open Cmdliner
 
 let batch =
-  Arg.(value & opt int 16
+  Arg.(value & opt Harness.Cli.pos_int 16
        & info [ "batch" ] ~docv:"B"
            ~doc:"Consecutive requests executed per pool slot.")
 
@@ -50,10 +50,6 @@ let error_response msg =
       rs_error = "protocol: " ^ msg }
 
 let serve jobs batch backend snapshot_json =
-  if batch < 1 then begin
-    Fmt.epr "--batch: expected >= 1@.";
-    exit 2
-  end;
   Harness.Pool.with_jobs jobs (fun pool ->
       let agg = ref Serve.Engine.empty_aggregate in
       let pending = ref [] in   (* newest first *)

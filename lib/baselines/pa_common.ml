@@ -225,7 +225,7 @@ let interceptors rt : string -> Vm.Runtime.interceptor option =
 
 let fresh_runtime (pol : policy) () : Vm.Runtime.t =
   let rt = create pol in
-  let gpt : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let gpt = Cecsan.Runtime.gpt_create () in
   let pre = pol.p_prefix in
   let vrt = {
     Vm.Runtime.rt_name = pol.p_name;
@@ -303,14 +303,12 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
       0);
   reg (pre ^ "_global_make") (fun st a ->
       let sealed = register rt a.(0) a.(1) in
-      Hashtbl.replace gpt a.(2) sealed;
+      Cecsan.Runtime.gpt_add gpt a.(2) sealed;
       Vm.State.tick st 8;
       0);
   reg (pre ^ "_gpt_load") (fun st a ->
       Vm.State.tick st 2;
-      match Hashtbl.find_opt gpt a.(0) with
-      | Some v -> v
-      | None -> 0);
+      Cecsan.Runtime.gpt_find gpt a.(0));
   reg (pre ^ "_extcall_strip") (fun st a ->
       Vm.State.tick st 2;
       strip a.(0));

@@ -10,9 +10,34 @@ module L = Vm.Layout46
 
 let name = "CECSan"
 
+(* The Global Pointer Table's lookup side: slot -> tagged pointer in a
+   growable array, 0 for a slot never made (no made pointer is 0: every
+   global sits above the null guard).  Slots are the instrumentation's
+   dense 0-based global indices, so the array stays as small as the
+   program's unsafe globals. *)
+type gpt = { mutable slots : int array }
+
+let gpt_create () = { slots = [||] }
+
+let gpt_find g slot =
+  if slot >= 0 && slot < Array.length g.slots then
+    Array.unsafe_get g.slots slot
+  else 0
+
+let gpt_add g slot v =
+  if slot >= 0 then begin
+    let n = Array.length g.slots in
+    if slot >= n then begin
+      let a = Array.make (max (slot + 1) (2 * n)) 0 in
+      Array.blit g.slots 0 a 0 n;
+      g.slots <- a
+    end;
+    Array.unsafe_set g.slots slot v
+  end
+
 type t = {
   mutable table : Meta_table.t option;
-  gpt : (int, int) Hashtbl.t;         (* global slot -> tagged pointer *)
+  gpt : gpt;                          (* global slot -> tagged pointer *)
   mutable reports_sub_object : int;
   chain_overflow : bool;              (* the section V.1 extension *)
   (* telemetry, published as gauges by [at_exit] *)
@@ -214,16 +239,16 @@ let stack_release rt st tagged =
 
 let global_make rt st ~slot addr size =
   let tagged = Meta_table.alloc (get_table rt st) ~base:addr ~size in
-  Hashtbl.replace rt.gpt slot tagged;
+  gpt_add rt.gpt slot tagged;
   (* the GPT itself is ordinary memory (residency counts) *)
   Vm.Memory.store st.Vm.State.mem (L.aux_base + (slot * 8)) 8 tagged;
   tagged
 
 let gpt_load rt st slot =
   Vm.State.tick st Costs.gpt_load;
-  match Hashtbl.find_opt rt.gpt slot with
-  | Some tagged -> tagged
-  | None -> Vm.Memory.load st.Vm.State.mem (L.aux_base + (slot * 8)) 8
+  match gpt_find rt.gpt slot with
+  | 0 -> Vm.Memory.load st.Vm.State.mem (L.aux_base + (slot * 8)) 8
+  | tagged -> tagged
 
 (* Sub-object narrowing (section II.D): validate the field range against
    the parent entry, then mint a temporary narrowed entry. *)
@@ -509,7 +534,7 @@ let stats rt =
   | Some t -> (t.Meta_table.peak_live, t.Meta_table.total_allocated)
 
 let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
-  let rt = { table = None; gpt = Hashtbl.create 17; reports_sub_object = 0;
+  let rt = { table = None; gpt = gpt_create (); reports_sub_object = 0;
              chain_overflow; entry0_hits = 0; sub_temporaries = 0 } in
   let vrt = {
     Vm.Runtime.rt_name = name;

@@ -9,10 +9,24 @@
 
 val name : string
 
+type gpt
+(** The Global Pointer Table's lookup side: slot index -> tagged
+    pointer, a growable array. *)
+
+val gpt_create : unit -> gpt
+
+val gpt_find : gpt -> int -> int
+(** The pointer made for a slot, or 0 if the slot was never made (or is
+    negative). *)
+
+val gpt_add : gpt -> int -> int -> unit
+(** [gpt_add g slot v] records [v] for [slot], growing the table; a
+    negative slot is ignored. *)
+
 type t = {
   mutable table : Meta_table.t option;
       (** created lazily on first use: the load-time constructor *)
-  gpt : (int, int) Hashtbl.t;
+  gpt : gpt;
       (** the Global Pointer Table: slot index -> tagged pointer *)
   mutable reports_sub_object : int;
   chain_overflow : bool;

@@ -9,6 +9,9 @@ val pos_int : int Arg.conv
 (** Integers [> 0]; [0x], [0o] and [0b] literals are accepted, as by
     every integer flag below. *)
 
+val nonneg_int : int Arg.conv
+(** Integers [>= 0]. *)
+
 val jobs : doc:string -> int Term.t
 (** [-j]/[--jobs J]: a non-negative job count, default 1.  [0] is
     resolved here, once, to [Domain.recommended_domain_count ()]; the

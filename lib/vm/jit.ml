@@ -13,12 +13,16 @@
      array accesses, and the common ALU/compare shapes (reg op reg,
      reg op imm) become single closures with no operand-evaluator
      indirection;
-   - memory: loads and stores inline the whole fast path -- the cycle
-     tick, tag masking, the mapped-region check, the last-page-cache
-     probe and the little-endian byte assembly -- per static size
-     class, falling back to the shared State/Memory routines on the
-     slow paths (possibly-unmapped address, page straddle, unusual
-     size);
+   - memory: loads and stores inline the fast path -- the cycle tick,
+     tag masking, the mapped-region check and the last-page-cache
+     probe -- per static size class, then read or write one
+     little-endian word through Memory's word functions (the
+     interpreter's own), falling back to the shared State/Memory
+     routines on the slow paths (possibly-unmapped address, page
+     straddle, unusual size);
+   - copies: a move whose destination is defined only there and read
+     only later in its block compiles to nothing, its readers reading
+     the move's source (see "copy forwarding" below);
    - control: a compare feeding the block's conditional branch fuses
      into one closure (the compare result is still written to its
      register, observably identical);
@@ -176,73 +180,35 @@ let chk st a size =
   then State.check_mapped st a size
 
 (* Raw sized accesses over the last-page cache; callers have checked the
-   mapping (so [a] is nonnegative and the unsafe byte accesses stay
-   within the page, which is always [Layout46.page_size] long).  Byte
-   assembly is exactly Memory.load/store's little-endian semantics --
-   an 8-byte load reassembles the stored 63-bit word (byte 7 carries
-   bits 56..62), and both paths are mod-2^63 arithmetic throughout. *)
+   mapping (so [a] is nonnegative).  The words themselves are
+   Memory's ([Memory.get_word] and friends), the interpreter's own
+   definition; only the page probe and the straddle test are inlined
+   here. *)
+let pg (mem : Memory.t) a =
+  if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
+  else Memory.page mem a
+[@@inline]
+
 let ld1 st a =
-  let mem = st.State.mem in
-  let p =
-    if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-    else Memory.page mem a
-  in
-  Char.code (Bytes.unsafe_get p (a land page_mask))
+  Char.code (Bytes.unsafe_get (pg st.State.mem a) (a land page_mask))
 
 let ld2 st a =
   let off = a land page_mask in
-  if off + 2 <= Layout46.page_size then begin
-    let mem = st.State.mem in
-    let p =
-      if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-      else Memory.page mem a
-    in
-    Char.code (Bytes.unsafe_get p off)
-    lor (Char.code (Bytes.unsafe_get p (off + 1)) lsl 8)
-  end
+  if off + 2 <= Layout46.page_size then Memory.get16 (pg st.State.mem a) off
   else Memory.load st.State.mem a 2
 
 let ld4 st a =
   let off = a land page_mask in
-  if off + 4 <= Layout46.page_size then begin
-    let mem = st.State.mem in
-    let p =
-      if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-      else Memory.page mem a
-    in
-    Char.code (Bytes.unsafe_get p off)
-    lor (Char.code (Bytes.unsafe_get p (off + 1)) lsl 8)
-    lor (Char.code (Bytes.unsafe_get p (off + 2)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get p (off + 3)) lsl 24)
-  end
+  if off + 4 <= Layout46.page_size then Memory.get32 (pg st.State.mem a) off
   else Memory.load st.State.mem a 4
-
-(* the little-endian 8-byte word at [off], as Memory.load assembles it
-   (the top byte contributes bits 56..62 of the 63-bit word) *)
-let word p off =
-  Char.code (Bytes.unsafe_get p off)
-  lor (Char.code (Bytes.unsafe_get p (off + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get p (off + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get p (off + 3)) lsl 24)
-  lor (Char.code (Bytes.unsafe_get p (off + 4)) lsl 32)
-  lor (Char.code (Bytes.unsafe_get p (off + 5)) lsl 40)
-  lor (Char.code (Bytes.unsafe_get p (off + 6)) lsl 48)
-  lor (Char.code (Bytes.unsafe_get p (off + 7)) lsl 56)
-[@@inline]
 
 (* includes the interpreter's pointer-width fault-injection filter; the
    filter's stateful branch must run whenever injection is armed *)
 let ld8 st a =
   let off = a land page_mask in
   let v =
-    if off + 8 <= Layout46.page_size then begin
-      let mem = st.State.mem in
-      let p =
-        if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-        else Memory.page mem a
-      in
-      word p off
-    end
+    if off + 8 <= Layout46.page_size then
+      Memory.get_word (pg st.State.mem a) off
     else Memory.load st.State.mem a 8
   in
   match st.State.fault.Fault.tagflip_every with
@@ -258,76 +224,282 @@ let san_ld8 (mem : Memory.t) a =
     if Layout46.page_of a = mem.Memory.san_pn then mem.Memory.san_page
     else Memory.page mem a
   in
-  word p (a land page_mask)
+  Memory.get_word p (a land page_mask)
 
 let sto1 st a v =
-  let mem = st.State.mem in
-  let p =
-    if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-    else Memory.page mem a
-  in
-  Bytes.unsafe_set p (a land page_mask) (Char.unsafe_chr (v land 0xff))
+  Bytes.unsafe_set (pg st.State.mem a) (a land page_mask)
+    (Char.unsafe_chr (v land 0xff))
 
 let sto2 st a v =
   let off = a land page_mask in
-  if off + 2 <= Layout46.page_size then begin
-    let mem = st.State.mem in
-    let p =
-      if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-      else Memory.page mem a
-    in
-    Bytes.unsafe_set p off (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set p (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff))
-  end
+  if off + 2 <= Layout46.page_size then Memory.set16 (pg st.State.mem a) off v
   else Memory.store st.State.mem a 2 v
 
 let sto4 st a v =
   let off = a land page_mask in
-  if off + 4 <= Layout46.page_size then begin
-    let mem = st.State.mem in
-    let p =
-      if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-      else Memory.page mem a
-    in
-    Bytes.unsafe_set p off (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set p (off + 1) (Char.unsafe_chr ((v asr 8) land 0xff));
-    Bytes.unsafe_set p (off + 2) (Char.unsafe_chr ((v asr 16) land 0xff));
-    Bytes.unsafe_set p (off + 3) (Char.unsafe_chr ((v asr 24) land 0xff))
-  end
+  if off + 4 <= Layout46.page_size then Memory.set32 (pg st.State.mem a) off v
   else Memory.store st.State.mem a 4 v
 
-(* byte 7 keeps only bits 56..62: the memory holds 63-bit words *)
 let sto8 st a v =
   let off = a land page_mask in
-  if off + 8 <= Layout46.page_size then begin
-    let mem = st.State.mem in
-    let p =
-      if Layout46.page_of a = mem.Memory.last_pn then mem.Memory.last_page
-      else Memory.page mem a
-    in
-    Bytes.unsafe_set p off (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set p (off + 1) (Char.unsafe_chr ((v asr 8) land 0xff));
-    Bytes.unsafe_set p (off + 2) (Char.unsafe_chr ((v asr 16) land 0xff));
-    Bytes.unsafe_set p (off + 3) (Char.unsafe_chr ((v asr 24) land 0xff));
-    Bytes.unsafe_set p (off + 4) (Char.unsafe_chr ((v asr 32) land 0xff));
-    Bytes.unsafe_set p (off + 5) (Char.unsafe_chr ((v asr 40) land 0xff));
-    Bytes.unsafe_set p (off + 6) (Char.unsafe_chr ((v asr 48) land 0xff));
-    Bytes.unsafe_set p (off + 7) (Char.unsafe_chr ((v asr 56) land 0x7f))
-  end
+  if off + 8 <= Layout46.page_size then
+    Memory.set_word (pg st.State.mem a) off v
   else Memory.store st.State.mem a 8 v
 
-let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
+(* --- copy forwarding ---------------------------------------------------- *)
+
+(* A move [d = s] compiles to nothing, and its readers read [s]
+   instead, when
+   - [d] has exactly one definition in the function (a parameter counts
+     as one), this move;
+   - every read of [d] is in the move's block, after the move;
+   - [s] is an immediate, or a register not redefined after the move
+     before [d]'s last read -- that last reader may itself redefine [s],
+     because every instruction reads its operands before it writes.
+   Forwarding is invisible: block costs are precomputed, a move neither
+   ticks nor traps (moves from unresolved globals or out-of-frame
+   registers are left alone), and [d]'s stale register is never read.
+   A chain [d2 = d1; d1 = s] resolves against [s]: [d1]'s substitution
+   and the position of [s]'s next definition carry over to [d2].
+
+   The analysis is linear and allocation-free: one pass over the
+   function records, per register, its definition count and the one
+   block (with first and last position) that reads it, and, per move,
+   the position of its source's next definition in the block (pending
+   moves wait on their source register until it is redefined); then
+   one pass over the moves alone decides, in program order, so that a
+   chain's head is decided before its tail.  Its arrays are scratch,
+   one set per domain, grown on demand and reused by every compile. *)
+
+type scratch = {
+  mutable ndef : int array;   (* reg -> definitions, parameters included *)
+  mutable ublk : int array;   (* reg -> the block reading it; -1 none,
+                                 -2 several *)
+  mutable ufirst : int array; (* reg -> first read position in [ublk] *)
+  mutable ulast : int array;  (* reg -> last read position (the
+                                 terminator's is the block length) *)
+  mutable pend : int array;   (* reg -> last move waiting on its next
+                                 definition ... *)
+  mutable pendb : int array;  (* ... valid while in this block *)
+  mutable via : int array;    (* forwarded reg -> the move whose source
+                                 its readers read (a chain's head);
+                                 -1 when not forwarded *)
+  mutable lim : int array;    (* forwarded reg -> next definition of its
+                                 source *)
+  mutable mblk : int array;   (* move -> block ... *)
+  mutable mpos : int array;   (* ... and position *)
+  mutable mnext : int array;  (* move -> previous move waiting on the
+                                 same source *)
+  mutable msrcnext : int array;
+      (* move -> next definition of its source register in its block *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { ndef = [||]; ublk = [||]; ufirst = [||]; ulast = [||]; pend = [||];
+        pendb = [||]; via = [||]; lim = [||]; mblk = [||]; mpos = [||];
+        mnext = [||]; msrcnext = [||] })
+
+(* the domain's scratch, with room for [nregs] registers and [ninstrs]
+   moves *)
+let scratch ~nregs ~ninstrs =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.ndef < nregs then begin
+    let n = max nregs (2 * Array.length sc.ndef) in
+    sc.ndef <- Array.make n 0;
+    sc.ublk <- Array.make n 0;
+    sc.ufirst <- Array.make n 0;
+    sc.ulast <- Array.make n 0;
+    sc.pend <- Array.make n 0;
+    sc.pendb <- Array.make n 0;
+    sc.via <- Array.make n 0;
+    sc.lim <- Array.make n 0
+  end;
+  if Array.length sc.mblk < ninstrs then begin
+    let n = max ninstrs (2 * Array.length sc.mblk) in
+    sc.mblk <- Array.make n 0;
+    sc.mpos <- Array.make n 0;
+    sc.mnext <- Array.make n 0;
+    sc.msrcnext <- Array.make n 0
+  end;
+  sc
+
+(* Fills [sc.via] for [lf]'s first [cap] registers; returns the number
+   of forwarded moves. *)
+let forward_copies (sc : scratch) (lf : Vcode.loaded_func) cap : int =
+  let ndef = sc.ndef and ublk = sc.ublk and ufirst = sc.ufirst
+  and ulast = sc.ulast and pend = sc.pend and pendb = sc.pendb
+  and mnext = sc.mnext and msrcnext = sc.msrcnext in
+  Array.fill ndef 0 cap 0;
+  Array.fill ublk 0 cap (-1);
+  Array.fill pendb 0 cap (-1);
+  Array.fill sc.via 0 cap (-1);
+  let read b k o =
+    match o with
+    | Reg x when x >= 0 && x < cap ->
+      let u = Array.unsafe_get ublk x in
+      if u = -1 then begin
+        Array.unsafe_set ublk x b;
+        Array.unsafe_set ufirst x k;
+        Array.unsafe_set ulast x k
+      end
+      else if u = b then Array.unsafe_set ulast x k
+      else Array.unsafe_set ublk x (-2)
+    | _ -> ()
+  [@@inline]
+  in
+  (* a definition of [r] at [k] in block [b] also resolves the moves
+     waiting on [r] there *)
+  let define b k r =
+    if r >= 0 && r < cap then begin
+      Array.unsafe_set ndef r (Array.unsafe_get ndef r + 1);
+      if Array.unsafe_get pendb r = b then begin
+        let m = ref (Array.unsafe_get pend r) in
+        while !m >= 0 do
+          Array.unsafe_set msrcnext !m k;
+          m := Array.unsafe_get mnext !m
+        done;
+        Array.unsafe_set pendb r (-1)
+      end
+    end
+  [@@inline]
+  in
+  List.iter
+    (fun r -> if r >= 0 && r < cap then ndef.(r) <- ndef.(r) + 1)
+    lf.Vcode.lf.f_params;
+  let code = lf.Vcode.code in
+  let nmoves = ref 0 in
+  for b = 0 to Array.length code - 1 do
+    let blk = code.(b) in
+    for k = 0 to Array.length blk - 1 do
+      match Array.unsafe_get blk k with
+      | Vcode.Vplain i ->
+        (match i with
+         | Imov { dst; src } ->
+           read b k src;
+           (* a candidate: into a frame register, from an immediate or
+              a frame register *)
+           if dst >= 0 && dst < cap then begin
+             match src with
+             | Imm _ ->
+               let m = !nmoves in
+               incr nmoves;
+               sc.mblk.(m) <- b;
+               sc.mpos.(m) <- k;
+               msrcnext.(m) <- max_int
+             | Reg x when x >= 0 && x < cap ->
+               let m = !nmoves in
+               incr nmoves;
+               sc.mblk.(m) <- b;
+               sc.mpos.(m) <- k;
+               msrcnext.(m) <- max_int;
+               mnext.(m) <- (if pendb.(x) = b then pend.(x) else -1);
+               pend.(x) <- m;
+               pendb.(x) <- b
+             | Reg _ | Glob _ -> ()
+           end;
+           define b k dst
+         | Isext { src = o; dst; _ } | Iload { addr = o; dst; _ } ->
+           read b k o;
+           define b k dst
+         | Ibin { a; b = o; dst; _ } | Icmp { a; b = o; dst; _ } ->
+           read b k a;
+           read b k o;
+           define b k dst
+         | Istore { addr; src; _ } -> read b k addr; read b k src
+         | Igep { base; idx; dst; _ } ->
+           read b k base;
+           (match idx with Some o -> read b k o | None -> ());
+           define b k dst
+         | Islot { dst; _ } -> define b k dst
+         | Icall _ | Iintrin _ -> ())
+      | Vcode.Vcall { dst; args; _ } | Vcode.Vintrin { dst; args; _ } ->
+        for j = 0 to Array.length args - 1 do
+          read b k (Array.unsafe_get args j)
+        done;
+        (match dst with Some d -> define b k d | None -> ())
+      | Vcode.Vtelem _ -> ()
+    done;
+    match lf.Vcode.terms.(b) with
+    | Tret (Some o) | Tcbr (o, _, _) -> read b (Array.length blk) o
+    | Tret None | Tbr _ -> ()
+  done;
+  let via = sc.via and lim = sc.lim in
+  let forwarded = ref 0 in
+  for m = 0 to !nmoves - 1 do
+    let b = sc.mblk.(m) and k = sc.mpos.(m) in
+    match code.(b).(k) with
+    | Vcode.Vplain (Imov { dst = d; src }) ->
+      let u = ublk.(d) in
+      if ndef.(d) = 1 && (u = -1 || (u = b && ufirst.(d) > k)) then begin
+        (* the move whose source a reader of [d] would read, and the
+           position of that source's next definition *)
+        let head, limit =
+          match src with
+          | Reg x when via.(x) >= 0 -> (via.(x), lim.(x))
+          | Reg _ -> (m, msrcnext.(m))
+          | Imm _ | Glob _ -> (m, max_int)
+        in
+        if u = -1 || ulast.(d) <= limit then begin
+          via.(d) <- head;
+          lim.(d) <- limit;
+          incr forwarded
+        end
+      end
+    | _ -> ()
+  done;
+  !forwarded
+
+(* Test instrumentation: how many moves compilation has forwarded in
+   this process.  A pinned count over the SPEC kernels fails a test if
+   forwarding is silently disabled. *)
+let forwarded_moves = ref 0
+
+let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
+    (jf : jfunc) : unit =
   let lf = jf.jlf in
   let cap = jf.nregs in
   (* a register index statically within the frame's register file needs
      no bounds check; anything else keeps the interpreter's behaviour on
      malformed IR (a checked access that raises) *)
   let fast r = r >= 0 && r < cap in
+  let nfwd = forward_copies sc lf cap in
+  forwarded_moves := !forwarded_moves + nfwd;
+  (* every operand a reader compiles goes through [res]: a forwarded
+     register reads the source of its chain's head move *)
+  let via = sc.via in
+  let forwarded r = nfwd > 0 && fast r && Array.unsafe_get via r >= 0 in
+  let res o =
+    match o with
+    | Reg r when forwarded r ->
+      let m = Array.unsafe_get via r in
+      (match lf.Vcode.code.(sc.mblk.(m)).(sc.mpos.(m)) with
+       | Vcode.Vplain (Imov { src; _ }) -> src
+       | _ -> assert false (* [via] names moves only *))
+    | o -> o
+  in
+  let fwd_opnd = function Reg r -> forwarded r | Imm _ | Glob _ -> false in
+  let res_instr i =
+    let touched =
+      nfwd > 0
+      &&
+      match i with
+      | Imov { src = o; _ } | Isext { src = o; _ } | Iload { addr = o; _ } ->
+        fwd_opnd o
+      | Ibin { a; b; _ } | Icmp { a; b; _ } -> fwd_opnd a || fwd_opnd b
+      | Istore { addr; src; _ } -> fwd_opnd addr || fwd_opnd src
+      | Igep { base; idx; _ } ->
+        fwd_opnd base || (match idx with Some o -> fwd_opnd o | None -> false)
+      | Islot _ | Icall _ | Iintrin _ -> false
+    in
+    if touched then map_opnds res i else i
+  in
   (* generic operand evaluators (the specialized shapes below bypass
      them): constants become constant closures, and a global still
      unresolved after {!Vcode.resolve} is unknown by construction -- it
      compiles to the interpreter's execution-time trap *)
-  let ev : opnd -> env -> int = function
+  let ev (o : opnd) : env -> int =
+    match res o with
     | Imm v -> fun _ -> v
     | Reg r when fast r -> fun env -> Array.unsafe_get env.regs r
     | Reg r -> fun env -> env.regs.(r)
@@ -488,7 +660,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
               next env)
        | _ -> call)
     | Vcode.Vplain i ->
-      (match i with
+      (match res_instr i with
        | Imov { dst = d; src } when fast d ->
          (match src with
           | Imm v ->
@@ -972,19 +1144,23 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
     let n = Array.length code in
     let term = lf.Vcode.terms.(b) in
     (* detect the compare/branch fusion; [upto] instructions remain to
-       compile ahead of the (possibly fused) tail *)
+       compile ahead of the (possibly fused) tail, forwarded moves
+       compiling to nothing *)
     let tail, upto =
       match term with
-      | Tcbr (Reg c, bt, bf) when n > 0 && fast c ->
-        (match code.(n - 1) with
-         | Vcode.Vplain (Icmp { op; dst; a; b = cb }) when dst = c ->
-           fused op c a cb bt bf, n - 1
+      | Tcbr (c, bt, bf) when n > 0 ->
+        (match res c, code.(n - 1) with
+         | Reg c, Vcode.Vplain (Icmp { op; dst; a; b = cb })
+           when dst = c && fast c ->
+           fused op c (res a) (res cb) bt bf, n - 1
          | _ -> compile_term term, n)
       | _ -> compile_term term, n
     in
     let body = ref tail in
     for i = upto - 1 downto 0 do
-      body := compile_instr code.(i) !body
+      match code.(i) with
+      | Vcode.Vplain (Imov { dst; _ }) when forwarded dst -> ()
+      | vi -> body := compile_instr vi !body
     done;
     let body = !body in
     (* block entry: tick the precomputed cost (telemetry markers are
@@ -1009,14 +1185,22 @@ let compile (vc : Vcode.t) : prog =
   let jfuncs = Hashtbl.create 17 in
   (* two phases, like Vcode.resolve: create every function's record
      first so direct calls can bind, then compile the bodies *)
+  let nregs = ref 1 and ninstrs = ref 0 in
   Hashtbl.iter
     (fun name lf ->
-       Hashtbl.replace jfuncs name
+       let jf =
          { jlf = lf; nregs = max lf.Vcode.lf.f_nregs 1;
            params = lf.Vcode.lf.f_params; entry = dead_step;
-           spare = None })
+           spare = None }
+       in
+       nregs := max !nregs jf.nregs;
+       ninstrs :=
+         max !ninstrs
+           (Array.fold_left (fun n c -> n + Array.length c) 0 lf.Vcode.code);
+       Hashtbl.replace jfuncs name jf)
     vc.Vcode.funcs;
-  Hashtbl.iter (fun _ jf -> compile_func jfuncs jf) jfuncs;
+  let sc = scratch ~nregs:!nregs ~ninstrs:!ninstrs in
+  Hashtbl.iter (fun _ jf -> compile_func sc jfuncs jf) jfuncs;
   { vc; jfuncs }
 
 type Tir.Ir.vm_cache += Cached of prog

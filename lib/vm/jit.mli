@@ -59,3 +59,8 @@ val exec_jfunc : ctx -> jfunc -> int array -> int
 val compilations : int ref
 (** Process-wide count of full compilations, for cache regression
     tests. *)
+
+val forwarded_moves : int ref
+(** Process-wide count of the moves compilation forwarded (compiled to
+    nothing, their readers reading the source), for the tests that pin
+    it. *)

@@ -294,6 +294,73 @@ let flag_tests =
           (parse seed [ "--seed"; "-3" ]);
         Alcotest.(check (option int)) "--seed=-3" None
           (parse seed [ "--seed=-3" ]));
+    Alcotest.test_case "pos_int and nonneg_int bound their flags" `Quick
+      (fun () ->
+         let flag c = Cmdliner.Arg.(value & opt c 7 & info [ "k" ]) in
+         let pos = flag Harness.Cli.pos_int
+         and nonneg = flag Harness.Cli.nonneg_int in
+         Alcotest.(check (option int)) "pos 1" (Some 1) (parse pos [ "-k"; "1" ]);
+         Alcotest.(check (option int)) "pos 0x10" (Some 16)
+           (parse pos [ "-k"; "0x10" ]);
+         Alcotest.(check (option int)) "pos 0" None (parse pos [ "-k"; "0" ]);
+         Alcotest.(check (option int)) "pos -1" None (parse pos [ "-k"; "-1" ]);
+         Alcotest.(check (option int)) "nonneg 0" (Some 0)
+           (parse nonneg [ "-k"; "0" ]);
+         Alcotest.(check (option int)) "nonneg -1" None
+           (parse nonneg [ "-k"; "-1" ]);
+         Alcotest.(check (option int)) "nonneg x" None
+           (parse nonneg [ "-k"; "x" ]));
+    Alcotest.test_case "out-of-range integer flags are usage errors" `Quick
+      (fun () ->
+         (* each binary must reject the value before doing any work:
+            exit 124 and nothing on stdout *)
+         let exe name =
+           Filename.concat (Filename.dirname Sys.executable_name)
+             ("../bin/" ^ name ^ ".exe")
+         in
+         let run name args =
+           let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+           let null_err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+           let out_r, out_w = Unix.pipe ~cloexec:true () in
+           let pid =
+             Unix.create_process (exe name)
+               (Array.of_list (exe name :: args))
+               null_in out_w null_err
+           in
+           Unix.close out_w;
+           Unix.close null_in;
+           Unix.close null_err;
+           let ic = Unix.in_channel_of_descr out_r in
+           let out = In_channel.input_all ic in
+           close_in ic;
+           let _, status = Unix.waitpid [] pid in
+           (status, out)
+         in
+         let usage_error name args =
+           let status, out = run name args in
+           let ctx = String.concat " " (name :: args) in
+           Alcotest.(check bool) (ctx ^ ": exit 124") true
+             (status = Unix.WEXITED 124);
+           Alcotest.(check string) (ctx ^ ": stdout") "" out
+         in
+         let src =
+           Filename.concat (Filename.dirname Sys.executable_name)
+             "corpus/00_spatial-stack.mc"
+         in
+         (* a negative value is written "--flag=-1": after a space,
+            cmdliner would read "-1" as an option *)
+         List.iter (usage_error "cecsan_fuzz")
+           [ [ "-n"; "0" ]; [ "--shard-size"; "0" ]; [ "--shard-size=-1" ];
+             [ "--max-shrink=-1" ];
+             [ "--write-corpus"; "--corpus-count"; "0" ];
+             [ "--max-retries=-1" ] ];
+         usage_error "cecsan_serve" [ "--batch"; "0" ];
+         List.iter
+           (fun args -> usage_error "cecsan_cli" (src :: args))
+           [ [ "--fuel=-1" ]; [ "--budget=-1" ]; [ "--max-reports=-1" ] ];
+         (* the bound itself is accepted: zero fuel exhausts at once *)
+         Alcotest.(check bool) "cecsan_cli --fuel 0: exit 5" true
+           (fst (run "cecsan_cli" [ src; "--fuel"; "0" ]) = Unix.WEXITED 5));
     Alcotest.test_case "--backend takes interp|jit only" `Quick (fun () ->
         let b = Harness.Cli.backend ~doc:"" in
         Alcotest.(check (option (option backend))) "jit"

@@ -459,6 +459,236 @@ let inline_check_tests =
           interp.Sanitizer.Driver.cycles jit.Sanitizer.Driver.cycles);
   ]
 
+(* --- copy forwarding and the memory path ---------------------------------- *)
+
+(* One module on both backends, every observable compared; returns the
+   jit's run and how many moves its compilation forwarded.  The module
+   must be fresh (never run before), so that the jit compiles it here. *)
+let both ~ctx md =
+  let f0 = !Vm.Jit.forwarded_moves in
+  let go backend =
+    let r =
+      Sanitizer.Driver.run_module Sanitizer.Spec.none ~backend md
+    in
+    (observe r, r.Sanitizer.Driver.resident,
+     r.Sanitizer.Driver.program_resident)
+  in
+  let (i, i_res, i_prog) = go Vm.Machine.Interp in
+  let (j, j_res, j_prog) = go Vm.Machine.Jit in
+  let fwd = !Vm.Jit.forwarded_moves - f0 in
+  Alcotest.(check string) (ctx ^ ": outcome") i.o_outcome j.o_outcome;
+  Alcotest.(check int) (ctx ^ ": cycles") i.o_cycles j.o_cycles;
+  Alcotest.(check string) (ctx ^ ": output") i.o_output j.o_output;
+  Alcotest.(check string) (ctx ^ ": telemetry") i.o_snapshot j.o_snapshot;
+  Alcotest.(check int) (ctx ^ ": resident") i_res j_res;
+  Alcotest.(check int) (ctx ^ ": program resident") i_prog j_prog;
+  (j, j_res, j_prog, fwd)
+
+(* A module whose [main] is the given blocks over [nregs] registers.
+   [main] keeps the stack slot of the stub it replaces (a 32-byte char
+   array), whose id the block builder receives. *)
+let hand ~nregs (blocks : int -> (Tir.Ir.instr list * Tir.Ir.term) array) =
+  let md =
+    Tir.Ir.clone
+      (Sanitizer.Driver.build Sanitizer.Spec.none
+         "int main() { char b[32]; b[1] = 2; return b[1]; }")
+  in
+  let f = Option.get (Tir.Ir.find_func md "main") in
+  let slot = (List.hd f.Tir.Ir.f_slots).Tir.Ir.s_id in
+  f.Tir.Ir.f_nregs <- nregs;
+  f.Tir.Ir.f_blocks <-
+    Array.mapi
+      (fun i (instrs, term) ->
+         { Tir.Ir.b_id = i; b_instrs = instrs; b_term = term })
+      (blocks slot);
+  md
+
+let exits ~ctx expected (o : obs) =
+  Alcotest.(check string) (ctx ^ ": exit") (Printf.sprintf "exit %d" expected)
+    o.o_outcome
+
+module I = struct
+  include Tir.Ir
+  let r x = Reg x
+  let i v = Imm v
+  let add dst a b = Ibin { op = Add; dst; a; b }
+  let mov dst src = Imov { dst; src }
+  let lt dst a b = Icmp { op = Lt; dst; a; b }
+  let ret o = Tret (Some o)
+  let ld ?(signed = false) dst addr size =
+    Iload { dst; addr; size; signed; safe = false }
+  let st addr src size = Istore { addr; src; size; safe = false }
+end
+
+(* name, registers, blocks, exit code, forwarded moves *)
+let forwarding_cases =
+  let open I in
+  [ ("a copy read by Tret", 2,
+     [| ([ add 0 (i 40) (i 2); mov 1 (r 0) ], ret (r 1)) |], 42, 1);
+    ("a copy read by Tcbr", 2,
+     [| ([ add 0 (i 0) (i 1); mov 1 (r 0) ], Tcbr (r 1, 1, 2));
+        ([], ret (i 10)); ([], ret (i 20)) |], 10, 1);
+    ("a copy read by a compare and its branch", 4,
+     [| ([ add 0 (i 2) (i 1); mov 1 (r 0); lt 2 (r 1) (i 5); mov 3 (r 2) ],
+         Tcbr (r 3, 1, 2));
+        ([], ret (i 10)); ([], ret (i 20)) |], 10, 2);
+    ("an immediate copy", 3,
+     [| ([ mov 1 (i 6); add 2 (r 1) (r 1) ], ret (r 2)) |], 12, 1);
+    (* r1 is read at the top of the loop body, before the move: the
+       read sees the previous iteration's copy (0, 1, 2, 3, 4) *)
+    ("a self-loop block reads the copy before the move", 5,
+     [| ([], Tbr 1);
+        ([ add 0 (r 0) (i 1); add 2 (r 2) (r 1); mov 1 (r 0);
+           lt 4 (r 0) (i 5) ], Tcbr (r 4, 1, 2));
+        ([], ret (r 2)) |], 10, 0);
+    ("a copy read in another block", 2,
+     [| ([ add 0 (i 0) (i 5); mov 1 (r 0); add 0 (r 0) (i 1) ], Tbr 1);
+        ([], ret (r 1)) |], 5, 0);
+    ("a copy defined twice", 2,
+     [| ([ add 0 (i 0) (i 5); mov 1 (r 0); add 1 (i 0) (i 9) ], ret (r 1)) |],
+     9, 0);
+    ("the source redefined before the copy's last read", 3,
+     [| ([ add 0 (i 0) (i 3); mov 1 (r 0); add 0 (r 1) (i 1);
+           add 2 (r 1) (r 0) ], ret (r 2)) |], 7, 0);
+    ("the source redefined by the copy's last reader", 2,
+     [| ([ add 0 (i 0) (i 3); mov 1 (r 0); add 0 (r 1) (i 1) ], ret (r 0)) |],
+     4, 1);
+    ("a chain resolves against its source", 4,
+     [| ([ add 0 (i 0) (i 3); mov 1 (r 0); mov 2 (r 1); add 3 (r 2) (r 1);
+           add 0 (r 3) (r 2) ], ret (r 0)) |], 9, 2);
+    (* r1 forwards to r0, whose redefinition at position 3 then bounds
+       r2 = r1 as well: r2 must not forward *)
+    ("a chain carries its source's redefinition", 3,
+     [| ([ add 0 (i 0) (i 3); mov 1 (r 0); mov 2 (r 1); add 0 (i 0) (i 50) ],
+         ret (r 2)) |], 3, 1) ]
+
+(* Forwarded moves over the 16 SPEC kernels under none and CECSan, each
+   compiled once: the count that shows forwarding is on. *)
+let kernel_forwarded_moves = 2113
+
+let forwarding_tests =
+  List.map
+    (fun (name, nregs, blocks, code, nfwd) ->
+       Alcotest.test_case name `Quick (fun () ->
+           let md = hand ~nregs (fun _ -> blocks) in
+           let o, _, _, fwd = both ~ctx:name md in
+           exits ~ctx:name code o;
+           Alcotest.(check int) (name ^ ": forwarded moves") nfwd fwd))
+    forwarding_cases
+  @ [
+    Alcotest.test_case "a source redefined after a post-increment copy"
+      `Quick (fun () ->
+          (* y = x++ copies x, then redefines it while the copy is
+             still to be read: forwarding the copy would exit 61 *)
+          let md =
+            Sanitizer.Driver.build Sanitizer.Spec.none
+              "int main(){ int x = 3; int y = x++; int z = x; x = x + 1; \
+               return y*100 + z*10 + x; }"
+          in
+          let o, _, _, _ = both ~ctx:"x++" md in
+          exits ~ctx:"x++" 345 o);
+    Alcotest.test_case "forwarded moves over the SPEC kernels are pinned"
+      `Quick (fun () ->
+          let f0 = !Vm.Jit.forwarded_moves in
+          List.iter
+            (fun (w : Workloads.Spec2006.t) ->
+               List.iter
+                 (fun san ->
+                    let md = Sanitizer.Driver.build san w.w_source in
+                    ignore (Vm.Jit.compile (Vm.Vcode.resolve md)))
+                 [ Sanitizer.Spec.none; Cecsan.sanitizer () ])
+            (Workloads.Spec2006.all @ Workloads.Spec2017.all);
+          Alcotest.(check int) "forwarded moves" kernel_forwarded_moves
+            (!Vm.Jit.forwarded_moves - f0));
+  ]
+
+(* Word accesses against the memory's 63-bit little-endian layout, at
+   page offsets 4094/4095 where 2/4/8-byte accesses straddle two pages,
+   and over more pages than the page cache has entries.  Values and
+   residency are pinned. *)
+let memory_path_tests =
+  let open I in
+  (* r0 = a page-aligned heap address with two pages behind it *)
+  let heap_page =
+    [ Icall { dst = Some 0; callee = "malloc"; args = [ i 12288 ] };
+      add 0 (r 0) (i 4095);
+      Ibin { op = And; dst = 0; a = r 0; b = i (-4096) } ]
+  in
+  let case name blocks expected ~resident ~program =
+    Alcotest.test_case name `Quick (fun () ->
+        let md = hand ~nregs:4 blocks in
+        let o, res, prog, _ = both ~ctx:name md in
+        exits ~ctx:name expected o;
+        Alcotest.(check int) (name ^ ": resident") resident res;
+        Alcotest.(check int) (name ^ ": program resident") program prog)
+  in
+  let straddle size off v expected =
+    case (Printf.sprintf "%d-byte access at page offset %d" size off)
+      (fun _ ->
+         [| (heap_page
+             @ [ add 1 (r 0) (i off); st (r 1) (i v) size;
+                 ld 2 (r 1) size; add 3 (r 1) (i 1); ld 3 (r 3) 1;
+                 (* the value and its second byte, which may sit on the
+                    next page *)
+                 Ibin { op = Shl; dst = 3; a = r 3; b = i 56 };
+                 Ibin { op = Xor; dst = 2; a = r 2; b = r 3 } ],
+             ret (r 2)) |])
+      expected
+  in
+  [ case "store.1 0xFF into byte 7, then load.8"
+      (fun slot ->
+         [| ([ Islot { dst = 0; slot }; st (r 0) (i 0x0102030405060708) 8;
+               add 1 (r 0) (i 7); st (r 1) (i 0xFF) 1; ld 2 (r 0) 8 ],
+             ret (r 2)) |])
+      0x7F02030405060708 ~resident:4096 ~program:4096;
+    case "negative store.8, then load.1 of byte 7"
+      (fun slot ->
+         [| ([ Islot { dst = 0; slot }; st (r 0) (i (-1)) 8;
+               add 1 (r 0) (i 7); ld ~signed:true 2 (r 1) 1 ],
+             ret (r 2)) |])
+      0x7F ~resident:4096 ~program:4096;
+    (* byte 7 holds bits 56..62, so a 63-bit word round-trips *)
+    case "negative store.8, then load.8"
+      (fun slot ->
+         [| ([ Islot { dst = 0; slot }; st (r 0) (i (-2)) 8; ld 2 (r 0) 8 ],
+             ret (r 2)) |])
+      (-2) ~resident:4096 ~program:4096;
+    straddle 2 4094 0xBEEF (0xBEEF lxor (0xBE lsl 56))
+      ~resident:8192 ~program:8192;
+    straddle 2 4095 0xBEEF (0xBEEF lxor (0xBE lsl 56))
+      ~resident:12288 ~program:12288;
+    straddle 4 4094 0xDEADBEEF (0xDEADBEEF lxor (0xBE lsl 56))
+      ~resident:12288 ~program:12288;
+    straddle 4 4095 0xDEADBEEF (0xDEADBEEF lxor (0xBE lsl 56))
+      ~resident:12288 ~program:12288;
+    straddle 8 4094 0x0123456789ABCDEF (0x0123456789ABCDEF lxor (0xCD lsl 56))
+      ~resident:12288 ~program:12288;
+    straddle 8 4095 0x0123456789ABCDEF (0x0123456789ABCDEF lxor (0xCD lsl 56))
+      ~resident:12288 ~program:12288;
+    Alcotest.test_case "alternating pages that share a page-cache entry"
+      `Quick (fun () ->
+          (* every pair of 130 pages, more than the cache's 128 entries,
+             so some pairs collide on one entry *)
+          let md =
+            Sanitizer.Driver.build Sanitizer.Spec.none
+              "int main() {\n\
+              \  char *p = malloc(130 * 4096);\n\
+              \  int s = 0;\n\
+              \  for (int i = 0; i < 130; i++)\n\
+              \    for (int j = i + 1; j < 130; j++) {\n\
+              \      p[i * 4096 + (j & 7)] = i;\n\
+              \      p[j * 4096 + (i & 7)] = j;\n\
+              \      s = s + p[i * 4096 + (j & 7)] - p[j * 4096 + (i & 7)];\n\
+              \    }\n\
+              \  free(p);\n\
+              \  return s;\n\
+               }"
+          in
+          let o, res, prog, _ = both ~ctx:"pairs" md in
+          exits ~ctx:"pairs" (-300609) o;
+          Alcotest.(check int) "resident" 532480 res;
+          Alcotest.(check int) "program resident" 532480 prog) ]
+
 let () =
   Alcotest.run "jit"
     [
@@ -466,4 +696,6 @@ let () =
       "caches", cache_tests;
       "page cache", page_cache_tests;
       "inline check", inline_check_tests;
+      "forwarding", forwarding_tests;
+      "memory path", memory_path_tests;
     ]

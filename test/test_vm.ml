@@ -591,6 +591,30 @@ let page_cache_tests =
          Vm.Alloc.free t b;
          Alcotest.(check int) "grown copy preserved data" 0x55
            (Vm.Memory.load_byte mem c));
+    Alcotest.test_case "pages sharing a page-cache entry stay apart" `Quick
+      (fun () ->
+         (* every pair of 200 pages -- more than the cache has entries,
+            so some pairs share one -- written and read back in
+            alternation, in both areas *)
+         List.iter
+           (fun base ->
+              let mem = Vm.Memory.create () in
+              let addr k = base + (k * 4096) + (k land 7) in
+              for i = 0 to 199 do
+                for j = i + 1 to 199 do
+                  Vm.Memory.store mem (addr i) 4 (i * 1000 + j);
+                  Vm.Memory.store mem (addr j) 4 (j * 1000 + i);
+                  if Vm.Memory.load mem (addr i) 4 <> i * 1000 + j
+                  || Vm.Memory.load mem (addr j) 4 <> j * 1000 + i then
+                    Alcotest.failf "pages %d and %d interfere" i j
+                done
+              done;
+              Alcotest.(check int) "resident pages" 200
+                mem.Vm.Memory.resident_pages;
+              Vm.Memory.invalidate_cache mem;
+              Alcotest.(check int) "after invalidation" (199 * 1000 + 198)
+                (Vm.Memory.load mem (addr 199) 4))
+           [ Vm.Layout46.heap_base; Vm.Layout46.meta_base ]);
     Alcotest.test_case "invalidate_cache is transparent" `Quick (fun () ->
         let mem = Vm.Memory.create () in
         let a = Vm.Layout46.heap_base in
