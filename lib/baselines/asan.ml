@@ -352,17 +352,13 @@ let fresh_runtime ?(quarantine_cap = default_quarantine_cap) () :
     quarantine_cap;
     free_lists = Hashtbl.create 16;
   } in
-  let vrt = {
-    Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
-    malloc = Some (asan_malloc rt);
-    free_ = Some (asan_free rt);
-    intercept = interceptors rt;
-    usable_size = Some (usable_size rt);
-    tbi_bits = 0;
-    at_exit = (fun _ -> ());
-    checks = [];
-  } in
+  let vrt =
+    { (Vm.Runtime.plain name) with
+      malloc = Some (asan_malloc rt);
+      free_ = Some (asan_free rt);
+      intercept = interceptors rt;
+      usable_size = Some (usable_size rt) }
+  in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__asan_check_load" (fun st a ->
       check rt st ~write:false a.(0) a.(1);

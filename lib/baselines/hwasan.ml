@@ -245,17 +245,14 @@ let interceptors : string -> Vm.Runtime.interceptor option = function
 let fresh_runtime () : Vm.Runtime.t =
   let rt = { last_tag = 0; blocks = Hashtbl.create 64 } in
   let globals : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let vrt = {
-    Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
-    malloc = Some (hw_malloc rt);
-    free_ = Some (hw_free rt);
-    intercept = interceptors;
-    usable_size = Some (hw_usable rt);
-    tbi_bits = 63 - tag_shift;
-    at_exit = (fun _ -> ());
-    checks = [];
-  } in
+  let vrt =
+    { (Vm.Runtime.plain name) with
+      malloc = Some (hw_malloc rt);
+      free_ = Some (hw_free rt);
+      intercept = interceptors;
+      usable_size = Some (hw_usable rt);
+      tbi_bits = 63 - tag_shift }
+  in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__hwasan_check_load" (fun st a -> check st ~write:false a.(0) a.(1); 0);
   reg "__hwasan_check_store" (fun st a -> check st ~write:true a.(0) a.(1); 0);

@@ -227,17 +227,9 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
   let rt = create pol in
   let gpt = Cecsan.Runtime.gpt_create () in
   let pre = pol.p_prefix in
-  let vrt = {
-    Vm.Runtime.rt_name = pol.p_name;
-    intrinsics = Hashtbl.create 24;
-    malloc = None;
-    free_ = None;
-    intercept = interceptors rt;
-    usable_size = None;
-    tbi_bits = 0;
-    at_exit = (fun _ -> ());
-    checks = [];
-  } in
+  let vrt =
+    { (Vm.Runtime.plain pol.p_name) with intercept = interceptors rt }
+  in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg (pre ^ "_check_load") (fun st a -> auth rt st ~write:false a.(0) a.(1));
   reg (pre ^ "_check_store") (fun st a -> auth rt st ~write:true a.(0) a.(1));

@@ -303,17 +303,7 @@ let fresh_runtime () : Vm.Runtime.t =
     next_lock = 1;
     next_key = 1;
   } in
-  let vrt = {
-    Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
-    malloc = None;
-    free_ = None;
-    intercept = interceptors rt;
-    usable_size = None;
-    tbi_bits = 0;
-    at_exit = (fun _ -> ());
-    checks = [];
-  } in
+  let vrt = { (Vm.Runtime.plain name) with intercept = interceptors rt } in
   let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
   reg "__sb_malloc" (fun st a -> sb_malloc rt st a.(0));
   reg "__sb_free" (fun st a -> sb_free rt st a.(0); 0);

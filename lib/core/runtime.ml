@@ -536,39 +536,35 @@ let stats rt =
 let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
   let rt = { table = None; gpt = gpt_create (); reports_sub_object = 0;
              chain_overflow; entry0_hits = 0; sub_temporaries = 0 } in
-  let vrt = {
-    Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 32;
-    malloc = None;          (* the point: no custom allocator *)
-    free_ = None;
-    intercept = interceptors rt;
-    usable_size = None;
-    tbi_bits = 0;           (* x86-64: no TBI; checks strip explicitly *)
-    checks = [];
-    at_exit =
-      (fun st ->
-         (* publish the table's degradation telemetry so the driver and
-            [--stats] can see coverage lost to exhaustion/chaining *)
-         if rt.entry0_hits > 0 then
-           Vm.State.set_stat st "entry0_hits" rt.entry0_hits;
-         if rt.sub_temporaries > 0 then
-           Vm.State.set_stat st "sub_temporaries" rt.sub_temporaries;
-         match rt.table with
-         | None -> ()
-         | Some t ->
-           Vm.State.set_stat st "meta_live" t.Meta_table.live;
-           Vm.State.set_stat st "meta_recycled" t.Meta_table.recycled;
-           Vm.State.set_stat st "meta_peak_live" t.Meta_table.peak_live;
-           Vm.State.set_stat st "meta_total_allocated"
-             t.Meta_table.total_allocated;
-           Vm.State.set_stat st "exhausted_fallbacks"
-             t.Meta_table.exhausted_fallbacks;
-           Vm.State.set_stat st "chained" t.Meta_table.chain_total;
-           Vm.State.set_stat st "chain_live" t.Meta_table.chained;
-           Vm.State.set_stat st "chain_lookups" t.Meta_table.chain_lookups;
-           Vm.State.set_stat st "chain_links_walked"
-             t.Meta_table.chain_links_walked);
-  } in
+  (* no custom allocator (the point), and no TBI: x86-64 checks strip
+     explicitly *)
+  let vrt =
+    { (Vm.Runtime.plain name) with
+      intercept = interceptors rt;
+      at_exit =
+        (fun st ->
+           (* publish the table's degradation telemetry so the driver and
+              [--stats] can see coverage lost to exhaustion/chaining *)
+           if rt.entry0_hits > 0 then
+             Vm.State.set_stat st "entry0_hits" rt.entry0_hits;
+           if rt.sub_temporaries > 0 then
+             Vm.State.set_stat st "sub_temporaries" rt.sub_temporaries;
+           match rt.table with
+           | None -> ()
+           | Some t ->
+             Vm.State.set_stat st "meta_live" t.Meta_table.live;
+             Vm.State.set_stat st "meta_recycled" t.Meta_table.recycled;
+             Vm.State.set_stat st "meta_peak_live" t.Meta_table.peak_live;
+             Vm.State.set_stat st "meta_total_allocated"
+               t.Meta_table.total_allocated;
+             Vm.State.set_stat st "exhausted_fallbacks"
+               t.Meta_table.exhausted_fallbacks;
+             Vm.State.set_stat st "chained" t.Meta_table.chain_total;
+             Vm.State.set_stat st "chain_live" t.Meta_table.chained;
+             Vm.State.set_stat st "chain_lookups" t.Meta_table.chain_lookups;
+             Vm.State.set_stat st "chain_links_walked"
+               t.Meta_table.chain_links_walked) }
+  in
   List.iter (fun (n, f) -> Vm.Runtime.register vrt n f) (intrinsic_table rt);
   List.iter
     (fun (name, write, cost) ->

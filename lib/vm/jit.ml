@@ -10,16 +10,15 @@
 
    - operands: constants fold into the closure, register indices
      statically within the frame's register file compile to unchecked
-     array accesses, and the common ALU/compare shapes (reg op reg,
-     reg op imm) become single closures with no operand-evaluator
-     indirection;
-   - memory: loads and stores inline the fast path -- the cycle tick,
-     tag masking, the mapped-region check and the last-page-cache
-     probe -- per static size class, then read or write one
-     little-endian word through Memory's word functions (the
+     array accesses, and the shapes that carry traffic (below) become
+     single closures with no operand-evaluator indirection;
+   - memory: loads and stores of 1, 2, 4 and 8 bytes share one
+     prologue ([access]: the cycle tick, tag masking, the
+     mapped-region check), probe the last-page cache, then read or
+     write one little-endian word through Memory's word functions (the
      interpreter's own), falling back to the shared State/Memory
      routines on the slow paths (possibly-unmapped address, page
-     straddle, unusual size);
+     straddle);
    - copies: a move whose destination is defined only there and read
      only later in its block compiles to nothing, its readers reading
      the move's source (see "copy forwarding" below);
@@ -35,6 +34,35 @@
      read through the sanitizer page-cache slot and the fused compare --
      and calls the runtime's own check minus its tick only when the tag
      is 0 or the compare fails.
+
+   Specialization rule: an instruction shape has an arm of its own
+   only because a census of the 16 SPEC kernels under none and CECSan
+   (103.7M executed instructions, DESIGN.md section 14) shows it
+   carries traffic; every other shape -- cold operators and operand
+   orders, slots, immediate moves, unusual sizes, registers outside
+   the frame -- takes the one generic path, built from [ev]/[set] and
+   the [binop] table.  Each operator is defined once: [binop] and
+   [cmpop] hold the semantics, [test] builds every compare for [Icmp]
+   and the fused branch alike, and commutative operators and compares
+   take an immediate on the right ([canon], [mirror]), so one RI arm
+   serves both orders.  The arms and their share of the census:
+
+     add RR, RI (and IR)                    15.2%
+     load 1/2/4 signed or not, 8 (7 arms)   13.2%
+     gep base + index * k, both registers   13.1%
+     compares RR/RI (12), fused or not      10.9%
+     the inline Algorithm 1 check            7.8%
+     gep base + field                        6.0%
+     mul RR, RI (and IR)                     5.0%
+     sub RR, RI, IR                          4.3%
+     store 1/2/4/8 (4 arms)                  4.3%
+     mov R                                   2.5%
+     gep immediate base + index * k          2.2%
+     shr RI 1.5%, and RI 0.7%, xor RR 0.4%
+
+   Sign extension (8.0%) has a single arm, through [ev]/[set].  The
+   cold shapes take 1.9% of the census, most of it mod, shl and
+   operations on two immediates.
 
    Equivalence with the interpreter is a hard invariant, enforced by
    the differential suite in test_jit.ml.  The deterministic cycle
@@ -63,15 +91,12 @@ open Tir.Ir
 
 (* Per-run context: everything a compiled program needs from the
    executing machine.  [named] is the machine's by-name slow path
-   (allocation family, libc with interception/TBI, registered externs);
-   [reresolve] re-resolves a late-registered intrinsic slot, memoizing
-   into the machine's table. *)
+   (allocation family, libc with interception/TBI, registered externs). *)
 type ctx = {
   st : State.t;
   itab : Runtime.intrinsic option array;
   checks : Runtime.check option array;
   named : string -> int array -> int;
-  reresolve : int -> Runtime.intrinsic option;
   mutable depth : int;
 }
 
@@ -157,6 +182,11 @@ let page_mask = Layout46.page_size - 1
 let out_of_cycles st =
   Report.trap Report.Out_of_cycles
     ~detail:(Printf.sprintf "budget %d" st.State.cycle_budget)
+
+(* State.tick, inlined *)
+let[@inline] tick st c =
+  st.State.cycles <- st.State.cycles + c;
+  if st.State.cycles > st.State.cycle_budget then out_of_cycles st
 
 let sign_extend v size =
   let bits = size * 8 in
@@ -245,6 +275,52 @@ let sto8 st a v =
   if off + 8 <= Layout46.page_size then
     Memory.set_word (pg st.State.mem a) off v
   else Memory.store st.State.mem a 8 v
+
+(* The prologue of every load and store, in the interpreter's order:
+   tick [cost], evaluate and mask the address, check the mapping.
+   Returns the effective address. *)
+let[@inline] access st cost (ea : env -> int) env size =
+  tick st cost;
+  let a = ea env land st.State.addr_mask in
+  chk st a size;
+  a
+
+(* The operators, each defined once, with the interpreter's semantics:
+   division by zero traps, shift counts wrap at 64. *)
+let binop : binop -> int -> int -> int = function
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> fun x y -> if y = 0 then Report.trap Report.Div_by_zero else x / y
+  | Mod -> fun x y -> if y = 0 then Report.trap Report.Div_by_zero else x mod y
+  | Shl -> fun x y -> x lsl (y land 63)
+  | Shr -> fun x y -> x asr (y land 63)
+  | And -> ( land )
+  | Or -> ( lor )
+  | Xor -> ( lxor )
+
+let cmpop : cmpop -> int -> int -> bool = function
+  | Eq -> ( = )
+  | Ne -> ( <> )
+  | Lt -> ( < )
+  | Le -> ( <= )
+  | Gt -> ( > )
+  | Ge -> ( >= )
+
+(* [mirror op] holds of (y, x) exactly when [op] holds of (x, y) *)
+let mirror = function
+  | Lt -> Gt
+  | Gt -> Lt
+  | Le -> Ge
+  | Ge -> Le
+  | (Eq | Ne) as op -> op
+
+(* Commutative operators take an immediate on the right, so one arm
+   covers both orders. *)
+let canon = function
+  | Ibin ({ op = Add | Mul | And | Or | Xor; a = Imm _ as a; b; _ } as r) ->
+    Ibin { r with a = b; b = a }
+  | i -> i
 
 (* --- copy forwarding ---------------------------------------------------- *)
 
@@ -530,34 +606,102 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
     let cell = cells.(b) in
     fun env -> !cell env
   in
-  (* interpreter-equivalent slow paths for loads/stores the fast arms
-     below do not cover (unusual size, unchecked destination register) *)
-  let generic_load dst addr size signed (next : step) : step =
-    let ea = ev addr in
-    let set = set dst in
-    fun env ->
-      let st = env.c.st in
-      State.tick st load_m1;
-      let a = State.effective st (ea env) in
-      State.check_mapped st a size;
-      let v = Memory.load st.State.mem a size in
-      let v = if size >= 8 then Fault.corrupt_load st.State.fault v else v in
-      set env
-        (if size >= 8 then v
-         else if signed then sign_extend v size
-         else zero_extend v size);
-      next env
+  let module A = Array in
+  (* [test op a b]: the compare builder, shared by [Icmp] and the fused
+     compare/branch.  An immediate on the left is mirrored to the right
+     ([Imm < Reg] tests as [Reg > Imm]); the RR/RI shapes read the
+     register file directly, everything else takes the generic
+     evaluators. *)
+  let rec test op a b : env -> bool =
+    match op, a, b with
+    | _, Imm _, Reg _ -> test (mirror op) b a
+    | Eq, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x = A.unsafe_get r y
+    | Eq, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x = y
+    | Ne, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x <> A.unsafe_get r y
+    | Ne, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x <> y
+    | Lt, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x < A.unsafe_get r y
+    | Lt, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x < y
+    | Le, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x <= A.unsafe_get r y
+    | Le, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x <= y
+    | Gt, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x > A.unsafe_get r y
+    | Gt, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x > y
+    | Ge, Reg x, Reg y when fast x && fast y ->
+      fun env -> let r = env.regs in A.unsafe_get r x >= A.unsafe_get r y
+    | Ge, Reg x, Imm y when fast x -> fun env -> A.unsafe_get env.regs x >= y
+    | _ ->
+      let f = cmpop op and ax = ev a and bx = ev b in
+      fun env -> let x = ax env in f x (bx env)
   in
-  let generic_store addr src size (next : step) : step =
-    let ea = ev addr in
-    let es = ev src in
-    fun env ->
-      let st = env.c.st in
-      State.tick st store_m1;
-      let a = State.effective st (ea env) in
-      State.check_mapped st a size;
-      Memory.store st.State.mem a size (es env);
-      next env
+  (* The generic path: every plain instruction without an arm of its own
+     below -- a cold shape, or a register outside the frame, which
+     [ev]/[set] check exactly as the interpreter's array accesses do.
+     Operands evaluate left to right, as in the interpreter. *)
+  let generic (i : instr) (next : step) : step =
+    match i with
+    | Imov { dst; src } ->
+      let e = ev src and set = set dst in
+      fun env -> set env (e env); next env
+    | Ibin { op; dst; a; b } ->
+      let f = binop op and ax = ev a and bx = ev b and set = set dst in
+      fun env -> let x = ax env in set env (f x (bx env)); next env
+    | Icmp { op; dst; a; b } ->
+      let t = test op a b and set = set dst in
+      fun env -> set env (Bool.to_int (t env)); next env
+    | Isext { dst; src; bytes } ->
+      let set = set dst in
+      let e = ev src in
+      if bytes >= 8 then (fun env -> set env (e env); next env)
+      else begin
+        let bits = bytes * 8 in
+        let mask = (1 lsl bits) - 1 in
+        let sbit = 1 lsl (bits - 1) in
+        let wrap = 1 lsl bits in
+        fun env ->
+          let v = e env land mask in
+          set env (if v land sbit <> 0 then v - wrap else v);
+          next env
+      end
+    | Iload { dst; addr; size; signed; _ } ->
+      let ea = ev addr and set = set dst in
+      fun env ->
+        let st = env.c.st in
+        let a = access st load_m1 ea env size in
+        let v = Memory.load st.State.mem a size in
+        set env
+          (if size >= 8 then Fault.corrupt_load st.State.fault v
+           else if signed then sign_extend v size
+           else zero_extend v size);
+        next env
+    | Istore { addr; src; size; _ } ->
+      let ea = ev addr and es = ev src in
+      fun env ->
+        let st = env.c.st in
+        let a = access st store_m1 ea env size in
+        Memory.store st.State.mem a size (es env);
+        next env
+    | Islot { dst; slot } ->
+      let off = lf.Vcode.slot_off.(slot) and set = set dst in
+      fun env -> set env (env.fb + off); next env
+    | Igep { dst; base; idx; info } ->
+      let eb = ev base and set = set dst in
+      (match info, idx with
+       | Gfield { off; _ }, _ -> fun env -> set env (eb env + off); next env
+       | Gindex { elem_size; _ }, Some ix ->
+         let ei = ev ix in
+         fun env ->
+           let b = eb env in
+           set env (b + (ei env * elem_size));
+           next env
+       | Gindex _, None -> fun env -> set env (eb env); next env)
+    | Icall _ | Iintrin _ ->
+      (* Vcode.resolve lowers every call/intrinsic to
+         Vcall/Vintrin/Vtelem; a plain one cannot reach the backend *)
+      assert false
   in
   let compile_instr (vi : Vcode.vinstr) (next : step) : step =
     match vi with
@@ -585,31 +729,24 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
        | Some d ->
          let set = set d in
          fun env ->
-           let st = env.c.st in
-           st.State.cycles <- st.State.cycles + call_m1;
-           if st.State.cycles > st.State.cycle_budget then out_of_cycles st;
+           tick env.c.st call_m1;
            let a = argv env in
            set env (invoke env a);
            next env
        | None ->
          fun env ->
-           let st = env.c.st in
-           st.State.cycles <- st.State.cycles + call_m1;
-           if st.State.cycles > st.State.cycle_budget then out_of_cycles st;
+           tick env.c.st call_m1;
            let a = argv env in
            ignore (invoke env a : int);
            next env)
     | Vcode.Vintrin { dst; islot; name; args; site } ->
       let argv = mk_argv (Array.map ev args) in
+      (* every runtime registers its intrinsics before a machine binds
+         the slots, so an unbound slot is unresolved for good *)
       let dispatch env a =
         match env.c.itab.(islot) with
         | Some fn -> fn env.c.st a
-        | None ->
-          (* registered after load? re-resolve once, else trap *)
-          (match env.c.reresolve islot with
-           | Some fn -> fn env.c.st a
-           | None ->
-             Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
+        | None -> Report.trap (Report.Unresolved_external ("intrinsic " ^ name))
       in
       let call : step =
         match dst with
@@ -641,9 +778,7 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
               let ptr = ep env and size = en env in
               let st = env.c.st in
               Telemetry.bump_executed st.State.telem site;
-              st.State.cycles <- st.State.cycles + ck.Runtime.ck_cost;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
+              tick st ck.Runtime.ck_cost;
               let tag = Layout46.tag_of ptr in
               let raw = Layout46.strip ptr in
               let r =
@@ -660,417 +795,131 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
               next env)
        | _ -> call)
     | Vcode.Vplain i ->
-      (match res_instr i with
-       | Imov { dst = d; src } when fast d ->
-         (match src with
-          | Imm v ->
-            fun env -> Array.unsafe_set env.regs d v; next env
-          | Reg s when fast s ->
-            fun env ->
-              let regs = env.regs in
-              Array.unsafe_set regs d (Array.unsafe_get regs s);
-              next env
-          | src ->
-            let e = ev src in
-            fun env -> Array.unsafe_set env.regs d (e env); next env)
-       | Imov { dst; src } ->
-         let e = ev src in
-         fun env -> env.regs.(dst) <- e env; next env
-       | Ibin { op; dst = d; a; b } when fast d ->
-         (* the hot ALU shapes compile to closures with no operand
-            indirection at all *)
-         let module A = Array in
-         (match op, a, b with
-          | Add, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x + A.unsafe_get r y); next env
-          | Add, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x + y); next env
-          | Add, Imm x, Reg y when fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (x + A.unsafe_get r y); next env
-          | Sub, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x - A.unsafe_get r y); next env
-          | Sub, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x - y); next env
-          | Sub, Imm x, Reg y when fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (x - A.unsafe_get r y); next env
-          | Mul, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x * A.unsafe_get r y); next env
-          | Mul, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x * y); next env
-          | Mul, Imm x, Reg y when fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (x * A.unsafe_get r y); next env
-          | And, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x land A.unsafe_get r y);
-              next env
-          | And, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x land y); next env
-          | Or, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x lor A.unsafe_get r y);
-              next env
-          | Or, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x lor y); next env
-          | Xor, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x lxor A.unsafe_get r y);
-              next env
-          | Xor, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x lxor y); next env
-          | Shl, Reg x, Imm y when fast x ->
-            let y = y land 63 in
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x lsl y); next env
-          | Shr, Reg x, Imm y when fast x ->
-            let y = y land 63 in
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (A.unsafe_get r x asr y); next env
-          | _ ->
-            let ax = ev a and bx = ev b in
-            (match op with
-             | Add -> fun env ->
-                 A.unsafe_set env.regs d (ax env + bx env); next env
-             | Sub -> fun env ->
-                 A.unsafe_set env.regs d (ax env - bx env); next env
-             | Mul -> fun env ->
-                 A.unsafe_set env.regs d (ax env * bx env); next env
-             | Div ->
-               fun env ->
-                 let x = ax env and y = bx env in
-                 if y = 0 then Report.trap Report.Div_by_zero;
-                 A.unsafe_set env.regs d (x / y);
-                 next env
-             | Mod ->
-               fun env ->
-                 let x = ax env and y = bx env in
-                 if y = 0 then Report.trap Report.Div_by_zero;
-                 A.unsafe_set env.regs d (x mod y);
-                 next env
-             | Shl -> fun env ->
-                 A.unsafe_set env.regs d (ax env lsl (bx env land 63));
-                 next env
-             | Shr -> fun env ->
-                 A.unsafe_set env.regs d (ax env asr (bx env land 63));
-                 next env
-             | And -> fun env ->
-                 A.unsafe_set env.regs d (ax env land bx env); next env
-             | Or -> fun env ->
-                 A.unsafe_set env.regs d (ax env lor bx env); next env
-             | Xor -> fun env ->
-                 A.unsafe_set env.regs d (ax env lxor bx env); next env))
-       | Ibin { op; dst; a; b } ->
-         let ax = ev a and bx = ev b in
-         let f : int -> int -> int =
-           match op with
-           | Add -> ( + )
-           | Sub -> ( - )
-           | Mul -> ( * )
-           | Div ->
-             fun x y ->
-               if y = 0 then Report.trap Report.Div_by_zero else x / y
-           | Mod ->
-             fun x y ->
-               if y = 0 then Report.trap Report.Div_by_zero else x mod y
-           | Shl -> fun x y -> x lsl (y land 63)
-           | Shr -> fun x y -> x asr (y land 63)
-           | And -> ( land )
-           | Or -> ( lor )
-           | Xor -> ( lxor )
-         in
-         fun env -> env.regs.(dst) <- f (ax env) (bx env); next env
+      (* the specialized arms: the shapes the kernel census shows carry
+         traffic (see the header), over frame registers only *)
+      (match canon (res_instr i) with
+       | Imov { dst = d; src = Reg s } when fast d && fast s ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r s); next env
+       | Ibin { op = Add; dst = d; a = Reg x; b = Reg y }
+         when fast d && fast x && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x + A.unsafe_get r y); next env
+       | Ibin { op = Add; dst = d; a = Reg x; b = Imm y }
+         when fast d && fast x ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x + y); next env
+       | Ibin { op = Sub; dst = d; a = Reg x; b = Reg y }
+         when fast d && fast x && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x - A.unsafe_get r y); next env
+       | Ibin { op = Sub; dst = d; a = Reg x; b = Imm y }
+         when fast d && fast x ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x - y); next env
+       | Ibin { op = Sub; dst = d; a = Imm x; b = Reg y }
+         when fast d && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (x - A.unsafe_get r y); next env
+       | Ibin { op = Mul; dst = d; a = Reg x; b = Reg y }
+         when fast d && fast x && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x * A.unsafe_get r y); next env
+       | Ibin { op = Mul; dst = d; a = Reg x; b = Imm y }
+         when fast d && fast x ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x * y); next env
+       | Ibin { op = And; dst = d; a = Reg x; b = Imm y }
+         when fast d && fast x ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x land y); next env
+       | Ibin { op = Xor; dst = d; a = Reg x; b = Reg y }
+         when fast d && fast x && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x lxor A.unsafe_get r y); next env
+       | Ibin { op = Shr; dst = d; a = Reg x; b = Imm y }
+         when fast d && fast x ->
+         let y = y land 63 in
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x asr y); next env
        | Icmp { op; dst = d; a; b } when fast d ->
-         let module A = Array in
-         (match op, a, b with
-          | Eq, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x = A.unsafe_get r y then 1 else 0);
-              next env
-          | Eq, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x = y then 1 else 0);
-              next env
-          | Ne, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x <> A.unsafe_get r y then 1 else 0);
-              next env
-          | Ne, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x <> y then 1 else 0);
-              next env
-          | Lt, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x < A.unsafe_get r y then 1 else 0);
-              next env
-          | Lt, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x < y then 1 else 0);
-              next env
-          | Le, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x <= A.unsafe_get r y then 1 else 0);
-              next env
-          | Le, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x <= y then 1 else 0);
-              next env
-          | Gt, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x > A.unsafe_get r y then 1 else 0);
-              next env
-          | Gt, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x > y then 1 else 0);
-              next env
-          | Ge, Reg x, Reg y when fast x && fast y ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d
-                (if A.unsafe_get r x >= A.unsafe_get r y then 1 else 0);
-              next env
-          | Ge, Reg x, Imm y when fast x ->
-            fun env -> let r = env.regs in
-              A.unsafe_set r d (if A.unsafe_get r x >= y then 1 else 0);
-              next env
-          | _ ->
-            let ax = ev a and bx = ev b in
-            let f : int -> int -> bool =
-              match op with
-              | Eq -> ( = )
-              | Ne -> ( <> )
-              | Lt -> ( < )
-              | Le -> ( <= )
-              | Gt -> ( > )
-              | Ge -> ( >= )
-            in
-            fun env ->
-              A.unsafe_set env.regs d (if f (ax env) (bx env) then 1 else 0);
-              next env)
-       | Icmp { op; dst; a; b } ->
-         let ax = ev a and bx = ev b in
-         let f : int -> int -> bool =
-           match op with
-           | Eq -> ( = )
-           | Ne -> ( <> )
-           | Lt -> ( < )
-           | Le -> ( <= )
-           | Gt -> ( > )
-           | Ge -> ( >= )
-         in
-         fun env ->
-           env.regs.(dst) <- (if f (ax env) (bx env) then 1 else 0);
-           next env
-       | Isext { dst; src; bytes } ->
-         let set = set dst in
-         let e = ev src in
-         if bytes >= 8 then (fun env -> set env (e env); next env)
-         else begin
-           let bits = bytes * 8 in
-           let mask = (1 lsl bits) - 1 in
-           let sbit = 1 lsl (bits - 1) in
-           let wrap = 1 lsl bits in
-           fun env ->
-             let v = e env land mask in
-             set env (if v land sbit <> 0 then v - wrap else v);
-             next env
-         end
-       | Iload { dst = d; addr; size; signed; _ } when fast d ->
+         let t = test op a b in
+         fun env -> A.unsafe_set env.regs d (Bool.to_int (t env)); next env
+       | Iload { dst = d; addr; size = (1 | 2 | 4 | 8) as size; signed; _ }
+         when fast d ->
          let ea = ev addr in
          (match size, signed with
           | 1, false ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 1;
-              Array.unsafe_set env.regs d (ld1 st a);
+            fun env -> let st = env.c.st in
+              A.unsafe_set env.regs d (ld1 st (access st load_m1 ea env 1));
               next env
           | 1, true ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 1;
-              let v = ld1 st a in
-              Array.unsafe_set env.regs d
+            fun env -> let st = env.c.st in
+              let v = ld1 st (access st load_m1 ea env 1) in
+              A.unsafe_set env.regs d
                 (if v land 0x80 <> 0 then v - 0x100 else v);
               next env
           | 2, false ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 2;
-              Array.unsafe_set env.regs d (ld2 st a);
+            fun env -> let st = env.c.st in
+              A.unsafe_set env.regs d (ld2 st (access st load_m1 ea env 2));
               next env
           | 2, true ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 2;
-              let v = ld2 st a in
-              Array.unsafe_set env.regs d
+            fun env -> let st = env.c.st in
+              let v = ld2 st (access st load_m1 ea env 2) in
+              A.unsafe_set env.regs d
                 (if v land 0x8000 <> 0 then v - 0x10000 else v);
               next env
           | 4, false ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 4;
-              Array.unsafe_set env.regs d (ld4 st a);
+            fun env -> let st = env.c.st in
+              A.unsafe_set env.regs d (ld4 st (access st load_m1 ea env 4));
               next env
           | 4, true ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 4;
-              let v = ld4 st a in
-              Array.unsafe_set env.regs d
+            fun env -> let st = env.c.st in
+              let v = ld4 st (access st load_m1 ea env 4) in
+              A.unsafe_set env.regs d
                 (if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v);
               next env
-          | 8, _ ->
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + load_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 8;
-              Array.unsafe_set env.regs d (ld8 st a);
-              next env
-          | _ -> generic_load d addr size signed next)
-       | Iload { dst; addr; size; signed; _ } ->
-         generic_load dst addr size signed next
-       | Istore { addr; src; size; _ } ->
+          | _ ->
+            fun env -> let st = env.c.st in
+              A.unsafe_set env.regs d (ld8 st (access st load_m1 ea env 8));
+              next env)
+       | Istore { addr; src; size = (1 | 2 | 4 | 8) as size; _ } ->
+         (* the address, its check, then the value: the interpreter's
+            order *)
+         let ea = ev addr and es = ev src in
          (match size with
           | 1 ->
-            let ea = ev addr in
-            let es = ev src in
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + store_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 1;
-              sto1 st a (es env);
-              next env
+            fun env -> let st = env.c.st in
+              let a = access st store_m1 ea env 1 in
+              sto1 st a (es env); next env
           | 2 ->
-            let ea = ev addr in
-            let es = ev src in
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + store_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 2;
-              sto2 st a (es env);
-              next env
+            fun env -> let st = env.c.st in
+              let a = access st store_m1 ea env 2 in
+              sto2 st a (es env); next env
           | 4 ->
-            let ea = ev addr in
-            let es = ev src in
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + store_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 4;
-              sto4 st a (es env);
-              next env
-          | 8 ->
-            let ea = ev addr in
-            let es = ev src in
-            fun env ->
-              let st = env.c.st in
-              st.State.cycles <- st.State.cycles + store_m1;
-              if st.State.cycles > st.State.cycle_budget then
-                out_of_cycles st;
-              let a = ea env land st.State.addr_mask in
-              chk st a 8;
-              sto8 st a (es env);
-              next env
-          | _ -> generic_store addr src size next)
-       | Islot { dst; slot } ->
-         let off = lf.Vcode.slot_off.(slot) in
-         if fast dst then
-           (fun env ->
-              Array.unsafe_set env.regs dst (env.fb + off);
-              next env)
-         else (fun env -> env.regs.(dst) <- env.fb + off; next env)
-       | Igep { dst = d; base; idx; info } when fast d ->
-         let module A = Array in
-         (match info, idx with
-          | Gfield { off; _ }, _ ->
-            (match base with
-             | Reg x when fast x ->
-               fun env -> let r = env.regs in
-                 A.unsafe_set r d (A.unsafe_get r x + off); next env
-             | base ->
-               let eb = ev base in
-               fun env -> A.unsafe_set env.regs d (eb env + off); next env)
-          | Gindex { elem_size; _ }, Some ix ->
-            (match base, ix with
-             | Reg x, Reg y when fast x && fast y ->
-               fun env -> let r = env.regs in
-                 A.unsafe_set r d
-                   (A.unsafe_get r x + (A.unsafe_get r y * elem_size));
-                 next env
-             | base, ix ->
-               let eb = ev base and ei = ev ix in
-               fun env ->
-                 A.unsafe_set env.regs d (eb env + (ei env * elem_size));
-                 next env)
-          | Gindex _, None ->
-            let eb = ev base in
-            fun env -> A.unsafe_set env.regs d (eb env); next env)
-       | Igep { dst; base; idx; info } ->
-         let eb = ev base in
-         (match info, idx with
-          | Gfield { off; _ }, _ ->
-            fun env -> env.regs.(dst) <- eb env + off; next env
-          | Gindex { elem_size; _ }, Some ix ->
-            let ei = ev ix in
-            fun env ->
-              env.regs.(dst) <- eb env + (ei env * elem_size);
-              next env
-          | Gindex _, None ->
-            fun env -> env.regs.(dst) <- eb env; next env)
-       | Icall _ | Iintrin _ ->
-         (* Vcode.resolve lowers every call/intrinsic to
-            Vcall/Vintrin/Vtelem; a plain one cannot reach the backend *)
-         assert false)
+            fun env -> let st = env.c.st in
+              let a = access st store_m1 ea env 4 in
+              sto4 st a (es env); next env
+          | _ ->
+            fun env -> let st = env.c.st in
+              let a = access st store_m1 ea env 8 in
+              sto8 st a (es env); next env)
+       | Igep { dst = d; base = Reg x; info = Gfield { off; _ }; _ }
+         when fast d && fast x ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x + off); next env
+       | Igep { dst = d; base = Reg x; idx = Some (Reg y);
+                info = Gindex { elem_size; _ } }
+         when fast d && fast x && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (A.unsafe_get r x + (A.unsafe_get r y * elem_size));
+           next env
+       | Igep { dst = d; base = Imm x; idx = Some (Reg y);
+                info = Gindex { elem_size; _ } }
+         when fast d && fast y ->
+         fun env -> let r = env.regs in
+           A.unsafe_set r d (x + (A.unsafe_get r y * elem_size)); next env
+       | i -> generic i next)
   in
   let compile_term (t : term) : step =
     match t with
@@ -1083,9 +932,7 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
       let ec = ev c in
       let gt = goto bt and gf = goto bf in
       fun env ->
-        let st = env.c.st in
-        st.State.cycles <- st.State.cycles + 1;
-        if st.State.cycles > st.State.cycle_budget then out_of_cycles st;
+        tick env.c.st 1;
         if ec env <> 0 then gt env else gf env
   in
   (* A compare feeding the block's conditional branch fuses into one
@@ -1093,50 +940,11 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
      is still written to its register first, and the interpreter also
      ticks the branch only after the compare wrote its register. *)
   let fused op d a b bt bf : step =
-    let gt = goto bt and gf = goto bf in
-    let module A = Array in
-    let cmp : env -> bool =
-      match op, a, b with
-      | Eq, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x = A.unsafe_get r y
-      | Eq, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x = y
-      | Ne, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x <> A.unsafe_get r y
-      | Ne, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x <> y
-      | Lt, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x < A.unsafe_get r y
-      | Lt, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x < y
-      | Le, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x <= A.unsafe_get r y
-      | Le, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x <= y
-      | Gt, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x > A.unsafe_get r y
-      | Gt, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x > y
-      | Ge, Reg x, Reg y when fast x && fast y ->
-        fun env -> let r = env.regs in A.unsafe_get r x >= A.unsafe_get r y
-      | Ge, Reg x, Imm y when fast x ->
-        fun env -> A.unsafe_get env.regs x >= y
-      | _ ->
-        let ax = ev a and bx = ev b in
-        (match op with
-         | Eq -> fun env -> ax env = bx env
-         | Ne -> fun env -> ax env <> bx env
-         | Lt -> fun env -> ax env < bx env
-         | Le -> fun env -> ax env <= bx env
-         | Gt -> fun env -> ax env > bx env
-         | Ge -> fun env -> ax env >= bx env)
-    in
+    let t = test op a b and gt = goto bt and gf = goto bf in
     fun env ->
-      let c = cmp env in
-      A.unsafe_set env.regs d (if c then 1 else 0);
-      let st = env.c.st in
-      st.State.cycles <- st.State.cycles + 1;
-      if st.State.cycles > st.State.cycle_budget then out_of_cycles st;
+      let c = t env in
+      A.unsafe_set env.regs d (Bool.to_int c);
+      tick env.c.st 1;
       if c then gt env else gf env
   in
   for b = 0 to nblocks - 1 do
@@ -1166,12 +974,7 @@ let compile_func (sc : scratch) (jfuncs : (string, jfunc) Hashtbl.t)
     (* block entry: tick the precomputed cost (telemetry markers are
        free), then fall into the instruction chain *)
     let cost = lf.Vcode.costs.(b) in
-    cells.(b) :=
-      (fun env ->
-         let st = env.c.st in
-         st.State.cycles <- st.State.cycles + cost;
-         if st.State.cycles > st.State.cycle_budget then out_of_cycles st;
-         body env)
+    cells.(b) := (fun env -> tick env.c.st cost; body env)
   done;
   jf.entry <- !(cells.(0))
 

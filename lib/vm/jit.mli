@@ -15,9 +15,6 @@ type ctx = {
   named : string -> int array -> int;
       (** the machine's by-name call path: allocation family, libc with
           interception/TBI, registered externs *)
-  reresolve : int -> Runtime.intrinsic option;
-      (** re-resolves an intrinsic slot against the machine's runtime,
-          memoizing into [itab] *)
   mutable depth : int;  (** live call frames, of either backend *)
 }
 (** A machine's execution context, used by both backends and kept

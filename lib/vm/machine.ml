@@ -169,8 +169,8 @@ let create ?(st = State.create ()) ?(rt = Runtime.none) (md : modul) : t =
   in
   (* a slot runs inline only while it is bound to the very closure its
      runtime registered for the check: a stub registered over the name
-     before this point, or a late registration after it, keeps the
-     closure path *)
+     before this point keeps the closure path.  Slots bind here, once;
+     a name the runtime never registered stays unbound and traps *)
   let checks =
     Array.map
       (function
@@ -200,16 +200,9 @@ let create ?(st = State.create ()) ?(rt = Runtime.none) (md : modul) : t =
            | None -> Heap.usable_size st p) }
   in
   let externs = Hashtbl.create 4 in
-  let reresolve islot =
-    match Runtime.find_intrinsic rt vc.Vcode.intrin_names.(islot) with
-    | Some fn ->
-      itab.(islot) <- Some fn;
-      Some fn
-    | None -> None
-  in
   { st; md; rt; vc; externs;
     ctx = { Jit.st; itab; checks; named = exec_named rt libc externs;
-            reresolve; depth = 0 } }
+            depth = 0 } }
 
 let register_extern m name fn = Hashtbl.replace m.externs name fn
 
@@ -255,19 +248,14 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
            (* executed bump BEFORE dispatch, so failing checks count *)
            Telemetry.bump_executed st.State.telem
              argv.(Array.length argv - 1);
+           (* every runtime registers its intrinsics before [create]
+              binds the slots, so an unbound slot is unresolved *)
            (match m.ctx.Jit.itab.(islot) with
             | Some fn ->
               let v = fn st argv in
               (match dst with Some d -> regs.(d) <- v | None -> ())
             | None ->
-              (* registered after load? re-resolve once, else trap *)
-              (match m.ctx.Jit.reresolve islot with
-               | Some fn ->
-                 let v = fn st argv in
-                 (match dst with Some d -> regs.(d) <- v | None -> ())
-               | None ->
-                 Report.trap
-                   (Report.Unresolved_external ("intrinsic " ^ name))))
+              Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
          | Vcode.Vplain i ->
          match i with
          | Imov { dst; src } -> regs.(dst) <- ev src

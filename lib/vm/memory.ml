@@ -201,12 +201,12 @@ let store mem a size v =
     | 8 -> set_word p off v
     | _ ->
       for k = 0 to size - 1 do
-        store_byte mem (a + k) ((v asr (8 * k)) land 0xff)
+        store_byte mem (a + k) ((v lsr (8 * k)) land 0xff)
       done
   end
   else
     for k = 0 to size - 1 do
-      store_byte mem (a + k) ((v asr (8 * k)) land 0xff)
+      store_byte mem (a + k) ((v lsr (8 * k)) land 0xff)
     done
 
 (* Bulk operations used by the libc builtins.  All of them work in

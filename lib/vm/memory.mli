@@ -76,7 +76,9 @@ val load : t -> int -> int -> int
     word functions above unless the access straddles a page. *)
 
 val store : t -> int -> int -> int -> unit
-(** [store mem a size v]. *)
+(** [store mem a size v]: little-endian store of [v]'s low [size]
+    bytes.  A page-straddling 8-byte store writes byte by byte the same
+    63-bit word [set_word] writes in place. *)
 
 val blit_from_bytes : t -> bytes -> int -> int -> unit
 (** [blit_from_bytes mem src dst len] loads an image (e.g. a global's

@@ -48,8 +48,9 @@ type t = {
   (* size of a live block under this runtime's allocator (for realloc) *)
   usable_size : (State.t -> int -> int option) option;
   tbi_bits : int;
-  (* called when a frame with protected stack objects returns is handled
-     via intrinsics; this hook runs at program end for leak-style checks *)
+  (* runs once when the program ends, before the outcome is built, so a
+     runtime can publish end-of-run state: CECSan sets its metadata-table
+     gauges (entry-0 hits, chaining, exhaustion) here *)
   at_exit : State.t -> unit;
   mutable checks : check list;
 }

@@ -44,6 +44,8 @@ type t = {
   tbi_bits : int;
       (** bits of top-byte-ignore requested from the "hardware" *)
   at_exit : State.t -> unit;
+      (** runs once when the program ends, before the outcome is built:
+          CECSan publishes its metadata-table gauges here *)
   mutable checks : check list;
       (** inlinable checks, added by {!register_check} *)
 }

@@ -16,8 +16,6 @@ type t = {
   (* effective-address mask: all-ones normally; HWASan sets it to model
      ARM top-byte-ignore so that tagged pointers translate transparently *)
   mutable addr_mask : int;
-  (* per-site counters for sanitizer intrinsics (monotonic check grouping) *)
-  site_state : (int, int) Hashtbl.t;
   (* the per-run diagnostic sink: Halt (raise, historical) or Recover *)
   sink : Report.sink;
   (* deterministic fault injector consulted by allocators and the
@@ -52,7 +50,6 @@ let create ?(cycle_budget = default_budget) ?(seed = 0x5EED)
     heap_frees = 0;
     heap_allocs = 0;
     addr_mask = -1;
-    site_state = Hashtbl.create 64;
     sink = Report.make_sink ~policy ();
     fault = (match fault with Some f -> Fault.clone f | None -> Fault.none ());
     telem = Telemetry.create ();

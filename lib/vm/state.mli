@@ -16,8 +16,6 @@ type t = {
   mutable addr_mask : int;
       (** effective-address mask; HWASan narrows it to emulate ARM
           top-byte-ignore *)
-  site_state : (int, int) Hashtbl.t;
-      (** per-instrumentation-site counters for runtimes *)
   sink : Report.sink;
       (** the per-run diagnostic sink (Halt by default) *)
   fault : Fault.t;

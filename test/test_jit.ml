@@ -6,7 +6,10 @@
    compile-cache hits and misses), the last-page-cache audit driven
    through jitted code, and the inlined Algorithm 1 check: its
    fallbacks, its binding rule and metadata entries whose bounds sit on
-   two pages. *)
+   two pages.  Hand-built modules pin copy forwarding, the word-wide
+   memory path, every operator and compare in every operand shape over
+   edge values, registers outside the frame and unbound intrinsic
+   slots. *)
 
 let sanitizers () =
   [ ("cecsan", Cecsan.sanitizer ());
@@ -665,6 +668,20 @@ let memory_path_tests =
       ~resident:12288 ~program:12288;
     straddle 8 4095 0x0123456789ABCDEF (0x0123456789ABCDEF lxor (0xCD lsl 56))
       ~resident:12288 ~program:12288;
+    (* byte 7 holds bits 56..62 whether or not the word straddles *)
+    case "negative store.8 across pages, then load.1 of byte 7"
+      (fun _ ->
+         [| (heap_page
+             @ [ add 1 (r 0) (i 4092); st (r 1) (i (-1)) 8;
+                 add 2 (r 1) (i 7); ld 2 (r 2) 1 ],
+             ret (r 2)) |])
+      0x7F ~resident:12288 ~program:12288;
+    case "negative store.8 across pages, then load.8"
+      (fun _ ->
+         [| (heap_page
+             @ [ add 1 (r 0) (i 4092); st (r 1) (i (-1)) 8; ld 2 (r 1) 8 ],
+             ret (r 2)) |])
+      (-1) ~resident:12288 ~program:12288;
     Alcotest.test_case "alternating pages that share a page-cache entry"
       `Quick (fun () ->
           (* every pair of 130 pages, more than the cache's 128 entries,
@@ -689,6 +706,203 @@ let memory_path_tests =
           Alcotest.(check int) "resident" 532480 res;
           Alcotest.(check int) "program resident" 532480 prog) ]
 
+(* --- operators ---------------------------------------------------------- *)
+
+(* Every operator on both backends, each operand shape (register or
+   immediate on either side), over edge values.  A module folds the
+   results of all its pairs into r3, so a result that differs on one
+   backend changes the exit code. *)
+
+let edges = [ 0; 1; -1; min_int; max_int ]
+let shift_counts = [ 0; 62; 63; 64; -1 ]
+
+let shapes = [ "RR"; "RI"; "IR"; "II" ]
+
+(* the operands of [x op y] in a shape, once r0 = x and r1 = y *)
+let operands shape x y =
+  let open I in
+  match shape with
+  | "RR" -> (r 0, r 1)
+  | "RI" -> (r 0, i y)
+  | "IR" -> (i x, r 1)
+  | _ -> (i x, i y)
+
+(* r0 and r1 are defined again for every pair, and the prelude defines
+   them too, so no move forwards and each shape reaches the jit as
+   written *)
+let prelude = I.[ mov 0 (i 0); mov 1 (i 0); mov 3 (i 0) ]
+let load_pair x y = I.[ mov 0 (i x); mov 1 (i y) ]
+
+(* r3 = (r3 * 1000003) lxor r2: one-to-one in r2 *)
+let fold =
+  I.[ Ibin { op = Mul; dst = 3; a = r 3; b = i 1000003 };
+      Ibin { op = Xor; dst = 3; a = r 3; b = r 2 } ]
+
+let pairs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) edges
+
+let binops =
+  let open Tir.Ir in
+  [ ("add", Add); ("sub", Sub); ("mul", Mul); ("div", Div); ("mod", Mod);
+    ("shl", Shl); ("shr", Shr); ("and", And); ("or", Or); ("xor", Xor) ]
+
+let cmpops =
+  let open Tir.Ir in
+  [ ("eq", Eq); ("ne", Ne); ("lt", Lt); ("le", Le); ("gt", Gt); ("ge", Ge) ]
+
+let completes ~ctx (o : obs) =
+  Alcotest.(check bool) (ctx ^ ": exits (" ^ o.o_outcome ^ ")") true
+    (String.starts_with ~prefix:"exit " o.o_outcome)
+
+let binop_tests =
+  List.map
+    (fun (name, op) ->
+       Alcotest.test_case name `Quick (fun () ->
+           let ys =
+             match op with
+             | Tir.Ir.Shl | Shr -> shift_counts
+             | Div | Mod -> List.filter (fun y -> y <> 0) edges
+             | _ -> edges
+           in
+           List.iter
+             (fun shape ->
+                let ctx = name ^ " " ^ shape in
+                let body =
+                  List.concat_map
+                    (fun (x, y) ->
+                       let a, b = operands shape x y in
+                       load_pair x y
+                       @ (Tir.Ir.Ibin { op; dst = 2; a; b } :: fold))
+                    (pairs ys)
+                in
+                let md =
+                  hand ~nregs:4 (fun _ ->
+                      [| (prelude @ body, I.ret (I.r 3)) |])
+                in
+                let o, _, _, _ = both ~ctx md in
+                completes ~ctx o)
+             shapes))
+    binops
+  @ [ Alcotest.test_case "div and mod by zero" `Quick (fun () ->
+        List.iter
+          (fun (name, op) ->
+             List.iter
+               (fun shape ->
+                  List.iter
+                    (fun x ->
+                       let ctx = Printf.sprintf "%s %s %d/0" name shape x in
+                       let a, b = operands shape x 0 in
+                       let md =
+                         hand ~nregs:4 (fun _ ->
+                             [| (prelude @ load_pair x 0
+                                 @ [ Tir.Ir.Ibin { op; dst = 2; a; b } ],
+                                 I.ret (I.r 2)) |])
+                       in
+                       let o, _, _, _ = both ~ctx md in
+                       Alcotest.(check string) ctx "FAULT SIGFPE at 0x0"
+                         o.o_outcome)
+                    edges)
+               shapes)
+          [ ("div", Tir.Ir.Div); ("mod", Tir.Ir.Mod) ]) ]
+
+(* Each compare unfused, then feeding the block's branch, where the jit
+   fuses it: the taken side adds 7, and both sides fold the compare's
+   register. *)
+let cmp_tests =
+  List.map
+    (fun (name, op) ->
+       Alcotest.test_case name `Quick (fun () ->
+           let ps = pairs edges in
+           List.iter
+             (fun shape ->
+                let cmp x y =
+                  let a, b = operands shape x y in
+                  Tir.Ir.Icmp { op; dst = 2; a; b }
+                in
+                let ctx = name ^ " " ^ shape in
+                let unfused =
+                  List.concat_map
+                    (fun (x, y) -> load_pair x y @ (cmp x y :: fold))
+                    ps
+                in
+                let o, _, _, _ =
+                  both ~ctx
+                    (hand ~nregs:4 (fun _ ->
+                         [| (prelude @ unfused, I.ret (I.r 3)) |]))
+                in
+                completes ~ctx o;
+                let fused =
+                  List.concat
+                    (List.mapi
+                       (fun k (x, y) ->
+                          let b = 1 + (3 * k) in
+                          [ (load_pair x y @ [ cmp x y ],
+                             Tir.Ir.Tcbr (I.r 2, b + 1, b + 2));
+                            (fold @ [ I.add 3 (I.r 3) (I.i 7) ],
+                             Tir.Ir.Tbr (b + 3));
+                            (fold, Tir.Ir.Tbr (b + 3)) ])
+                       ps)
+                in
+                let blocks =
+                  Array.of_list
+                    (((prelude, Tir.Ir.Tbr 1) :: fused)
+                     @ [ ([], I.ret (I.r 3)) ])
+                in
+                let ctx = ctx ^ " fused" in
+                let o, _, _, _ = both ~ctx (hand ~nregs:4 (fun _ -> blocks)) in
+                completes ~ctx o)
+             shapes))
+    cmpops
+
+(* A register outside the frame raises the same exception on both
+   backends, after the same cycles. *)
+let out_of_frame_tests =
+  let open I in
+  let case name instrs term =
+    Alcotest.test_case name `Quick (fun () ->
+        let md = hand ~nregs:2 (fun _ -> [| (instrs, term) |]) in
+        let go backend =
+          let st = Vm.State.create () in
+          let rt = Sanitizer.Spec.none.Sanitizer.Spec.fresh_runtime () in
+          let m = Vm.Machine.create ~st ~rt md in
+          match Vm.Machine.run ~backend m with
+          | o ->
+            (Format.asprintf "%a" Vm.Machine.pp_outcome o, st.Vm.State.cycles)
+          | exception e ->
+            ("raised " ^ Printexc.to_string e, st.Vm.State.cycles)
+        in
+        let ei, ci = go Vm.Machine.Interp in
+        let ej, cj = go Vm.Machine.Jit in
+        Alcotest.(check string) (name ^ ": exception") ei ej;
+        Alcotest.(check int) (name ^ ": cycles") ci cj;
+        Alcotest.(check bool) (name ^ ": raised (" ^ ej ^ ")") true
+          (String.starts_with ~prefix:"raised " ej))
+  in
+  [ case "a destination outside the frame"
+      [ add 0 (i 1) (i 2); add 5 (r 0) (i 1) ]
+      (ret (r 0));
+    case "an operand outside the frame"
+      [ add 0 (i 1) (i 2); add 1 (r 5) (r 0) ]
+      (ret (r 1));
+    case "a compare operand outside the frame, feeding the branch"
+      [ add 0 (i 1) (i 2); lt 1 (r 0) (r 5) ] (Tcbr (r 1, 0, 0)) ]
+
+let intrinsic_tests =
+  let open I in
+  [ Alcotest.test_case "an intrinsic no runtime registers traps at the call"
+      `Quick (fun () ->
+          let md =
+            hand ~nregs:2 (fun _ ->
+                [| ([ add 0 (i 1) (i 2);
+                      Iintrin { dst = Some 1; name = "__nobody_check";
+                                args = [ r 0 ]; site = 0 };
+                      add 0 (r 0) (i 1) ],
+                    ret (r 0)) |])
+          in
+          let o, _, _, _ = both ~ctx:"unbound slot" md in
+          Alcotest.(check string) "outcome"
+            "FAULT unresolved external intrinsic __nobody_check at 0x0"
+            o.o_outcome) ]
+
 let () =
   Alcotest.run "jit"
     [
@@ -698,4 +912,8 @@ let () =
       "inline check", inline_check_tests;
       "forwarding", forwarding_tests;
       "memory path", memory_path_tests;
+      "binops", binop_tests;
+      "compares", cmp_tests;
+      "out of frame", out_of_frame_tests;
+      "intrinsics", intrinsic_tests;
     ]
