@@ -213,7 +213,7 @@ let run_verify ?pool () =
       let n = ref 0 in
       Tir.Ir.iter_funcs md (fun f ->
           if not f.Tir.Ir.f_external then
-            n := !n + (Tir.Absint.analyze cx f).Tir.Absint.su_facts);
+            n := !n + Tir.Absint.facts (Tir.Absint.analyze cx f));
       !n
     | None -> 0
   in

@@ -54,7 +54,7 @@ let optimize (md : Tir.Ir.modul) : unit =
         ignore (Sanitizer.Checkopt.redundant spec ~pure f);
         ignore (Sanitizer.Checkopt.loops spec ~pure md f)
       end);
-  ignore (Sanitizer.Checkopt.absint md spec)
+  ignore (Sanitizer.Checkopt.absint ~pure md spec)
 
 let sanitizer () : Sanitizer.Spec.t =
   {

@@ -173,4 +173,4 @@ let optimize ?(config = Config.default) (md : modul) : unit =
   (* certified elision last: the passes above key on the original check
      names, and every rewrite here leaves a replayable witness *)
   if config.Config.opt_absint then
-    ignore (Sanitizer.Checkopt.absint md Opt.spec)
+    ignore (Sanitizer.Checkopt.absint ~pure md Opt.spec)

@@ -100,15 +100,15 @@ type state = {
   mutable s_freed : Int_set.t;  (** objects a free may have released *)
 }
 
+type sites
+(** A summary's site states, derived on demand (see {!site_state}). *)
+
 type summary = {
   su_func : string;
   su_objs : obj array;
   su_block_in : state option array;
       (** fixpoint state at each block entry; [None] = unreachable *)
-  su_sites : (int, state) Hashtbl.t;
-      (** state immediately before each intrinsic site *)
-  su_facts : int;
-      (** check sites whose pointer argument carries a [Vptr] fact *)
+  su_sites : sites;
 }
 
 type ctx
@@ -123,7 +123,8 @@ val analyze : ?fuel:Fuel.t -> ctx -> Ir.func -> summary
 (** Run all three domains to fixpoint (widening once a block's entry
     state has grown more than 3 times, so termination is
     unconditional).  Each sweep re-transfers only the blocks whose
-    entry state changed since their last transfer. *)
+    entry state changed since their last transfer.  No pass follows
+    the fixpoint: site states are derived when queried. *)
 
 (** The certificate behind a function's witnesses: [analyze]'s block
     entry states ([su_block_in]), claimed to be a post-fixpoint. *)
@@ -145,9 +146,27 @@ val check_cert :
     the function defines, that the entry state contain the initial
     state, and that every edge's exit state be contained in the
     successor's claimed entry state (a reachable block claimed [None]
-    fails).  On success the summary's site states are recorded in that
-    same pass from the claimed entry states.  [fuel] burns the
-    closure's sweeps and one pass. *)
+    fails).  That pass records nothing: on success the summary derives
+    site states from the claimed entry states on demand, as
+    {!analyze}'s does.  [fuel] burns the closure's sweeps and one
+    pass. *)
+
+val site_state : summary -> int -> state option
+(** The state immediately before intrinsic site [site] in a reachable
+    block ([None] if there is none), derived on demand: the site's
+    block is transferred from its [su_block_in] state, at most once
+    per summary, recording the state before each of its sites.  A
+    site id that occurs more than once reads its last occurrence in
+    reverse postorder.  The transfer runs over the code the summary
+    was computed from, so rewriting the function between queries is
+    safe. *)
+
+val sites : summary -> int list
+(** Every site id {!site_state} answers for, ascending. *)
+
+val facts : summary -> int
+(** Check sites whose pointer argument carries a [Vptr] fact, counted
+    on first use over the blocks that hold a check. *)
 
 val regval : state -> int -> aval
 

@@ -194,6 +194,12 @@ let defs = function
   | Icall { dst; _ } | Iintrin { dst; _ } -> dst
   | Istore _ -> None
 
+let iter_def k = function
+  | Imov { dst; _ } | Ibin { dst; _ } | Icmp { dst; _ } | Isext { dst; _ }
+  | Iload { dst; _ } | Islot { dst; _ } | Igep { dst; _ }
+  | Icall { dst = Some dst; _ } | Iintrin { dst = Some dst; _ } -> k dst
+  | Icall { dst = None; _ } | Iintrin { dst = None; _ } | Istore _ -> ()
+
 let opnd_uses = function Reg r -> [ r ] | Imm _ | Glob _ -> []
 
 let map_opnds f i =
@@ -208,6 +214,21 @@ let map_opnds f i =
   | Igep c -> Igep { c with base = f c.base; idx = Option.map f c.idx }
   | Icall c -> Icall { c with args = List.map f c.args }
   | Iintrin c -> Iintrin { c with args = List.map f c.args }
+
+let iter_opnds k = function
+  | Imov { src; _ } | Isext { src; _ } -> k src
+  | Ibin { a; b; _ } | Icmp { a; b; _ } ->
+    k a;
+    k b
+  | Iload { addr; _ } -> k addr
+  | Istore { addr; src; _ } ->
+    k addr;
+    k src
+  | Islot _ -> ()
+  | Igep { base; idx; _ } ->
+    k base;
+    Option.iter k idx
+  | Icall { args; _ } | Iintrin { args; _ } -> List.iter k args
 
 let uses = function
   | Imov { src; _ } -> opnd_uses src

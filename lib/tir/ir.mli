@@ -140,10 +140,18 @@ val fresh_reg : func -> int
 val defs : instr -> int option
 (** The register defined by an instruction, if any. *)
 
+val iter_def : (int -> unit) -> instr -> unit
+(** [defs] without building the option: hands the register, if any,
+    to [k]. *)
+
 val map_opnds : (opnd -> opnd) -> instr -> instr
 (** Rewrites every operand an instruction reads.  [f] may have effects
     (minting registers and sites); the order in which it meets the
     operands is fixed here, so the numbering it produces is too. *)
+
+val iter_opnds : (opnd -> unit) -> instr -> unit
+(** The operands an instruction reads, in [map_opnds] order, without
+    building a list. *)
 
 val uses : instr -> int list
 val term_uses : term -> int list

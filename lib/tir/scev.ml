@@ -33,24 +33,25 @@ let single_defs (f : func) : defs =
    verifier treats a tag-stripped pointer as an alias of the tagged one
    (same object, same accessible range). *)
 let rec canon ?strip_mask (defs_map : defs) r =
-  match Hashtbl.find_opt defs_map r with
-  | Some (Some (Imov { src = Reg s; _ })) -> canon ?strip_mask defs_map s
-  | Some (Some (Isext { src = Reg s; bytes; _ })) when bytes >= 4 ->
+  match Hashtbl.find defs_map r with
+  | Some (Imov { src = Reg s; _ }) -> canon ?strip_mask defs_map s
+  | Some (Isext { src = Reg s; bytes; _ }) when bytes >= 4 ->
     canon ?strip_mask defs_map s
-  | Some (Some (Ibin { op = And; a = Reg s; b = Imm m; _ }))
+  | Some (Ibin { op = And; a = Reg s; b = Imm m; _ })
     when (match strip_mask with Some mask -> m = mask | None -> false) ->
     canon ?strip_mask defs_map s
   | _ -> r
+  | exception Not_found -> r
 
 (* A register whose (single) definition is a compile-time constant,
    resolved through moves/extensions: the mini constant propagation that
    lets loop bounds held in named variables count as "statically
    determined". *)
 let const_of (defs_map : defs) r : int option =
-  match Hashtbl.find_opt defs_map (canon defs_map r) with
-  | Some (Some (Imov { src = Imm v; _ }))
-  | Some (Some (Isext { src = Imm v; _ })) -> Some v
+  match Hashtbl.find defs_map (canon defs_map r) with
+  | Some (Imov { src = Imm v; _ }) | Some (Isext { src = Imm v; _ }) -> Some v
   | _ -> None
+  | exception Not_found -> None
 
 (* --- overflow-guarded endpoint arithmetic ------------------------------- *)
 
