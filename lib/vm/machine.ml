@@ -356,12 +356,13 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
             t_detail = "no entry point" }
   in
   match
-    match backend with
-    | Interp ->
+    match m.vc.Vcode.out_of_frame, backend with
+    | Some t, _ -> Fault t
+    | None, Interp ->
       (match Hashtbl.find_opt m.vc.Vcode.funcs entry with
        | None -> no_entry ()
        | Some lf -> finish (exec_func m lf [||]))
-    | Jit ->
+    | None, Jit ->
       let prog = Jit.compile_cached ?fuel m.vc in
       (match Jit.find_func prog entry with
        | None -> no_entry ()

@@ -32,6 +32,7 @@ type trap_kind =
   | Div_by_zero
   | Out_of_cycles          (* budget exceeded: treated as a hang *)
   | Unresolved_external of string
+  | Out_of_frame of { func : string; reg : int; nregs : int }
 
 type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 
@@ -120,6 +121,9 @@ let trap_kind_to_string = function
   | Div_by_zero -> "SIGFPE"
   | Out_of_cycles -> "cycle budget exceeded"
   | Unresolved_external f -> "unresolved external " ^ f
+  | Out_of_frame { func; reg; nregs } ->
+    Printf.sprintf "register r%d outside the %d-register frame of %s" reg
+      nregs func
 
 let pp fmt r =
   Fmt.pf fmt "%s: %s at 0x%x%s" r.r_by (kind_to_string r.r_kind) r.r_addr

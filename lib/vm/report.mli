@@ -28,6 +28,10 @@ type trap_kind =
   | Div_by_zero
   | Out_of_cycles
   | Unresolved_external of string
+  | Out_of_frame of { func : string; reg : int; nregs : int }
+      (** malformed code: [func] names register [reg] outside its
+          [nregs]-register frame; the module is rejected before it
+          runs *)
 
 type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 

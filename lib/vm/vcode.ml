@@ -58,6 +58,7 @@ type t = {
   globals : (string, int) Hashtbl.t;
   globals_end : int;
   intrin_names : string array;   (* islot -> intrinsic name *)
+  out_of_frame : Report.trap option;  (* the module cannot run *)
 }
 
 (* One authoritative recursion bound for both backends. *)
@@ -118,6 +119,33 @@ let resolve_instr funcs globals islot (i : instr) : vinstr =
   | Igep _ ->
     Vplain (Tir.Ir.map_opnds r i)
 
+(* The first register [f] names outside [0, f_nregs): such code would
+   index past its register file on either backend, so it is found here,
+   once per resolution, instead of on the execution path. *)
+let out_of_frame (f : func) : Report.trap option =
+  let bad = ref None in
+  let check r =
+    if (r < 0 || r >= f.f_nregs) && !bad = None then
+      bad :=
+        Some
+          { Report.t_kind =
+              Report.Out_of_frame
+                { func = f.f_name; reg = r; nregs = f.f_nregs };
+            t_addr = 0; t_detail = "" }
+  in
+  let check_opnd = function Reg r -> check r | Imm _ | Glob _ -> () in
+  List.iter check f.f_params;
+  Array.iter
+    (fun b ->
+       List.iter
+         (fun i ->
+            iter_opnds check_opnd i;
+            iter_def check i)
+         b.b_instrs;
+       List.iter check (term_uses b.b_term))
+    f.f_blocks;
+  !bad
+
 let resolve_term globals = function
   | Tret (Some o) -> Tret (Some (resolve_opnd globals o))
   | Tcbr (o, a, b) -> Tcbr (resolve_opnd globals o, a, b)
@@ -142,9 +170,12 @@ let resolve (md : modul) : t =
     md.m_globals;
   let globals_end = align_up !cursor Layout46.page_size in
   let funcs = Hashtbl.create 17 in
+  let bad = ref None in
   iter_funcs md (fun f ->
-      if Array.length f.f_blocks > 0 then
-        Hashtbl.replace funcs f.f_name (load_func f));
+      if Array.length f.f_blocks > 0 then begin
+        Hashtbl.replace funcs f.f_name (load_func f);
+        if !bad = None then bad := out_of_frame f
+      end);
   (* phase 2: every function and global address is known -- resolve.
      Iterate in the module's deterministic order so islot assignment is
      reproducible. *)
@@ -180,6 +211,7 @@ let resolve (md : modul) : t =
     globals;
     globals_end;
     intrin_names = Array.of_list (List.rev !intrins);
+    out_of_frame = !bad;
   }
 
 type Tir.Ir.vm_cache += Cached of t

@@ -585,12 +585,123 @@ int main() {
         | exception Tir.Link.Link_error _ -> ());
   ]
 
+(* --- the shared copy table against a naive model ------------------------- *)
+
+(* The model keeps the copy chains as an association list, as a
+   [Hashtbl] from register to copy source did before the table went
+   dense: [canon] follows the chain, and a kill removes the register's
+   own entry and every entry naming it.  One difference is deliberate:
+   a self-copy records nothing (the hashtable recorded [r -> r], and a
+   later [canon r] never returned). *)
+module Copy_model = struct
+  let rec canon m r =
+    match List.assoc_opt r m with Some s -> canon m s | None -> r
+
+  let kill m r = List.filter (fun (k, s) -> k <> r && s <> r) m
+
+  let move m ~dst ~src =
+    let m = kill m dst in
+    let root = canon m src in
+    if root = dst then m else (dst, root) :: m
+end
+
+type copy_op =
+  | Move of int * int
+  | Kill of int
+  | Canon of int
+  | Reset
+
+let pp_copy_op = function
+  | Move (d, s) -> Printf.sprintf "r%d = r%d" d s
+  | Kill r -> Printf.sprintf "kill r%d" r
+  | Canon r -> Printf.sprintf "canon r%d" r
+  | Reset -> "reset"
+
+(* Runs [ops] on a table of [nregs] registers and on the model; the
+   first disagreement, if any. *)
+let copies_disagree nregs ops =
+  let t = Tir.Copies.create nregs in
+  let all = List.init (nregs + 4) (fun k -> k - 2) in
+  let rec go m = function
+    | [] ->
+      List.find_map
+        (fun r ->
+           let a = Tir.Copies.canon t r and b = Copy_model.canon m r in
+           if a = b then None
+           else
+             Some
+               (Printf.sprintf "at the end, canon r%d: %d, model %d" r a b))
+        all
+    | op :: rest ->
+      (match op with
+       | Move (dst, src) ->
+         Tir.Copies.move t ~dst ~src;
+         go (Copy_model.move m ~dst ~src) rest
+       | Kill r ->
+         Tir.Copies.kill t r;
+         go (Copy_model.kill m r) rest
+       | Reset ->
+         Tir.Copies.reset t;
+         go [] rest
+       | Canon r ->
+         let a = Tir.Copies.canon t r and b = Copy_model.canon m r in
+         if a = b then go m rest
+         else
+           Some (Printf.sprintf "%s: %d, model %d" (pp_copy_op op) a b))
+  in
+  go [] ops
+
+let copies_gen =
+  let open QCheck.Gen in
+  int_range 0 6 >>= fun nregs ->
+  let reg = int_range (-2) (nregs + 1) in
+  let op =
+    frequency
+      [ (5, map2 (fun d s -> Move (d, s)) reg reg);
+        (2, map (fun r -> Kill r) reg);
+        (4, map (fun r -> Canon r) reg);
+        (1, return Reset) ]
+  in
+  map (fun ops -> (nregs, ops)) (list_size (int_range 1 60) op)
+
+let copies_model_test =
+  QCheck.Test.make ~name:"copy table agrees with the association-list model"
+    ~count:3000
+    (QCheck.make copies_gen ~print:(fun (n, ops) ->
+         Printf.sprintf "nregs %d: %s" n
+           (String.concat "; " (List.map pp_copy_op ops))))
+    (fun (nregs, ops) ->
+       match copies_disagree nregs ops with
+       | None -> true
+       | Some what -> QCheck.Test.fail_reportf "%s" what)
+
+let copies_tests =
+  let case name nregs ops =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check (option string)) "disagreement" None
+          (copies_disagree nregs ops))
+  in
+  [ case "a source with several dependents" 6
+      [ Move (1, 0); Move (2, 0); Move (3, 1); Canon 3; Kill 0; Canon 1;
+        Canon 2; Canon 3; Move (4, 2); Canon 4 ];
+    case "chains name their root" 6
+      [ Move (1, 0); Move (2, 1); Move (3, 2); Kill 1; Canon 2; Canon 3;
+        Move (0, 3); Canon 0; Kill 0; Canon 3; Move (1, 1); Canon 1 ];
+    case "registers outside the frame" 2
+      [ Move (3, 0); Move (-2, 3); Move (-1, -2); Canon (-1); Kill 0;
+        Canon 3; Canon (-2); Move (0, -1); Canon 0; Kill (-1); Canon 0 ];
+    case "a reset forgets every copy" 3
+      [ Move (1, 0); Move (-2, 1); Reset; Canon 1; Canon (-2); Move (2, 1);
+        Canon 2 ];
+    QCheck_alcotest.to_alcotest copies_model_test ]
+
 let () =
   Alcotest.run "tir"
     [
       "cfg", cfg_tests;
       "checkopt", checkopt_tests;
       "link", link_tests;
+      "copies", copies_tests;
       "differential",
       [
         QCheck_alcotest.to_alcotest differential_test;
