@@ -11,39 +11,15 @@
 
 open Cmdliner
 
-let sanitizer_of_name = function
-  | "cecsan" -> Ok (Cecsan.sanitizer ())
-  | "cecsan-chain" ->
-    Ok (Cecsan.sanitizer ~config:Cecsan.Config.with_chain ())
-  | "cecsan-nosubobj" ->
-    Ok (Cecsan.sanitizer ~config:Cecsan.Config.no_subobject ())
-  | "cecsan-noopt" -> Ok (Cecsan.sanitizer ~config:Cecsan.Config.no_opts ())
-  | "asan" -> Ok (Baselines.Asan.sanitizer ())
-  | "asan--" -> Ok (Baselines.Asan_minus.sanitizer ())
-  | "hwasan" -> Ok (Baselines.Hwasan.sanitizer ())
-  | "softbound" -> Ok (Baselines.Softbound_cets.sanitizer ())
-  | "pacmem" -> Ok (Baselines.Pacmem.sanitizer ())
-  | "cryptsan" -> Ok (Baselines.Cryptsan.sanitizer ())
-  | "none" -> Ok Sanitizer.Spec.none
-  | s -> Error (`Msg ("unknown sanitizer: " ^ s))
-
-let sanitizer_conv =
-  Arg.conv
-    ( (fun s -> sanitizer_of_name s),
-      fun fmt (s : Sanitizer.Spec.t) -> Fmt.string fmt s.name )
-
 let file =
   Arg.(required & pos 0 (some file) None
        & info [] ~docv:"FILE" ~doc:"MiniC source file to compile and run.")
 
 let sanitizer =
-  Arg.(value
-       & opt sanitizer_conv (Cecsan.sanitizer ())
+  let keys = Baselines.Tools.(keys all) in
+  Arg.(value & opt (Harness.Cli.one_of keys) "cecsan"
        & info [ "s"; "sanitizer" ] ~docv:"NAME"
-           ~doc:
-             "Sanitizer: cecsan (default), cecsan-chain, cecsan-nosubobj, \
-              cecsan-noopt, asan, asan--, hwasan, softbound, pacmem, \
-              cryptsan, none.")
+           ~doc:("Sanitizer: " ^ String.concat ", " keys ^ "."))
 
 let stdin_lines =
   Arg.(value & opt_all string []
@@ -122,7 +98,7 @@ let max_reports =
                  Implies $(b,--recover).")
 
 let inject =
-  Arg.(value & opt_all string []
+  Arg.(value & opt_all Harness.Cli.fault_spec []
        & info [ "inject" ] ~docv:"SPEC"
            ~doc:"Inject a deterministic fault (repeatable): $(b,oom:N) \
                  makes malloc return NULL after N allocations, \
@@ -158,9 +134,10 @@ let front_end src_file (san : Sanitizer.Spec.t) f =
     Fmt.epr "==FUEL== exhausted in %s (budget %d steps)@." phase budget;
     exit 5
 
-let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
+let run_cmd tool src_file lines packets dump_ir dump_tir
     verify dump_absint stats profile telemetry_json no_opt budget recover
     max_reports inject fuel_budget backend =
+  let san = Option.get (Baselines.Tools.make tool) in
   let src = In_channel.with_open_bin src_file In_channel.input_all in
   let fuel =
     Option.map (fun b -> Tir.Fuel.make ~phase:"compile" ~budget:b) fuel_budget
@@ -234,19 +211,7 @@ let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
              | None -> Vm.Report.default_max_reports) }
     else Vm.Report.Halt
   in
-  let fault =
-    let specs =
-      List.map
-        (fun s ->
-           match Vm.Fault.parse s with
-           | Ok spec -> spec
-           | Error m ->
-             Fmt.epr "--inject %s: %s@." s m;
-             exit 2)
-        inject
-    in
-    Vm.Fault.of_specs specs
-  in
+  let fault = Vm.Fault.of_specs inject in
   (* --inject fuel:N without --fuel still reaches the pipeline *)
   let fuel = Sanitizer.Driver.pipeline_fuel ?fuel (Some fault) in
   let md =

@@ -27,11 +27,11 @@ let smoke =
            ~doc:"Quick CI subset: 120 programs, CECSan only.")
 
 let tools =
-  Arg.(value & opt string ""
+  let keys = Baselines.Tools.(keys baselines) in
+  Arg.(value & opt (list (Harness.Cli.one_of keys)) []
        & info [ "tools" ] ~docv:"NAMES"
-           ~doc:"Comma-separated baselines to cross-check in addition to \
-                 CECSan: asan, asan--, hwasan, softbound, pacmem, \
-                 cryptsan.")
+           ~doc:("Comma-separated baselines to cross-check in addition to \
+                  CECSan: " ^ String.concat ", " keys ^ "."))
 
 let max_shrink =
   Arg.(value & opt Harness.Cli.nonneg_int 5
@@ -88,7 +88,7 @@ let min_corpus =
                  $(b,Corpus.minimize)).  Exit 0 if minimal, 1 if not.")
 
 let faults =
-  Arg.(value & opt string ""
+  Arg.(value & opt (list Harness.Cli.fault_spec) []
        & info [ "faults" ] ~docv:"SPECS"
            ~doc:"Comma-separated fault specs injected into every \
                  program's runs: oom:N, table:N, tagflip:N, crash:N \
@@ -121,9 +121,9 @@ let max_retries =
            ~doc:"Deterministic retry budget before a dead task is \
                  quarantined.")
 
-let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
+let run_cmd n seed jobs smoke tool_names max_shrink repro_dir write_corpus
     corpus_dir corpus_count guided mutate_only min_corpus telemetry_json
-    faults checkpoint resume shard_size max_retries backend =
+    fault_specs checkpoint resume shard_size max_retries backend =
   (* The backend is threaded explicitly into every campaign entry point. *)
   if min_corpus then begin
     match Fuzz.Campaign.check_corpus_minimal ~dir:corpus_dir ?backend () with
@@ -146,29 +146,6 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     List.iter (fun p -> Fmt.pr "  %s@." p) paths;
     exit 0
   end;
-  let tool_names =
-    if String.trim tools = "" then []
-    else
-      List.map String.trim (String.split_on_char ',' tools)
-      |> List.filter (fun s -> s <> "")
-  in
-  List.iter
-    (fun name ->
-       if Fuzz.Oracle.baseline_of_name name = None then begin
-         Fmt.epr "--tools %s: unknown baseline@." name;
-         exit 2
-       end)
-    tool_names;
-  let fault_specs =
-    if String.trim faults = "" then []
-    else
-      List.map String.trim (String.split_on_char ',' faults)
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-          match Vm.Fault.parse s with
-          | Ok spec -> spec
-          | Error m -> Fmt.epr "--faults: %s@." m; exit 2)
-  in
   if resume && checkpoint = None then begin
     Fmt.epr "--resume requires --checkpoint DIR@.";
     exit 2

@@ -35,16 +35,7 @@ let model : Tir.Absint.model = {
   am_slots = false;  (* protect_stack renumbers slots; play safe *)
 }
 
-let spec : Sanitizer.Checkopt.spec = {
-  check_load = "__asan_check_load";
-  check_store = "__asan_check_store";
-  produces_addr = false;
-  strip_mask = -1;
-  may_hoist_stores = false;
-  hazard_intrinsics = [ "__asan_poison"; "__asan_unpoison" ];
-  extcall_strip = None;
-  absint = Some model;
-}
+let spec = { Asan.verify_spec with absint = Some model }
 
 let optimize (md : Tir.Ir.modul) : unit =
   let is_hazard n = List.mem n spec.hazard_intrinsics in

@@ -306,24 +306,8 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
       strip a.(0));
   vrt
 
-(* No check optimization; the check intrinsics authenticate and produce
-   the stripped address, and every pointer reaching uninstrumented code
-   must route through the strip intrinsic. *)
-let verify_spec (pol : policy) : Tir.Verify.spec =
-  let pre = pol.p_prefix in
-  {
-    check_load = pre ^ "_check_load";
-    check_store = pre ^ "_check_store";
-    produces_addr = true;
-    strip_mask = Vm.Layout46.addr_mask;
-    may_hoist_stores = true;
-    hazard_intrinsics =
-      [ pre ^ "_malloc"; pre ^ "_free"; pre ^ "_calloc"; pre ^ "_realloc";
-        pre ^ "_stack_make"; pre ^ "_stack_release"; pre ^ "_global_make" ];
-    extcall_strip = Some (pre ^ "_extcall_strip");
-    absint = None;
-  }
-
+(* No check optimization and no absint model: the spec of CECSan's
+   pass, over the policy's namespace. *)
 let sanitizer (pol : policy) : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name = pol.p_name;
@@ -331,6 +315,6 @@ let sanitizer (pol : policy) : Sanitizer.Spec.t =
       Cecsan.Instrument.instrument ~config:Cecsan.Config.no_subobject
         ~ns:pol.p_prefix;
     optimize = (fun _ -> ());
-    verify = Some (verify_spec pol);
+    verify = Some (Cecsan.Opt.namespace_spec pol.p_prefix);
     fresh_runtime = fresh_runtime pol;
   }

@@ -29,18 +29,3 @@ let sanitizer ?(config = Config.default) () : Sanitizer.Spec.t =
            (Runtime.create
               ~chain_overflow:config.Config.chain_overflow ()));
   }
-
-(* Named variants used by the ablation benchmarks. *)
-let variants : (string * Sanitizer.Spec.t) list =
-  [
-    "CECSan", sanitizer ();
-    "CECSan-noopt", sanitizer ~config:Config.no_opts ();
-    "CECSan-nosubobj", sanitizer ~config:Config.no_subobject ();
-    "CECSan-noloopopt",
-    sanitizer ~config:{ Config.default with opt_loop = false } ();
-    "CECSan-notypeinfo",
-    sanitizer ~config:{ Config.default with opt_typeinfo = false } ();
-    "CECSan-noredundant",
-    sanitizer ~config:{ Config.default with opt_redundant = false } ();
-    "CECSan-chain", sanitizer ~config:Config.with_chain ();
-  ]

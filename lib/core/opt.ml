@@ -32,19 +32,21 @@ let model : Tir.Absint.model = {
   am_slots = true;
 }
 
-let spec : Sanitizer.Checkopt.spec = {
-  check_load = "__cecsan_check_load";
-  check_store = "__cecsan_check_store";
+let namespace_spec ?absint ns : Sanitizer.Checkopt.spec = {
+  check_load = ns ^ "_check_load";
+  check_store = ns ^ "_check_store";
   produces_addr = true;
   strip_mask = Vm.Layout46.addr_mask;
   may_hoist_stores = true;
   hazard_intrinsics =
-    [ "__cecsan_free"; "__cecsan_realloc"; "__cecsan_stack_release";
-      "__cecsan_sub_release"; "__cecsan_sub_make"; "__cecsan_malloc";
-      "__cecsan_calloc"; "__cecsan_stack_make"; "__cecsan_global_make" ];
-  extcall_strip = Some "__cecsan_extcall_strip";
-  absint = Some model;
+    List.map (( ^ ) ns)
+      [ "_free"; "_realloc"; "_stack_release"; "_sub_release"; "_sub_make";
+        "_malloc"; "_calloc"; "_stack_make"; "_global_make" ];
+  extcall_strip = Some (ns ^ "_extcall_strip");
+  absint;
 }
+
+let spec = namespace_spec ~absint:model "__cecsan"
 
 (* The purity closure both optimizer passes and the verifier share:
    callees that provably cannot touch sanitizer metadata. *)

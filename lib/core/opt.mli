@@ -4,7 +4,14 @@
     stores as well as loads: a store cannot corrupt the disjoint
     metadata table. *)
 
+val namespace_spec :
+  ?absint:Tir.Absint.model -> string -> Sanitizer.Checkopt.spec
+(** The spec of the intrinsics [Instrument.instrument ~ns] emits: checks
+    that authenticate and return the stripped address, every metadata
+    change a hazard, pointers reaching external code stripped first. *)
+
 val spec : Sanitizer.Checkopt.spec
+(** [namespace_spec ~absint:model "__cecsan"]. *)
 
 val model : Tir.Absint.model
 (** Abstract-interpretation model of the CECSan intrinsics, also

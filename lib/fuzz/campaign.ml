@@ -46,8 +46,6 @@ type summary = {
 
 let inject_of_index i = i land 1 = 1
 
-let tools_of_names names = List.filter_map Oracle.baseline_of_name names
-
 (* The pipeline-fuel budget carried by a [Fuel n] fault spec, if any. *)
 let fuel_budget_of_specs specs =
   List.fold_left
@@ -106,9 +104,8 @@ let run_one ~tool_names ~fault_specs ~campaign_seed ?backend phase i : job =
       let op, tape = Mutate.mutate ~rng ~partner base in
       sp "mutate:%s" (Mutate.op_name op), generate (Tape.replay tape)
   in
-  let fs, snap, cov =
-    Oracle.evaluate_cov ~tools:(tools_of_names tool_names) ?fault ?backend p
-  in
+  let tools = Baselines.Tools.baseline_specs tool_names in
+  let fs, snap, cov = Oracle.evaluate_cov ~tools ?fault ?backend p in
   { row = { index = i; seed; plan = p.Gen.plan;
             failures = List.map Oracle.failure_name fs };
     snap; cov; label; tape = p.Gen.tape }
@@ -119,7 +116,7 @@ let run_one ~tool_names ~fault_specs ~campaign_seed ?backend phase i : job =
    evaluation, and [fuel] bounds the whole minimization. *)
 let shrink_failure ~tool_names ?fault ?fuel ?backend ~inject
     (p : Gen.program) (failures : Oracle.failure list) : shrunk option =
-  let tools = tools_of_names tool_names in
+  let tools = Baselines.Tools.baseline_specs tool_names in
   let wanted = List.map Oracle.failure_name failures in
   let evaluate_tape tape =
     let p' = Gen.generate ~inject (Tape.replay tape) in
@@ -319,9 +316,8 @@ let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
           (fuel_budget_of_specs faults)
       in
       let p = Gen.generate ~inject (Tape.fresh ~seed:r.seed) in
-      let fs =
-        Oracle.evaluate ~tools:(tools_of_names tool_names) ?fault ?backend p
-      in
+      let tools = Baselines.Tools.baseline_specs tool_names in
+      let fs = Oracle.evaluate ~tools ?fault ?backend p in
       match shrink_failure ~tool_names ?fault ?fuel ?backend ~inject p fs with
       | Some s ->
         { s with s_row = { s.s_row with index = r.index; seed = r.seed } }

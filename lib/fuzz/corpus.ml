@@ -142,7 +142,7 @@ let entry_to_line e =
 
 let entry_of_line line =
   match
-    Scanf.sscanf line "entry id=%d seed=%x phase=%s tape=%s cov=%s"
+    Scanf.sscanf line "entry id=%d seed=%x phase=%s tape=%s cov=%s%!"
       (fun id seed phase tape cov -> (id, seed, phase, tape, cov))
   with
   | id, seed, phase, tape, cov ->

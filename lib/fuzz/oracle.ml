@@ -187,16 +187,6 @@ let run_tool (san : Sanitizer.Spec.t) ?policy ?fault ?backend ~optimize
 let recover_policy =
   Vm.Report.Recover { max_reports = Vm.Report.default_max_reports }
 
-(* Baselines selectable for a campaign, by CLI name. *)
-let baseline_of_name = function
-  | "asan" -> Some (Baselines.Asan.sanitizer ())
-  | "asan--" -> Some (Baselines.Asan_minus.sanitizer ())
-  | "hwasan" -> Some (Baselines.Hwasan.sanitizer ())
-  | "softbound" -> Some (Baselines.Softbound_cets.sanitizer ())
-  | "pacmem" -> Some (Baselines.Pacmem.sanitizer ())
-  | "cryptsan" -> Some (Baselines.Cryptsan.sanitizer ())
-  | _ -> None
-
 (* The guided fuzzer's feedback signal: one bitmap leg per instrumented
    CECSan pipeline variant (O2 / O0 / noabsint — the legs whose
    elide/cover split actually differs), then one per extra baseline, in

@@ -50,9 +50,6 @@ val run_tool :
   Sanitizer.Spec.t -> ?policy:Vm.Report.policy -> ?fault:Vm.Fault.t ->
   ?backend:Vm.Machine.backend -> optimize:bool -> string -> tool_run
 
-val baseline_of_name : string -> Sanitizer.Spec.t option
-(** CLI names: asan, asan--, hwasan, softbound, pacmem, cryptsan. *)
-
 val evaluate :
   ?tools:Sanitizer.Spec.t list -> ?fault:Vm.Fault.t ->
   ?backend:Vm.Machine.backend -> Gen.program -> failure list

@@ -15,6 +15,22 @@ let int_conv ~expected ok =
 let nonneg_int = int_conv ~expected:"a non-negative integer" (fun v -> v >= 0)
 let pos_int = int_conv ~expected:"a positive integer" (fun v -> v > 0)
 
+let one_of names =
+  let parse s =
+    if List.mem s names then Ok s
+    else
+      Error
+        (`Msg
+           (Printf.sprintf "unknown name %S, expected one of %s" s
+              (String.concat ", " names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let fault_spec =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Vm.Fault.parse s)),
+      fun fmt s -> Format.pp_print_string fmt (Vm.Fault.spec_to_string s) )
+
 let jobs ~doc =
   let resolve = function
     | 0 -> Domain.recommended_domain_count ()

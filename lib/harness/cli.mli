@@ -12,6 +12,14 @@ val pos_int : int Arg.conv
 val nonneg_int : int Arg.conv
 (** Integers [>= 0]. *)
 
+val one_of : string list -> string Arg.conv
+(** Exactly one of [names]: unlike [Arg.enum], no prefix of a name is
+    accepted, so a command line takes the names a request does. *)
+
+val fault_spec : Vm.Fault.spec Arg.conv
+(** A fault-injection spec, as {!Vm.Fault.parse} reads it
+    ([oom:N], [table:N], [tagflip:N], [crash:N], [fuel:N]). *)
+
 val jobs : doc:string -> int Term.t
 (** [-j]/[--jobs J]: a non-negative job count, default 1.  [0] is
     resolved here, once, to [Domain.recommended_domain_count ()]; the

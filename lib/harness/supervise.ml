@@ -77,7 +77,8 @@ let entry_to_line e =
 
 let entry_of_line line : entry option =
   match
-    Scanf.sscanf line "task=%d seed=%x attempts=%d class=%s phase=%s detail=%S"
+    Scanf.sscanf line
+      "task=%d seed=%x attempts=%d class=%s phase=%s detail=%S%!"
       (fun q_task q_seed q_attempts q_class q_phase q_detail ->
          { q_task; q_seed; q_class; q_phase; q_attempts; q_detail })
   with

@@ -20,11 +20,7 @@ type row = {
 
 let analyze_budget = 50_000_000
 
-let sanitizer_of_name (name : string) : Sanitizer.Spec.t option =
-  match name with
-  | "cecsan" -> Some (Cecsan.sanitizer ())
-  | "none" -> Some Sanitizer.Spec.none
-  | _ -> Fuzz.Oracle.baseline_of_name name
+let sanitizer_of_name = Baselines.Tools.make
 
 let kernel_of_name (name : string) : Workloads.Spec2006.t option =
   List.find_opt
@@ -92,7 +88,7 @@ let execute ?backend (req : Protocol.request) : row =
   match
     match req.Protocol.op with
     | Protocol.Analyze { source; sanitizer; optimize } ->
-      (match sanitizer_of_name sanitizer with
+      (match Baselines.Tools.make sanitizer with
        | None -> error_row req ("unknown-sanitizer: " ^ sanitizer)
        | Some san ->
          ok_row req
@@ -105,7 +101,7 @@ let execute ?backend (req : Protocol.request) : row =
            ~externs:Fuzz.Oracle.externs ~budget:analyze_budget ?backend
            ~optimize:true p.Fuzz.Gen.src)
     | Protocol.Bench { kernel; sanitizer } ->
-      (match (kernel_of_name kernel, sanitizer_of_name sanitizer) with
+      (match (kernel_of_name kernel, Baselines.Tools.make sanitizer) with
        | None, _ -> error_row req ("unknown-kernel: " ^ kernel)
        | _, None -> error_row req ("unknown-sanitizer: " ^ sanitizer)
        | Some w, Some san ->

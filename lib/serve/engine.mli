@@ -18,8 +18,7 @@ type row = {
 }
 
 val sanitizer_of_name : string -> Sanitizer.Spec.t option
-(** ["cecsan"], ["none"], plus every [Fuzz.Oracle.baseline_of_name]
-    baseline (asan, asan--, hwasan, softbound, pacmem, cryptsan). *)
+(** [Baselines.Tools.make]: every [cecsan_cli -s] name. *)
 
 val kernel_of_name : string -> Workloads.Spec2006.t option
 (** SPEC2006- and SPEC2017-like kernels, by [w_name]. *)

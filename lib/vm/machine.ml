@@ -356,7 +356,7 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
             t_detail = "no entry point" }
   in
   match
-    match m.vc.Vcode.out_of_frame, backend with
+    match m.vc.Vcode.malformed, backend with
     | Some t, _ -> Fault t
     | None, Interp ->
       (match Hashtbl.find_opt m.vc.Vcode.funcs entry with

@@ -33,6 +33,8 @@ type trap_kind =
   | Out_of_cycles          (* budget exceeded: treated as a hang *)
   | Unresolved_external of string
   | Out_of_frame of { func : string; reg : int; nregs : int }
+  | Bad_slot of { func : string; slot : int; nslots : int }
+  | Bad_target of { func : string; target : int; nblocks : int }
 
 type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 
@@ -124,6 +126,11 @@ let trap_kind_to_string = function
   | Out_of_frame { func; reg; nregs } ->
     Printf.sprintf "register r%d outside the %d-register frame of %s" reg
       nregs func
+  | Bad_slot { func; slot; nslots } ->
+    Printf.sprintf "slot s%d outside the %d-slot frame of %s" slot nslots func
+  | Bad_target { func; target; nblocks } ->
+    Printf.sprintf "branch target b%d outside the %d-block body of %s" target
+      nblocks func
 
 let pp fmt r =
   Fmt.pf fmt "%s: %s at 0x%x%s" r.r_by (kind_to_string r.r_kind) r.r_addr

@@ -31,7 +31,11 @@ type trap_kind =
   | Out_of_frame of { func : string; reg : int; nregs : int }
       (** malformed code: [func] names register [reg] outside its
           [nregs]-register frame; the module is rejected before it
-          runs *)
+          runs, as for the two below *)
+  | Bad_slot of { func : string; slot : int; nslots : int }
+      (** [func] names slot [slot] outside its [nslots] slots *)
+  | Bad_target of { func : string; target : int; nblocks : int }
+      (** [func] branches to [target] outside its [nblocks] blocks *)
 
 type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 

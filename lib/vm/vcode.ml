@@ -58,7 +58,7 @@ type t = {
   globals : (string, int) Hashtbl.t;
   globals_end : int;
   intrin_names : string array;   (* islot -> intrinsic name *)
-  out_of_frame : Report.trap option;  (* the module cannot run *)
+  malformed : Report.trap option;  (* the module cannot run *)
 }
 
 (* One authoritative recursion bound for both backends. *)
@@ -76,7 +76,8 @@ let load_func (f : func) : loaded_func =
   List.iter
     (fun s ->
        off := align_up !off (max s.s_align 1);
-       slot_off.(s.s_id) <- !off;
+       (* an id outside [0, nslots) is [malformed]: the module never runs *)
+       if s.s_id >= 0 && s.s_id < nslots then slot_off.(s.s_id) <- !off;
        off := !off + s.s_size)
     f.f_slots;
   {
@@ -119,30 +120,40 @@ let resolve_instr funcs globals islot (i : instr) : vinstr =
   | Igep _ ->
     Vplain (Tir.Ir.map_opnds r i)
 
-(* The first register [f] names outside [0, f_nregs): such code would
-   index past its register file on either backend, so it is found here,
-   once per resolution, instead of on the execution path. *)
-let out_of_frame (f : func) : Report.trap option =
+(* The first register, slot or branch target [f] names outside
+   [0, f_nregs), its slots or its blocks: such code would index past an
+   array on either backend, so it is found here, once per resolution,
+   instead of on the execution path. *)
+let malformed (f : func) : Report.trap option =
   let bad = ref None in
-  let check r =
-    if (r < 0 || r >= f.f_nregs) && !bad = None then
-      bad :=
-        Some
-          { Report.t_kind =
-              Report.Out_of_frame
-                { func = f.f_name; reg = r; nregs = f.f_nregs };
-            t_addr = 0; t_detail = "" }
+  let check n kind x =
+    if (x < 0 || x >= n) && !bad = None then
+      bad := Some { Report.t_kind = kind x; t_addr = 0; t_detail = "" }
   in
-  let check_opnd = function Reg r -> check r | Imm _ | Glob _ -> () in
-  List.iter check f.f_params;
+  let func = f.f_name and nregs = f.f_nregs in
+  let nslots = List.length f.f_slots and nblocks = Array.length f.f_blocks in
+  let reg =
+    check nregs (fun reg -> Report.Out_of_frame { func; reg; nregs })
+  in
+  let slot =
+    check nslots (fun slot -> Report.Bad_slot { func; slot; nslots })
+  in
+  let target =
+    check nblocks (fun target -> Report.Bad_target { func; target; nblocks })
+  in
+  let opnd = function Reg r -> reg r | Imm _ | Glob _ -> () in
+  List.iter reg f.f_params;
+  List.iter (fun s -> slot s.s_id) f.f_slots;
   Array.iter
     (fun b ->
        List.iter
          (fun i ->
-            iter_opnds check_opnd i;
-            iter_def check i)
+            iter_opnds opnd i;
+            iter_def reg i;
+            match i with Islot { slot = s; _ } -> slot s | _ -> ())
          b.b_instrs;
-       List.iter check (term_uses b.b_term))
+       List.iter reg (term_uses b.b_term);
+       List.iter target (successors b.b_term))
     f.f_blocks;
   !bad
 
@@ -174,7 +185,7 @@ let resolve (md : modul) : t =
   iter_funcs md (fun f ->
       if Array.length f.f_blocks > 0 then begin
         Hashtbl.replace funcs f.f_name (load_func f);
-        if !bad = None then bad := out_of_frame f
+        if !bad = None then bad := malformed f
       end);
   (* phase 2: every function and global address is known -- resolve.
      Iterate in the module's deterministic order so islot assignment is
@@ -211,7 +222,7 @@ let resolve (md : modul) : t =
     globals;
     globals_end;
     intrin_names = Array.of_list (List.rev !intrins);
-    out_of_frame = !bad;
+    malformed = !bad;
   }
 
 type Tir.Ir.vm_cache += Cached of t

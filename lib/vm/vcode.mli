@@ -43,11 +43,11 @@ type t = {
   globals : (string, int) Hashtbl.t;
   globals_end : int;
   intrin_names : string array;  (** islot -> intrinsic name *)
-  out_of_frame : Report.trap option;
-      (** the first register (in function, block and instruction
-          order) that some function names outside its frame: the module
-          cannot run, and both backends fault with this trap before
-          executing anything *)
+  malformed : Report.trap option;
+      (** the first register, slot or branch target (in function,
+          block and instruction order) that some function names outside
+          its frame or body: the module cannot run, and both backends
+          fault with this trap before executing anything *)
 }
 
 val max_call_depth : int

@@ -153,6 +153,23 @@ let corpus_tests =
            (Fuzz.Corpus.accumulated c) (Fuzz.Corpus.accumulated m);
          Alcotest.(check bool) "no larger" true
            (Fuzz.Corpus.size m <= Fuzz.Corpus.size c));
+    Alcotest.test_case "entry_of_line rejects trailing bytes" `Quick
+      (fun () ->
+         let e =
+           { Fuzz.Corpus.e_id = 3; e_seed = 0xBEEF; e_phase = "gen";
+             e_tape = [| 1; 2; 3 |];
+             e_cov =
+               Fuzz.Coverage.of_keys
+                 [ Fuzz.Coverage.key ~leg:0 ~site:3 Fuzz.Coverage.Executed ] }
+         in
+         let line = Fuzz.Corpus.entry_to_line e in
+         Alcotest.(check bool) "own line" true
+           (Fuzz.Corpus.entry_of_line line = Some e);
+         List.iter
+           (fun suffix ->
+              Alcotest.(check bool) (Printf.sprintf "suffix %S" suffix) true
+                (Fuzz.Corpus.entry_of_line (line ^ suffix) = None))
+           [ " GARBAGE"; " "; "\n"; "\t1"; "x"; "\"" ]);
     Alcotest.test_case "corpus file round-trips byte for byte" `Quick
       (fun () ->
          let s = guided ~seed:0x5EED ~n:60 () in

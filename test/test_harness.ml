@@ -353,11 +353,15 @@ let flag_tests =
            [ [ "-n"; "0" ]; [ "--shard-size"; "0" ]; [ "--shard-size=-1" ];
              [ "--max-shrink=-1" ];
              [ "--write-corpus"; "--corpus-count"; "0" ];
-             [ "--max-retries=-1" ] ];
+             [ "--max-retries=-1" ]; [ "--tools"; "asna" ];
+             [ "--tools"; "asan,cecsan" ]; [ "--faults"; "oops:1" ] ];
          usage_error "cecsan_serve" [ "--batch"; "0" ];
          List.iter
            (fun args -> usage_error "cecsan_cli" (src :: args))
-           [ [ "--fuel=-1" ]; [ "--budget=-1" ]; [ "--max-reports=-1" ] ];
+           [ [ "--fuel=-1" ]; [ "--budget=-1" ]; [ "--max-reports=-1" ];
+             [ "--inject"; "nope" ]; [ "-s"; "bogus" ];
+             (* a prefix is no name: the daemon would not take it either *)
+             [ "-s"; "cry" ] ];
          (* the bound itself is accepted: zero fuel exhausts at once *)
          Alcotest.(check bool) "cecsan_cli --fuel 0: exit 5" true
            (fst (run "cecsan_cli" [ src; "--fuel"; "0" ]) = Unix.WEXITED 5));

@@ -8,17 +8,14 @@
    fallbacks, its binding rule and metadata entries whose bounds sit on
    two pages.  Hand-built modules pin copy forwarding, the word-wide
    memory path, every operator and compare in every operand shape over
-   edge values, registers outside the frame and unbound intrinsic
-   slots. *)
+   edge values, registers, slots and branch targets outside the frame,
+   and unbound intrinsic slots. *)
 
+(* CECSan and every cross-check baseline, from the tool table *)
 let sanitizers () =
-  [ ("cecsan", Cecsan.sanitizer ());
-    ("asan", Baselines.Asan.sanitizer ());
-    ("asan--", Baselines.Asan_minus.sanitizer ());
-    ("hwasan", Baselines.Hwasan.sanitizer ());
-    ("softbound", Baselines.Softbound_cets.sanitizer ());
-    ("pacmem", Baselines.Pacmem.sanitizer ());
-    ("cryptsan", Baselines.Cryptsan.sanitizer ()) ]
+  List.map
+    (fun k -> (k, Option.get (Baselines.Tools.make k)))
+    ("cecsan" :: Baselines.Tools.(keys baselines))
 
 let seed_gen = QCheck.(map abs int)
 
@@ -171,7 +168,7 @@ let differential_tests =
             let policy = policy_of_seed seed in
             List.for_all
               (fun (sname, spec) ->
-                 let san = List.assoc sname Cecsan.variants in
+                 let san = Option.get (Baselines.Tools.make sname) in
                  match Sanitizer.Driver.build san p.Fuzz.Gen.src with
                  | exception Sanitizer.Spec.Unsupported _ -> true
                  | md ->
@@ -182,8 +179,8 @@ let differential_tests =
                      run_obs ~policy ~fault_spec:spec backend san md
                    in
                    agree ~ctx (run Vm.Machine.Interp) (run Vm.Machine.Jit))
-              [ ("CECSan", "table:3"); ("CECSan-chain", "table:3");
-                ("CECSan-chain", "table:40") ]));
+              [ ("cecsan", "table:3"); ("cecsan-chain", "table:3");
+                ("cecsan-chain", "table:40") ]));
     Alcotest.test_case "fuel:N exhausts identically on both backends"
       `Quick (fun () ->
         let src =
@@ -853,14 +850,20 @@ let cmp_tests =
              shapes))
     cmpops
 
-(* A module that names a register outside a function's frame is
-   rejected with a classified fault naming the function and the
-   register, identically on both backends and before anything runs. *)
+(* A module that names a register, slot or block outside a function's
+   frame or body is rejected with a classified fault naming the
+   function, identically on both backends and before anything runs. *)
 let out_of_frame_tests =
   let open I in
-  let case name reg instrs term =
+  let case name trap ?(blocks = [||]) ?(slot_id = Fun.id) instrs term =
     Alcotest.test_case name `Quick (fun () ->
-        let md = hand ~nregs:2 (fun _ -> [| (instrs, term) |]) in
+        let md =
+          hand ~nregs:2 (fun slot ->
+              Array.append [| (instrs slot, term) |] blocks)
+        in
+        let f = Option.get (Tir.Ir.find_func md "main") in
+        f.f_slots <- List.map (fun s -> { s with s_id = slot_id s.s_id })
+            f.f_slots;
         let go backend =
           let st = Vm.State.create () in
           let rt = Sanitizer.Spec.none.Sanitizer.Spec.fresh_runtime () in
@@ -874,23 +877,32 @@ let out_of_frame_tests =
         let ei, ci = go Vm.Machine.Interp in
         let ej, cj = go Vm.Machine.Jit in
         Alcotest.(check string) (name ^ ": interp")
-          (Printf.sprintf
-             "FAULT register r%d outside the 2-register frame of main at 0x0"
-             reg)
-          ei;
+          ("FAULT " ^ trap ^ " of main at 0x0") ei;
         Alcotest.(check string) (name ^ ": jit") ei ej;
         Alcotest.(check (pair int int)) (name ^ ": cycles") (0, 0) (ci, cj))
   in
-  [ case "a destination outside the frame" 5
-      [ add 0 (i 1) (i 2); add 5 (r 0) (i 1) ]
+  let reg r = Printf.sprintf "register r%d outside the 2-register frame" r in
+  [ case "a destination outside the frame" (reg 5)
+      (fun _ -> [ add 0 (i 1) (i 2); add 5 (r 0) (i 1) ])
       (ret (r 0));
-    case "an operand outside the frame" 5
-      [ add 0 (i 1) (i 2); add 1 (r 5) (r 0) ]
+    case "an operand outside the frame" (reg 5)
+      (fun _ -> [ add 0 (i 1) (i 2); add 1 (r 5) (r 0) ])
       (ret (r 1));
-    case "a compare operand outside the frame, feeding the branch" 5
-      [ add 0 (i 1) (i 2); lt 1 (r 0) (r 5) ] (Tcbr (r 1, 0, 0));
-    case "a negative register in the terminator" (-1)
-      [ add 0 (i 1) (i 2) ] (ret (r (-1))) ]
+    case "a compare operand outside the frame, feeding the branch" (reg 5)
+      (fun _ -> [ add 0 (i 1) (i 2); lt 1 (r 0) (r 5) ]) (Tcbr (r 1, 0, 0));
+    case "a negative register in the terminator" (reg (-1))
+      (fun _ -> [ add 0 (i 1) (i 2) ]) (ret (r (-1)));
+    case "a branch target outside the body"
+      "branch target b3 outside the 2-block body"
+      ~blocks:[| ([], ret (i 0)) |]
+      (fun _ -> [ add 0 (i 1) (i 2); lt 1 (r 0) (i 9) ]) (Tcbr (r 1, 3, 1));
+    case "a negative jump target" "branch target b-1 outside the 1-block body"
+      (fun _ -> [ add 0 (i 1) (i 2) ]) (Tbr (-1));
+    case "a slot outside the frame" "slot s4 outside the 1-slot frame"
+      (fun slot -> [ Islot { dst = 0; slot }; Islot { dst = 1; slot = 4 } ])
+      (ret (r 0));
+    case "a slot declared outside the frame" "slot s7 outside the 1-slot frame"
+      ~slot_id:(fun _ -> 7) (fun _ -> [ add 0 (i 1) (i 2) ]) (ret (r 0)) ]
 
 let intrinsic_tests =
   let open I in

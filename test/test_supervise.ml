@@ -85,6 +85,18 @@ let supervise_tests =
       (fun () ->
          Alcotest.(check bool) "garbage" true
            (Harness.Supervise.entry_of_line "not a ledger line" = None));
+    Alcotest.test_case "entry_of_line rejects trailing bytes" `Quick
+      (fun () ->
+         let line =
+           Harness.Supervise.entry_to_line
+             { Harness.Supervise.q_task = 1; q_seed = 0x2A; q_class = "crash";
+               q_phase = "run"; q_attempts = 2; q_detail = "boom" }
+         in
+         List.iter
+           (fun suffix ->
+              Alcotest.(check bool) (Printf.sprintf "suffix %S" suffix) true
+                (Harness.Supervise.entry_of_line (line ^ suffix) = None))
+           [ " GARBAGE"; " "; "\n"; "\t1"; "x"; "\"" ]);
   ]
 
 (* --- fuel watchdogs ------------------------------------------------------ *)
