@@ -186,7 +186,7 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
 (* --verify: run the Tir.Verify static verifier over every SPEC kernel
    under every sanitizer and report wall time plus how many unsafe
    accesses it proved covered (the translation-validation half of the
-   section II.F story).  For tools carrying an absint model the table
+   section II.F story).  For tools with certified elision the table
    adds the abstract-interpretation facts proved over the optimized IR,
    the elision witnesses replayed, and the wall time of the replay-side
    absint runs; the whole grid (minus wall clock, which would break

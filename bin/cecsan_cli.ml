@@ -63,7 +63,7 @@ let dump_absint =
                  states, proved facts) over the fully optimized IR \
                  instead of running -- the exact state Tir.Verify \
                  replays elision witnesses against.  Requires a \
-                 sanitizer with an absint model (cecsan, asan--).")
+                 sanitizer with certified elision (cecsan, asan--).")
 
 let stats =
   Arg.(value & flag
@@ -170,8 +170,7 @@ let run_cmd tool src_file lines packets dump_ir dump_tir
               (Tir.Absint.analyze ?fuel cx f));
       exit 0
     | None ->
-      Fmt.epr "--dump-absint: %s carries no abstract-interpretation \
-               model@." name;
+      Fmt.epr "--dump-absint: %s has no certified elision@." name;
       exit 3
   end;
   Option.iter

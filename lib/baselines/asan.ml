@@ -377,16 +377,21 @@ let fresh_runtime ?(quarantine_cap = default_quarantine_cap) () :
   vrt
 
 (* ASan performs no check optimization; the verifier spec still lets
-   Tir.Verify prove every unsafe access sits behind its shadow check. *)
-let verify_spec : Tir.Verify.spec = {
+   Tir.Verify prove every unsafe access sits behind its shadow check.
+   Poison/unpoison move shadow state no pass models: opaque hazards. *)
+let verify_spec : Tir.Analysis.spec = {
   check_load = "__asan_check_load";
   check_store = "__asan_check_store";
+  spatial = false;
+  intrinsics =
+    Tir.Analysis.roles
+      [ ("__asan_poison", Opaque); ("__asan_unpoison", Opaque) ];
+  calls = Tir.Analysis.roles [];
   produces_addr = false;
   strip_mask = -1;
   may_hoist_stores = false;
-  hazard_intrinsics = [ "__asan_poison"; "__asan_unpoison" ];
-  extcall_strip = None;
-  absint = None;
+  slots = false;  (* protect_stack renumbers slots; play safe *)
+  certified = false;
 }
 
 let sanitizer ?quarantine_cap () : Sanitizer.Spec.t =

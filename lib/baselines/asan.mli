@@ -25,9 +25,9 @@ val instrument : checked:(bool -> bool) -> Tir.Ir.modul -> unit
     [safe] flag satisfies [checked] ([fun _ -> true] for ASan, [not] for
     ASan--). *)
 
-val verify_spec : Tir.Verify.spec
+val verify_spec : Tir.Analysis.spec
 (** Shadow checks that return nothing, poison/unpoison as the hazards,
-    no check optimization and no absint model. *)
+    no check optimization and no certified elision. *)
 
 val fresh_runtime : ?quarantine_cap:int -> unit -> Vm.Runtime.t
 val sanitizer : ?quarantine_cap:int -> unit -> Sanitizer.Spec.t

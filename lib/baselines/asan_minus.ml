@@ -11,35 +11,21 @@
 let name = "ASan--"
 
 (* ASan-- also feeds the certified-elision pass: allocation is plain
-   calls into the intercepted allocator, poison/unpoison moves shadow
-   state we do not model (opaque), and there is no spatial-only check
-   variant -- only full elision.  Eliding a proven-in-bounds access to a
-   live non-escaping object is exact-behavior-preserving: the shadow for
-   such an object is unpoisoned over exactly its payload bytes, so the
-   elided check could only ever have passed. *)
-let model : Tir.Absint.model = {
-  Tir.Absint.am_checks =
-    [ ("__asan_check_load", None); ("__asan_check_store", None) ];
-  am_check_alias = false;
-  am_allocs = [];
-  am_frees = [];
-  am_aliases = [];
-  am_opaque = [ "__asan_poison"; "__asan_unpoison" ];
-  am_call_allocs =
-    [ ("malloc", Tir.Absint.Sarg 0); ("calloc", Tir.Absint.Sprod (0, 1));
-      ("realloc", Tir.Absint.Sarg 1) ];
-  am_call_frees = [ "free"; "realloc" ];
-  am_gpt_load = None;
-  am_global_make = None;
-  am_strip_mask = Some (-1);
-  am_slots = false;  (* protect_stack renumbers slots; play safe *)
-}
-
-let spec = { Asan.verify_spec with absint = Some model }
+   calls into the intercepted allocator, and there is no spatial-only
+   check variant -- only full elision.  Eliding a proven-in-bounds
+   access to a live non-escaping object is exact-behavior-preserving:
+   the shadow for such an object is unpoisoned over exactly its payload
+   bytes, so the elided check could only ever have passed. *)
+let spec : Tir.Analysis.spec =
+  { Asan.verify_spec with
+    calls =
+      Tir.Analysis.roles
+        [ ("malloc", Alloc (Sarg 0)); ("calloc", Alloc (Sprod (0, 1)));
+          ("realloc", Realloc (Sarg 1)); ("free", Free) ];
+    certified = true }
 
 let optimize (md : Tir.Ir.modul) : unit =
-  let is_hazard n = List.mem n spec.hazard_intrinsics in
-  let pure = Tir.Analysis.pure_callees md ~is_hazard in
+  let pure = Tir.Analysis.pure_callees md spec in
   Tir.Ir.iter_funcs md (fun f ->
       if not f.Tir.Ir.f_external then begin
         ignore (Sanitizer.Checkopt.redundant spec ~pure f);

@@ -4,5 +4,5 @@
     elision of statically in-bounds accesses). *)
 
 val name : string
-val spec : Sanitizer.Checkopt.spec
+val spec : Tir.Analysis.spec
 val sanitizer : unit -> Sanitizer.Spec.t

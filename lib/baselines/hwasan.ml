@@ -277,17 +277,24 @@ let fresh_runtime () : Vm.Runtime.t =
       | None -> 0);
   vrt
 
-(* No check optimization; tag/untag operations are the metadata hazards. *)
-let verify_spec : Tir.Verify.spec = {
+(* No check optimization; tag/untag operations are the metadata hazards.
+   Stack and global tagging use the shared rewrites, so their entry
+   points take the roles of CECSan's. *)
+let verify_spec : Tir.Analysis.spec = {
   check_load = "__hwasan_check_load";
   check_store = "__hwasan_check_store";
+  spatial = false;
+  intrinsics =
+    Tir.Analysis.roles
+      [ ("__hwasan_tag_stack", Make); ("__hwasan_untag_stack", Free);
+        ("__hwasan_tag_global", Global_make);
+        ("__hwasan_global_addr", Gpt_load) ];
+  calls = Tir.Analysis.roles [];
   produces_addr = false;
   strip_mask = -1;
   may_hoist_stores = false;
-  hazard_intrinsics =
-    [ "__hwasan_tag_stack"; "__hwasan_untag_stack"; "__hwasan_tag_global" ];
-  extcall_strip = None;
-  absint = None;
+  slots = false;
+  certified = false;
 }
 
 let sanitizer () : Sanitizer.Spec.t =

@@ -306,7 +306,7 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
       strip a.(0));
   vrt
 
-(* No check optimization and no absint model: the spec of CECSan's
+(* No check optimization and no certified elision: the spec of CECSan's
    pass, over the policy's namespace. *)
 let sanitizer (pol : policy) : Sanitizer.Spec.t =
   {

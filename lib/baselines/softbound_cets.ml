@@ -383,18 +383,27 @@ let fresh_runtime () : Vm.Runtime.t =
   vrt
 
 (* No check optimization; allocation/lifetime intrinsics invalidate the
-   disjoint metadata a previous check relied on. *)
-let verify_spec : Tir.Verify.spec = {
+   disjoint metadata a previous check relied on.  Propagating a
+   pointer's metadata (copy/load/store) leaves every object's as it
+   was. *)
+let verify_spec : Tir.Analysis.spec = {
   check_load = "__sb_check_load";
   check_store = "__sb_check_store";
+  spatial = false;
+  intrinsics =
+    Tir.Analysis.roles
+      [ ("__sb_malloc", Alloc (Sarg 0)); ("__sb_calloc", Alloc (Sprod (0, 1)));
+        ("__sb_realloc", Realloc (Sarg 1)); ("__sb_free", Free);
+        ("__sb_stack_create", Opaque); ("__sb_stack_destroy", Free);
+        ("__sb_global_create", Opaque);
+        ("__sb_copy_meta", Neutral); ("__sb_load_meta", Neutral);
+        ("__sb_store_meta", Neutral) ];
+  calls = Tir.Analysis.roles [];
   produces_addr = false;
   strip_mask = -1;
   may_hoist_stores = false;
-  hazard_intrinsics =
-    [ "__sb_malloc"; "__sb_free"; "__sb_calloc"; "__sb_realloc";
-      "__sb_stack_create"; "__sb_stack_destroy"; "__sb_global_create" ];
-  extcall_strip = None;
-  absint = None;
+  slots = false;
+  certified = false;
 }
 
 let sanitizer () : Sanitizer.Spec.t =

@@ -20,31 +20,6 @@
 
 open Tir.Ir
 
-(* --- intrinsic names ------------------------------------------------------- *)
-
-(* The runtime entry points the pass calls, in one namespace ("__cecsan"
-   for CECSan, the PA tools' own for PACMem and CryptSan).  Built once per
-   [instrument] call. *)
-type names = {
-  gpt_load : string;
-  global_make : string;
-  stack_make : string;
-  stack_release : string;
-  sub_make : string;
-  sub_release : string;
-  extcall_strip : string;
-  check_load : string;
-  check_store : string;
-}
-
-let names ns =
-  let n suffix = ns ^ "_" ^ suffix in
-  { gpt_load = n "gpt_load"; global_make = n "global_make";
-    stack_make = n "stack_make"; stack_release = n "stack_release";
-    sub_make = n "sub_make"; sub_release = n "sub_release";
-    extcall_strip = n "extcall_strip"; check_load = n "check_load";
-    check_store = n "check_store" }
-
 (* --- phase 1: downgrade safety of unsafe-rooted accesses ------------------ *)
 
 let downgrade_safe_flags (md : modul) (f : func) : unit =
@@ -102,7 +77,7 @@ let rewrite_allocs (md : modul) ~ns (f : func) : unit =
 
 (* --- phase 6: external user calls ------------------------------------------ *)
 
-let strip_external_calls (md : modul) (n : names) (f : func) : unit =
+let strip_external_calls (md : modul) ~strip (f : func) : unit =
   Tir.Rewrite.map_instrs
     (function
       | Icall { dst; callee; args } as i ->
@@ -120,7 +95,7 @@ let strip_external_calls (md : modul) (n : names) (f : func) : unit =
                   if is_ptr then begin
                     let r = fresh_reg f in
                     prefix :=
-                      Iintrin { dst = Some r; name = n.extcall_strip;
+                      Iintrin { dst = Some r; name = strip;
                                 args = [ a ]; site = fresh_site md }
                       :: !prefix;
                     Reg r
@@ -139,7 +114,13 @@ let strip_external_calls (md : modul) (n : names) (f : func) : unit =
    II.F phase so the driver can verify coverage on both sides of it.
    Phases 2, 3 and 7 are the shared [Tir.Rewrite] building blocks. *)
 let instrument ?(config = Config.default) ~ns (md : modul) : unit =
-  let n = names ns in
+  (* the namespace's entry points, as [Opt.namespace_spec ns] declares
+     them *)
+  let n = Opt.entry ns in
+  let gpt_load = n "gpt_load" and stack_make = n "stack_make"
+  and stack_release = n "stack_release" and sub_make = n "sub_make"
+  and sub_release = n "sub_release" and strip = n "extcall_strip"
+  and check_load = n "check_load" and check_store = n "check_store" in
   (* LTO view: safety analyses over the final linked module *)
   Tir.Analysis.run md;
   let slots = Tir.Rewrite.global_slots md in
@@ -147,18 +128,17 @@ let instrument ?(config = Config.default) ~ns (md : modul) : unit =
   iter_funcs md (fun f ->
       if not f.f_external then begin
         downgrade_safe_flags md f;
-        Tir.Rewrite.load_globals md ~load:n.gpt_load slots f;
-        Tir.Rewrite.tag_stack md ~make:n.stack_make ~release:n.stack_release
+        Tir.Rewrite.load_globals md ~load:gpt_load slots f;
+        Tir.Rewrite.tag_stack md ~make:stack_make ~release:stack_release
           ~release_args:(fun p _ -> [ p ]) f;
         rewrite_allocs md ~ns f;
         if config.Config.subobject then
-          ignore
-            (Subobject.narrow ~make:n.sub_make ~release:n.sub_release md f);
-        strip_external_calls md n f;
-        Tir.Rewrite.insert_checks md ~load:n.check_load ~store:n.check_store
+          ignore (Subobject.narrow ~make:sub_make ~release:sub_release md f);
+        strip_external_calls md ~strip f;
+        Tir.Rewrite.insert_checks md ~load:check_load ~store:check_store
           ~returns_addr:true ~checked f
       end);
-  Tir.Rewrite.make_globals md ~make:n.global_make slots
+  Tir.Rewrite.make_globals md ~make:(n "global_make") slots
 
 let optimize ?(config = Config.default) (md : modul) : unit =
   let pure = Opt.purity md in

@@ -3,53 +3,44 @@
    as loads, because a store cannot corrupt the disjoint metadata
    table. *)
 
-(* Abstract-interpretation model of the CECSan intrinsics for the
-   certified-elision pass (DESIGN.md section 16).  Eliding a fused check
-   whose pointer provably stays inside a live, non-escaping object is
+open Tir.Analysis
+
+(* Certified elision (DESIGN.md section 16) of a fused check whose
+   pointer provably stays inside a live, non-escaping object is
    exact-behavior-preserving even under OOM: a failed allocation returns
    the null pointer, whose tag indexes metadata entry 0 = (0, va_limit),
    so the check would have passed and the raw access faults identically
    with or without it. *)
-let model : Tir.Absint.model = {
-  Tir.Absint.am_checks =
-    [ ("__cecsan_check_load", Some "__cecsan_check_load_spatial");
-      ("__cecsan_check_store", Some "__cecsan_check_store_spatial");
-      ("__cecsan_check_load_spatial", None);
-      ("__cecsan_check_store_spatial", None) ];
-  am_check_alias = true;   (* check dst = stripped alias of the pointer *)
-  am_allocs =
-    [ ("__cecsan_malloc", Tir.Absint.Sarg 0);
-      ("__cecsan_calloc", Tir.Absint.Sprod (0, 1));
-      ("__cecsan_realloc", Tir.Absint.Sarg 1) ];
-  am_frees = [ "__cecsan_free"; "__cecsan_realloc"; "__cecsan_stack_release" ];
-  am_aliases = [ "__cecsan_stack_make"; "__cecsan_extcall_strip" ];
-  am_opaque = [ "__cecsan_sub_make"; "__cecsan_sub_release" ];
-  am_call_allocs = [];
-  am_call_frees = [];
-  am_gpt_load = Some "__cecsan_gpt_load";
-  am_global_make = Some "__cecsan_global_make";
-  am_strip_mask = Some Vm.Layout46.addr_mask;
-  am_slots = true;
-}
+(* A namespace's entry points other than its checks, by suffix. *)
+let entry_points =
+  [ ("malloc", Alloc (Sarg 0)); ("calloc", Alloc (Sprod (0, 1)));
+    ("realloc", Realloc (Sarg 1)); ("free", Free);
+    ("stack_make", Make); ("stack_release", Free);
+    ("sub_make", Opaque); ("sub_release", Opaque);
+    ("global_make", Global_make); ("gpt_load", Gpt_load);
+    ("extcall_strip", Strip) ]
 
-let namespace_spec ?absint ns : Sanitizer.Checkopt.spec = {
-  check_load = ns ^ "_check_load";
-  check_store = ns ^ "_check_store";
-  produces_addr = true;
-  strip_mask = Vm.Layout46.addr_mask;
-  may_hoist_stores = true;
-  hazard_intrinsics =
-    List.map (( ^ ) ns)
-      [ "_free"; "_realloc"; "_stack_release"; "_sub_release"; "_sub_make";
-        "_malloc"; "_calloc"; "_stack_make"; "_global_make" ];
-  extcall_strip = Some (ns ^ "_extcall_strip");
-  absint;
-}
+let namespace_spec ?(certified = false) ns : spec =
+  let n suffix = ns ^ "_" ^ suffix in
+  { check_load = n "check_load"; check_store = n "check_store";
+    spatial = certified;
+    intrinsics = roles (List.map (fun (s, r) -> (n s, r)) entry_points);
+    calls = roles [];
+    produces_addr = true;
+    strip_mask = Vm.Layout46.addr_mask;
+    may_hoist_stores = true;
+    slots = true;
+    certified }
 
-let spec = namespace_spec ~absint:model "__cecsan"
+let entry ns suffix =
+  if
+    List.exists (String.equal suffix) [ "check_load"; "check_store" ]
+    || List.exists (fun (s, _) -> String.equal s suffix) entry_points
+  then ns ^ "_" ^ suffix
+  else invalid_arg ("Opt.entry: " ^ suffix)
+
+let spec = namespace_spec ~certified:true "__cecsan"
 
 (* The purity closure both optimizer passes and the verifier share:
    callees that provably cannot touch sanitizer metadata. *)
-let purity (md : Tir.Ir.modul) : string -> bool =
-  let is_hazard n = List.mem n spec.hazard_intrinsics in
-  Tir.Analysis.pure_callees md ~is_hazard
+let purity (md : Tir.Ir.modul) : string -> bool = pure_callees md spec

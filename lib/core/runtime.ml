@@ -125,7 +125,9 @@ let cecsan_malloc rt st size =
   (* injected OOM: NULL carries no metadata *)
   if base = 0 then 0 else Meta_table.alloc tbl ~base ~size
 
-(* Algorithm 2: pointer deallocation check. *)
+(* Algorithm 2: pointer deallocation check.  Validates that the pointer
+   is the live base of a heap object (catching double/invalid frees),
+   invalidates the entry, then frees through the default allocator. *)
 let cecsan_free rt st ptr =
   let tbl = get_table rt st in
   Vm.State.tick st Costs.free_extra;
@@ -221,6 +223,9 @@ let cecsan_realloc rt st ptr size =
 
 (* --- stack, globals, sub-objects ----------------------------------------- *)
 
+(* Stack protection: the prologue registers an unsafe stack object and
+   returns its tagged address; the epilogue releases the entry if it
+   still describes the object. *)
 let stack_make rt st addr size =
   Vm.State.tick st Costs.stack_make;
   Meta_table.alloc (get_table rt st) ~base:addr ~size
@@ -237,6 +242,8 @@ let stack_release rt st tagged =
     else ignore (Meta_table.chain_release tbl idx ~raw:(L.strip tagged))
   end
 
+(* An unsafe global's tagged pointer goes to the GPT, whose loads are
+   not themselves checked: all GPT accesses are compiler-generated. *)
 let global_make rt st ~slot addr size =
   let tagged = Meta_table.alloc (get_table rt st) ~base:addr ~size in
   gpt_add rt.gpt slot tagged;
@@ -514,7 +521,6 @@ let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
     "__cecsan_sub_make", (fun st a -> sub_make rt st a.(0) a.(1));
     "__cecsan_sub_release", (fun st a -> sub_release rt st a.(0); 0);
     "__cecsan_extcall_strip", (fun st a -> extcall_strip rt st a.(0));
-    "__cecsan_retag", (fun st a -> retag st ~original:a.(1) a.(0));
   ]
 
 (* Algorithm 1's four intrinsics, registered through

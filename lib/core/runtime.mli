@@ -5,7 +5,9 @@
 
     There is deliberately NO custom allocator here: allocation goes
     through the default [Vm.Heap], with CECSan only adding metadata --
-    the compatibility property the paper claims over ASan. *)
+    the compatibility property the paper claims over ASan.  The other
+    intrinsics are reached only through the table {!create} registers,
+    whose names [Opt.spec] declares. *)
 
 val name : string
 
@@ -62,41 +64,6 @@ val check_range : t -> Vm.State.t -> write:bool -> int -> int -> int
 val cecsan_malloc : t -> Vm.State.t -> int -> int
 (** Default-allocator malloc plus metadata creation; returns the tagged
     pointer. *)
-
-val cecsan_free : t -> Vm.State.t -> int -> unit
-(** Algorithm 2: validates that the pointer is the live base of a heap
-    object (catching double/invalid frees), invalidates the entry, then
-    frees through the default allocator. *)
-
-val cecsan_realloc : t -> Vm.State.t -> int -> int -> int
-
-val stack_make : t -> Vm.State.t -> int -> int -> int
-(** Prologue half of stack protection: registers an unsafe stack object
-    and returns its tagged address. *)
-
-val stack_release : t -> Vm.State.t -> int -> unit
-(** Epilogue half: releases the entry if it still describes the object. *)
-
-val global_make : t -> Vm.State.t -> slot:int -> int -> int -> int
-(** Registers an unsafe global and stores its tagged pointer in the GPT. *)
-
-val gpt_load : t -> Vm.State.t -> int -> int
-(** Loads a tagged global pointer from the GPT (not itself checked, per
-    the paper: all GPT accesses are compiler-generated). *)
-
-val sub_make : t -> Vm.State.t -> int -> int -> int
-(** Section II.D: validates a field address against its parent entry and
-    mints a temporary narrowed entry for the field. *)
-
-val sub_release : t -> Vm.State.t -> int -> unit
-
-val extcall_strip : t -> Vm.State.t -> int -> int
-(** Section II.E: checks (temporal) and strips a pointer crossing into
-    external, uninstrumented code. *)
-
-val retag : Vm.State.t -> original:int -> int -> int
-(** Re-applies [original]'s tag to a pointer returned by a libc function
-    that returns one of its pointer arguments. *)
 
 val interceptors : t -> string -> Vm.Runtime.interceptor option
 (** The checking wrappers around libc builtins; coverage includes

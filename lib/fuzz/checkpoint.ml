@@ -247,6 +247,7 @@ let of_lines lines =
            cov_rows = List.rev !cov_rows;
            gen_programs; mut_programs; gen_admitted; mut_admitted }
        in
-       if consistent t then Some t else None
+       (* a consistent state, spelled exactly as [to_lines] spells it *)
+       if consistent t && to_lines t = lines then Some t else None
      with Bad -> None)
   | _ -> None

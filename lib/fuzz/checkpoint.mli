@@ -74,4 +74,5 @@ val of_lines : string list -> t option
     guided state has [gen_programs + mut_programs] equal to the row
     count, one corpus entry per admission, a bitmap equal to the
     corpus' accumulated one and one [covrow] per shard done, and a
-    blind one has no guided lines.  Never raises. *)
+    blind one has no guided lines.  A consistent file is accepted only
+    as {!to_lines} spells it.  Never raises. *)

@@ -140,6 +140,8 @@ let entry_to_line e =
   sp "entry id=%d seed=%x phase=%s tape=%s cov=%s" e.e_id e.e_seed e.e_phase
     (csv_or_dash e.e_tape) (Coverage.to_string e.e_cov)
 
+(* Only what [entry_to_line] prints: [%d] and [%x] alone would also
+   read "02", "+2", "1_2" or "00ff". *)
 let entry_of_line line =
   match
     Scanf.sscanf line "entry id=%d seed=%x phase=%s tape=%s cov=%s%!"
@@ -148,7 +150,8 @@ let entry_of_line line =
   | id, seed, phase, tape, cov ->
     (match tape_of_field tape, Coverage.of_string cov with
      | Some e_tape, Some e_cov ->
-       Some { e_id = id; e_seed = seed; e_phase = phase; e_tape; e_cov }
+       let e = { e_id = id; e_seed = seed; e_phase = phase; e_tape; e_cov } in
+       if String.equal (entry_to_line e) line then Some e else None
      | _ -> None)
   | exception _ -> None
 
@@ -169,22 +172,14 @@ let to_lines c =
 let of_lines lines : t option =
   match lines with
   | m :: rest when String.equal m magic ->
-    let exception Bad in
-    (try
-       let entries = ref [] in
-       let finished = ref false in
-       List.iter
-         (fun line ->
-            if !finished then ()
-            else if String.equal line "end" then finished := true
-            else
-              match entry_of_line line with
-              | Some e -> entries := e :: !entries
-              | None -> raise Bad)
-         rest;
-       if not !finished then raise Bad;
-       Some (of_entries (List.rev !entries))
-     with Bad -> None)
+    (* entry lines, then "end" as the last line *)
+    let rec go acc = function
+      | [ "end" ] -> Some (of_entries (List.rev acc))
+      | line :: rest ->
+        Option.bind (entry_of_line line) (fun e -> go (e :: acc) rest)
+      | [] -> None
+    in
+    go [] rest
   | _ -> None
 
 let save ~dir c =

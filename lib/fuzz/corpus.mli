@@ -58,10 +58,14 @@ val of_entries : entry list -> t
 val entry_to_line : entry -> string
 val entry_of_line : string -> entry option
 (** One-entry (de)serialization, used by the campaign checkpoint to
-    embed the corpus so checkpoint + corpus commit atomically. *)
+    embed the corpus so checkpoint + corpus commit atomically.
+    [entry_of_line] is [None] unless [entry_to_line] reproduces the
+    line. *)
 
 val to_lines : t -> string list
 val of_lines : string list -> t option
+(** The magic line, entry lines, then ["end"] as the last line; [None]
+    otherwise, so an accepted file is [to_lines] of its result. *)
 
 val save : dir:string -> t -> string
 (** Atomic (tmp + rename); creates [dir]; returns the path written. *)

@@ -99,7 +99,9 @@ let of_rows ~leg rows =
 
 (* Sorted csv of packed keys; "-" for the empty bitmap.  Byte-exact
    round trip: [of_string (to_string t) = Some t] and equal bitmaps
-   print identically (set order is canonical). *)
+   print identically (set order is canonical).  [of_string] accepts
+   nothing else: duplicate or unsorted keys and other spellings of a
+   number ("02", "+2", "0x10") are rejected. *)
 let to_string t =
   match S.elements t with
   | [] -> "-"
@@ -108,16 +110,17 @@ let to_string t =
 let of_string s =
   if String.equal s "-" then Some S.empty
   else
-    try
-      Some
-        (List.fold_left
-           (fun acc f ->
-              match int_of_string_opt f with
-              | Some k when k >= 0 -> S.add k acc
-              | _ -> raise Exit)
-           S.empty
-           (String.split_on_char ',' s))
-    with Exit -> None
+    match
+      List.fold_left
+        (fun acc f ->
+           match int_of_string_opt f with
+           | Some k when k >= 0 -> S.add k acc
+           | _ -> raise Exit)
+        S.empty
+        (String.split_on_char ',' s)
+    with
+    | t when String.equal (to_string t) s -> Some t
+    | _ | (exception Exit) -> None
 
 (* Human summary for reports: totals per kind. *)
 let render fmt t =

@@ -55,6 +55,8 @@ val to_string : t -> string
     bitmaps serialize byte-identically. *)
 
 val of_string : string -> t option
-(** Inverse of {!to_string}. *)
+(** Inverse of {!to_string}: [None] unless printing the bitmap
+    reproduces the string (so no duplicate, unsorted or otherwise
+    spelled keys). *)
 
 val render : Format.formatter -> t -> unit

@@ -82,13 +82,12 @@ let recorded t = Array.of_list (List.rev t.recorded_rev)
 let to_string tape =
   String.concat "," (List.map string_of_int (Array.to_list tape))
 
+(* Only what [to_string] prints: a value that prints otherwise ("02",
+   "+2", "1_2", "0x10", " 2") is rejected. *)
 let of_string s =
-  try
-    if String.trim s = "" then Some [||]
-    else
-      Some
-        (Array.of_list
-           (List.map
-              (fun x -> int_of_string (String.trim x))
-              (String.split_on_char ',' s)))
-  with Failure _ -> None
+  match
+    if s = "" then [||]
+    else Array.of_list (List.map int_of_string (String.split_on_char ',' s))
+  with
+  | tape when String.equal (to_string tape) s -> Some tape
+  | _ | (exception Failure _) -> None

@@ -37,3 +37,5 @@ val to_string : int array -> string
 (** Comma-separated, for repro headers. *)
 
 val of_string : string -> int array option
+(** Inverse of {!to_string}: [None] unless printing the tape reproduces
+    the string. *)

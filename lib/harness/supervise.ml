@@ -70,7 +70,9 @@ let run ?(policy = default_policy) ~task ~seed (f : attempt:int -> 'a)
 
 (* One line per entry; [%S] on the detail keeps the line single-line
    and round-trippable through [Scanf].  This is the quarantine half of
-   the checkpoint schema (DESIGN.md section 13). *)
+   the checkpoint schema (DESIGN.md section 13).  The reader accepts
+   only what the writer prints: [%d], [%x] and [%S] alone would also
+   read "02", "+2", "00ff" or another escape of the same detail. *)
 let entry_to_line e =
   Printf.sprintf "task=%d seed=%x attempts=%d class=%s phase=%s detail=%S"
     e.q_task e.q_seed e.q_attempts e.q_class e.q_phase e.q_detail
@@ -82,8 +84,8 @@ let entry_of_line line : entry option =
       (fun q_task q_seed q_attempts q_class q_phase q_detail ->
          { q_task; q_seed; q_class; q_phase; q_attempts; q_detail })
   with
-  | e -> Some e
-  | exception _ -> None
+  | e when String.equal (entry_to_line e) line -> Some e
+  | _ | (exception _) -> None
 
 let render fmt (entries : entry list) =
   if entries = [] then

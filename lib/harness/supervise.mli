@@ -45,7 +45,8 @@ val entry_to_line : entry -> string
     checkpoint schema, DESIGN.md section 13). *)
 
 val entry_of_line : string -> entry option
-(** Inverse of {!entry_to_line}; [None] on malformed lines. *)
+(** Inverse of {!entry_to_line}; [None] on malformed lines and on any
+    line {!entry_to_line} does not reproduce. *)
 
 val render : Format.formatter -> entry list -> unit
 (** Human-readable quarantine table. *)

@@ -12,29 +12,21 @@
      extremes.  With a dynamic bound the optimization does not apply and
      per-iteration checks remain.
 
-   The sanitizer description consumed here is [Tir.Verify.spec]: the
-   same record drives both the transformations and the static verifier
-   that re-derives their reasoning (translation validation). *)
+   The sanitizer description consumed here is its role table
+   ([Tir.Analysis.spec]): the same record drives the transformations,
+   the static verifier that re-derives their reasoning (translation
+   validation) and the abstract interpreter. *)
 
 open Tir.Ir
 module Cfg = Tir.Cfg
 module Scev = Tir.Scev
 
-type spec = Tir.Verify.spec = {
-  check_load : string;
-  check_store : string;
-  produces_addr : bool;           (* check dst = stripped address *)
-  strip_mask : int;               (* mask replacing an elided strip *)
-  may_hoist_stores : bool;
-  hazard_intrinsics : string list;(* runtime calls that change metadata *)
-  extcall_strip : string option;  (* tag strip required at external calls *)
-  absint : Tir.Absint.model option; (* abstract-interpretation model *)
-}
-
+(* The full check of a store or load (not a spatial-only variant):
+   what the redundant and loop passes key on. *)
 let is_check spec name =
-  String.equal name spec.check_load || String.equal name spec.check_store
+  match Tir.Analysis.meaning spec name with Check _ -> true | _ -> false
 
-let is_hazard spec name = List.mem name spec.hazard_intrinsics
+let is_hazard spec name = Tir.Analysis.(is_hazard (meaning spec name))
 
 (* --- redundant check elimination ------------------------------------------ *)
 
@@ -48,7 +40,8 @@ let is_hazard spec name = List.mem name spec.hazard_intrinsics
    block's copy chains ([Tir.Copies], the table Verify builds its own
    of), so repeated dereferences of the same (copied) pointer
    deduplicate. *)
-let redundant (spec : spec) ?(pure = fun _ -> false) (f : func) : int =
+let redundant (spec : Tir.Analysis.spec) ?(pure = fun _ -> false)
+    (f : func) : int =
   let removed = ref 0 in
   let copies = Tir.Copies.create f.f_nregs in
   (* the block's checks: canonical operand, size, destination *)
@@ -127,8 +120,8 @@ let redundant (spec : spec) ?(pure = fun _ -> false) (f : func) : int =
 
 type loop_stats = { hoisted : int; endpoints : int; grouped : int }
 
-let loops (spec : spec) ?(pure = fun _ -> false) (md : modul) (f : func) :
-  loop_stats =
+let loops (spec : Tir.Analysis.spec) ?(pure = fun _ -> false) (md : modul)
+    (f : func) : loop_stats =
   let stats = ref { hoisted = 0; endpoints = 0; grouped = 0 } in
   let cfg0 = Cfg.build f in
   let idom = Cfg.dominators cfg0 in
@@ -181,7 +174,7 @@ let loops (spec : spec) ?(pure = fun _ -> false) (md : modul) (f : func) :
                      match i with
                      | Iintrin { dst; name; args = [ p; Imm size ]; site }
                        when is_check spec name ->
-                       let is_store = String.equal name spec.check_store in
+                       let is_store = Tir.Analysis.meaning spec name = Check true in
                        (match invariant p with
                         | Some p'
                           when spec.may_hoist_stores || not is_store ->
@@ -314,12 +307,22 @@ type absint_stats = { elided : int; downgraded : int; facts : int }
    is untagged, and untagged pointers resolve to metadata entry 0,
    which every check passes -- the raw access then faults the same
    way either side of the elision). *)
-let absint ~(pure : string -> bool) (md : modul) (spec : spec) :
+let absint ~(pure : string -> bool) (md : modul) (spec : Tir.Analysis.spec) :
   absint_stats =
-  match spec.absint with
-  | None -> { elided = 0; downgraded = 0; facts = 0 }
-  | Some model ->
-    let ctx = Tir.Absint.make_ctx model ~pure md in
+  if not spec.certified then { elided = 0; downgraded = 0; facts = 0 }
+  else
+    let ctx = Tir.Absint.make_ctx spec ~pure md in
+    (* the checks the pass may weaken, and their spatial-only variant *)
+    let weakens name =
+      match Tir.Analysis.meaning spec name with
+      | Check _ | Spatial _ -> true
+      | _ -> false
+    in
+    let spatial name =
+      match Tir.Analysis.meaning spec name with
+      | Check _ when spec.spatial -> Some (name ^ "_spatial")
+      | _ -> None
+    in
     let elided = ref 0 and downgraded = ref 0 and facts = ref 0 in
     iter_funcs md (fun f ->
         if not f.f_external then begin
@@ -334,8 +337,7 @@ let absint ~(pure : string -> bool) (md : modul) (spec : spec) :
                       match i with
                       | Iintrin
                           { dst; name; args = [ Reg p; Imm size ]; site }
-                        when List.mem_assoc name
-                            model.Tir.Absint.am_checks ->
+                        when weakens name ->
                         (match Tir.Absint.site_state su site with
                          | None -> [ i ]
                          | Some st ->
@@ -376,10 +378,7 @@ let absint ~(pure : string -> bool) (md : modul) (spec : spec) :
                                       | None -> [])
                                 end
                                 else
-                                  match
-                                    List.assoc name
-                                      model.Tir.Absint.am_checks
-                                  with
+                                  match spatial name with
                                   | Some spatial ->
                                     incr downgraded;
                                     md.m_witnesses <-

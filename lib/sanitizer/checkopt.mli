@@ -11,28 +11,14 @@
       accesses), the per-iteration checks collapse to checks of the
       range's extremes.
 
-    The sanitizer description is [Tir.Verify.spec] -- the same record
-    also drives the static verifier that re-derives these
-    transformations' reasoning. *)
+    The sanitizer description is its role table ([Tir.Analysis.spec]):
+    the same record drives the static verifier that re-derives these
+    transformations' reasoning and the abstract interpreter behind
+    {!absint}.  Hazard intrinsics ([Tir.Analysis.is_hazard], undeclared
+    names included) are barriers for every pass. *)
 
-type spec = Tir.Verify.spec = {
-  check_load : string;
-  check_store : string;
-  produces_addr : bool;  (** the check's result is the stripped address *)
-  strip_mask : int;
-  may_hoist_stores : bool;
-  hazard_intrinsics : string list;
-      (** runtime calls that can invalidate metadata: barriers for both
-          optimizations *)
-  extcall_strip : string option;
-      (** tag-strip intrinsic required on pointer args of external
-          calls; used by the verifier, ignored by the optimizer *)
-  absint : Tir.Absint.model option;
-      (** abstract-interpretation model of the tool's intrinsics,
-          enabling the certified-elision pass ({!absint}) *)
-}
-
-val redundant : spec -> ?pure:(string -> bool) -> Tir.Ir.func -> int
+val redundant :
+  Tir.Analysis.spec -> ?pure:(string -> bool) -> Tir.Ir.func -> int
 (** Block-local elimination, keyed on the canonical operand through the
     block's copy chains ({!Tir.Copies}); returns the number of checks
     removed.
@@ -42,7 +28,8 @@ val redundant : spec -> ?pure:(string -> bool) -> Tir.Ir.func -> int
 
 type loop_stats = { hoisted : int; endpoints : int; grouped : int }
 
-val loops : spec -> ?pure:(string -> bool) -> Tir.Ir.modul -> Tir.Ir.func ->
+val loops :
+  Tir.Analysis.spec -> ?pure:(string -> bool) -> Tir.Ir.modul -> Tir.Ir.func ->
   loop_stats
 (** Loop-invariant hoisting and endpoint grouping over the function's
     natural loops.  Grouping checks a loop's whole access range at its
@@ -52,15 +39,16 @@ val loops : spec -> ?pure:(string -> bool) -> Tir.Ir.modul -> Tir.Ir.func ->
 
 type absint_stats = { elided : int; downgraded : int; facts : int }
 
-val absint : pure:(string -> bool) -> Tir.Ir.modul -> spec -> absint_stats
+val absint :
+  pure:(string -> bool) -> Tir.Ir.modul -> Tir.Analysis.spec -> absint_stats
 (** Certified check elision from whole-program abstract interpretation
     (DESIGN.md section 16), over the module's
     [Tir.Analysis.pure_callees] closure [pure] (the one {!redundant} and
     {!loops} take).  A check whose pointer provably stays in bounds of
     a live, non-escaping object is replaced by a zero-cost elided
     marker (plus a tag-strip of its destination); one whose
-    temporal half alone is proved is renamed to the model's
+    temporal half alone is proved is renamed to its check's
     spatial-only variant at the same site.  Every rewrite appends a
     {!Tir.Witness.t} to the module for [Tir.Verify] to replay.  No-op
-    when the spec carries no model.  Must run after {!redundant} and
+    when the spec is not [certified].  Must run after {!redundant} and
     {!loops}, which key on the original check names. *)

@@ -21,7 +21,7 @@ type t = {
   optimize : Tir.Ir.modul -> unit;
   (* how Tir.Verify certifies this tool's output; None skips the
      coverage half (well-formedness is always checked) *)
-  verify : Tir.Verify.spec option;
+  verify : Tir.Analysis.spec option;
   (* fresh per-run runtime state *)
   fresh_runtime : unit -> Vm.Runtime.t;
 }

@@ -15,7 +15,7 @@ type t = {
       (** the check-optimization phase (section II.F), separated so the
           driver can run [Tir.Verify] both before and after it;
           identity for tools without check optimizations *)
-  verify : Tir.Verify.spec option;
+  verify : Tir.Analysis.spec option;
       (** how [Tir.Verify] certifies this tool's output; [None] skips
           the coverage half (well-formedness is always checked) *)
   fresh_runtime : unit -> Vm.Runtime.t;

@@ -1,9 +1,9 @@
 (* Tir.Absint: flow-sensitive abstract interpretation for certified
    check elision (DESIGN.md section 16).
 
-   The interpreter is parameterized by a [model] describing one
-   sanitizer's intrinsics, so CECSan and the redzone baselines share
-   the machinery.  Analysis of a function proceeds in three phases:
+   The interpreter is parameterized by a sanitizer's role table
+   ([Analysis.spec]), so CECSan and the redzone baselines share the
+   machinery.  Analysis of a function proceeds in three phases:
 
    1. object discovery: every stack slot, allocator intrinsic site,
       modeled allocator call and referenced global becomes an abstract
@@ -12,7 +12,7 @@
       check name the same objects);
    2. derivation closure + escape: a flow-insensitive fixpoint maps
       each register to the set of objects it may derive from; objects
-      stored as values, passed to defined functions or unclassified
+      stored as values, passed to defined functions or undeclared
       intrinsics, or returned, escape;
    3. flow fixpoint: interval/pointer values and the freed-set are
       propagated in reverse postorder sweeps over the blocks whose
@@ -46,23 +46,6 @@ open Ir
 
 module Int_set = Set.Make (Int)
 
-type size_rule = Sarg of int | Sprod of int * int
-
-type model = {
-  am_checks : (string * string option) list;
-  am_check_alias : bool;
-  am_allocs : (string * size_rule) list;
-  am_frees : string list;
-  am_aliases : string list;
-  am_opaque : string list;
-  am_call_allocs : (string * size_rule) list;
-  am_call_frees : string list;
-  am_gpt_load : string option;
-  am_global_make : string option;
-  am_strip_mask : int option;
-  am_slots : bool;
-}
-
 type aval =
   | Vtop
   | Vint of int * int
@@ -81,77 +64,51 @@ type state = {
   mutable s_freed : Int_set.t;
 }
 
-(* What an intrinsic name means to the model.  Anything not classified
-   is treated as worst-case in both the escape pass and the transfer. *)
-type ikind =
-  | Kmarker
-  | Kcheck
-  | Kalloc of { rule : size_rule; frees : bool }  (* frees: realloc leg *)
-  | Kfree
-  | Kalias
-  | Kgpt_load
-  | Kopaque                                        (* incl. global_make *)
-  | Kunclassified
-
 type ctx = {
-  cx_model : model;
+  cx_spec : Analysis.spec;
   cx_pure : string -> bool;
   cx_defined : (string, unit) Hashtbl.t;
   cx_gpt : (int, string) Hashtbl.t;
   cx_globsize : (string, int) Hashtbl.t;
-  cx_kinds : (string, ikind) Hashtbl.t;
 }
 
-(* One entry per model name, resolved in the precedence order of
-   [transfer]: telemetry marker, check, alloc, free, alias, gpt-load,
-   opaque.  Filled lowest precedence first so a higher role overwrites;
-   marker names stay out and are recognized by prefix on lookup. *)
-let intrin_kinds (m : model) : (string, ikind) Hashtbl.t =
-  let tbl = Hashtbl.create 32 in
-  let set name k =
-    if not (is_telemetry_marker name) then Hashtbl.replace tbl name k
-  in
-  List.iter (fun n -> set n Kopaque) m.am_opaque;
-  Option.iter (fun n -> set n Kopaque) m.am_global_make;
-  Option.iter (fun n -> set n Kgpt_load) m.am_gpt_load;
-  List.iter (fun n -> set n Kalias) m.am_aliases;
-  List.iter (fun n -> set n Kfree) m.am_frees;
-  (* reversed: the first binding of a name wins, as with assoc *)
-  List.iter
-    (fun (n, rule) -> set n (Kalloc { rule; frees = List.mem n m.am_frees }))
-    (List.rev m.am_allocs);
-  List.iter (fun (n, _) -> set n Kcheck) m.am_checks;
-  tbl
-
-let intrin_kind (cx : ctx) (name : string) : ikind =
-  match Hashtbl.find cx.cx_kinds name with
-  | k -> k
-  | exception Not_found ->
-    if is_telemetry_marker name then Kmarker else Kunclassified
-
-let make_ctx (model : model) ~(pure : string -> bool) (md : modul) : ctx =
+let make_ctx (spec : Analysis.spec) ~(pure : string -> bool) (md : modul) :
+  ctx =
   let gpt : (int, string) Hashtbl.t = Hashtbl.create 17 in
-  (match model.am_global_make with
-   | None -> ()
-   | Some gm ->
-     iter_funcs md (fun f ->
-         Array.iter
-           (fun b ->
-              List.iter
-                (fun i ->
-                   match i with
-                   | Iintrin { name; args = Glob g :: _ :: Imm k :: _; _ }
-                     when String.equal name gm ->
-                     Hashtbl.replace gpt k g
-                   | _ -> ())
-                b.b_instrs)
-           f.f_blocks));
+  if
+    List.exists (fun (_, r) -> r = Analysis.Global_make)
+      spec.intrinsics.declared
+  then
+    iter_funcs md (fun f ->
+        Array.iter
+          (fun b ->
+             List.iter
+               (fun i ->
+                  match i with
+                  | Iintrin { name; args = Glob g :: _ :: Imm k :: _; _ }
+                    when Analysis.meaning spec name = Role Global_make ->
+                    Hashtbl.replace gpt k g
+                  | _ -> ())
+               b.b_instrs)
+          f.f_blocks);
   let globsize = Hashtbl.create 17 in
   List.iter (fun g -> Hashtbl.replace globsize g.g_name g.g_size) md.m_globals;
   let defined = Hashtbl.create 17 in
   Hashtbl.iter (fun name _ -> Hashtbl.replace defined name ()) md.m_funcs;
-  { cx_model = model; cx_pure = pure; cx_defined = defined;
-    cx_gpt = gpt; cx_globsize = globsize; cx_kinds = intrin_kinds model }
+  { cx_spec = spec; cx_pure = pure; cx_defined = defined; cx_gpt = gpt;
+    cx_globsize = globsize }
+
+(* The size rule of a modeled allocator call, if [callee] is one. *)
+let call_alloc (cx : ctx) callee =
+  match Hashtbl.find_opt cx.cx_spec.calls.table callee with
+  | Some (Role (Alloc rule | Realloc rule)) -> Some rule
+  | _ -> None
+
+(* Whether a modeled call frees its argument 0 (free, realloc). *)
+let call_frees (cx : ctx) callee =
+  match Hashtbl.find_opt cx.cx_spec.calls.table callee with
+  | Some (Role (Free | Realloc _)) -> true
+  | _ -> false
 
 (* --- lattice ------------------------------------------------------------ *)
 
@@ -313,7 +270,7 @@ type summary = {
   su_sites : sites;
 }
 
-let alloc_size rule args =
+let alloc_size (rule : Analysis.size_rule) args =
   let const k =
     match List.nth_opt args k with Some (Imm v) -> Some v | _ -> None
   in
@@ -326,7 +283,7 @@ let alloc_size rule args =
      | _ -> -1)
 
 let discover (cx : ctx) (f : func) =
-  let m = cx.cx_model in
+  let spec = cx.cx_spec in
   let objs = ref [] and nobjs = ref 0 in
   let fresh desc size escapes =
     let o = { o_id = !nobjs; o_desc = desc; o_size = size;
@@ -355,7 +312,7 @@ let discover (cx : ctx) (f : func) =
          (fun i ->
             iter_opnds opnd_glob i;
             match i with
-            | Islot { slot; _ } when m.am_slots ->
+            | Islot { slot; _ } when spec.slots ->
               if not (Hashtbl.mem slot_obj slot) then
                 (match Hashtbl.find_opt slot_by_id slot with
                  | Some s ->
@@ -364,18 +321,18 @@ let discover (cx : ctx) (f : func) =
                         s.s_size false)
                  | None -> ())
             | Iintrin { name; args; site; _ } ->
-              (match intrin_kind cx name, args with
-               | Kalloc { rule; _ }, _ ->
+              (match Analysis.meaning spec name, args with
+               | Role (Alloc rule | Realloc rule), _ ->
                  Hashtbl.replace site_obj site
                    (fresh (Printf.sprintf "%s#%d" name site)
                       (alloc_size rule args) false)
-               | Kgpt_load, Imm k :: _ ->
+               | Role Gpt_load, Imm k :: _ ->
                  (match Hashtbl.find_opt cx.cx_gpt k with
                   | Some gname -> ensure_glob gname
                   | None -> ())
                | _ -> ())
             | Icall { callee; args; _ } ->
-              (match List.assoc_opt callee m.am_call_allocs with
+              (match call_alloc cx callee with
                | Some rule ->
                  Hashtbl.replace call_obj (b.b_id, !ord)
                    (fresh
@@ -393,7 +350,7 @@ let discover (cx : ctx) (f : func) =
 
 let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
     ~call_obj ~glob_obj =
-  let m = cx.cx_model in
+  let spec = cx.cx_spec in
   let nregs = max f.f_nregs 1 in
   let derived = Array.make nregs Int_set.empty in
   let changed = ref true in
@@ -423,7 +380,7 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
          List.iter
            (fun i ->
               match i with
-              | Islot { dst; slot } when m.am_slots ->
+              | Islot { dst; slot } when spec.slots ->
                 (match Hashtbl.find_opt slot_obj slot with
                  | Some id -> add dst (Int_set.singleton id)
                  | None -> ())
@@ -437,14 +394,15 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
                      (match idx with Some o -> get o | None -> Int_set.empty))
               | Iintrin { dst = None; _ } -> ()
               | Iintrin { dst = Some d; name; args; site } ->
-                (match intrin_kind cx name, args with
-                 | Kalloc _, _ ->
+                (match Analysis.meaning spec name, args with
+                 | Role (Alloc _ | Realloc _), _ ->
                    (match Hashtbl.find_opt site_obj site with
                     | Some id -> add d (Int_set.singleton id)
                     | None -> ())
-                 | Kcheck, _ when m.am_check_alias -> add d (arg0 args)
-                 | Kalias, _ -> add d (arg0 args)
-                 | Kgpt_load, Imm k :: _ ->
+                 | (Check _ | Spatial _), _ when spec.produces_addr ->
+                   add d (arg0 args)
+                 | Role (Make | Strip), _ -> add d (arg0 args)
+                 | Role Gpt_load, Imm k :: _ ->
                    (match Hashtbl.find_opt cx.cx_gpt k with
                     | Some gname ->
                       (match Hashtbl.find_opt glob_obj gname with
@@ -456,7 +414,7 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
                 (match dst with
                  | None -> ()
                  | Some d ->
-                   (match List.assoc_opt callee m.am_call_allocs with
+                   (match call_alloc cx callee with
                     | Some _ ->
                       (match Hashtbl.find_opt call_obj (b.b_id, !ord) with
                        | Some id -> add d (Int_set.singleton id)
@@ -468,7 +426,7 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
       f.f_blocks
   done;
   (* escape pass: an object escapes when its address is stored as a
-     value, passed to a defined function or an unclassified intrinsic,
+     value, passed to a defined function or an undeclared intrinsic,
      handed to an undefined non-neutral callee, or returned.  Pure
      *defined* callees still escape their arguments: purity only says
      no metadata is touched inside, not that the pointer is forgotten,
@@ -483,15 +441,14 @@ let derive_and_escape ?fuel (cx : ctx) (f : func) ~objs ~slot_obj ~site_obj
             | Istore { src; _ } -> esc (get src)
             | Icall { callee; args; _ } ->
               if
-                List.mem_assoc callee m.am_call_allocs
-                || List.mem callee m.am_call_frees
+                call_alloc cx callee <> None || call_frees cx callee
                 || ((not (Hashtbl.mem cx.cx_defined callee))
                     && cx.cx_pure callee)
               then ()
               else List.iter (fun a -> esc (get a)) args
             | Iintrin { name; args; _ } ->
-              (match intrin_kind cx name with
-               | Kunclassified -> List.iter (fun a -> esc (get a)) args
+              (match Analysis.meaning spec name with
+               | Undeclared -> List.iter (fun a -> esc (get a)) args
                | _ -> ())
             | _ -> ())
          b.b_instrs;
@@ -549,7 +506,7 @@ let vbool = Vint (0, 1)
 (* Updates [st] in place. *)
 let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
     (i : instr) : unit =
-  let m = fe.fe_cx.cx_model in
+  let spec = fe.fe_cx.cx_spec in
   match i with
   | Imov { dst; src } -> set_val st dst (opnd_val fe st src)
   | Isext { dst; src; bytes } ->
@@ -577,9 +534,7 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
       | Sub, Vint (l1, h1), Vint (l2, h2) -> int_sub l1 h1 l2 h2
       | Mul, Vint (l1, h1), Vint (l2, h2) -> int_mul l1 h1 l2 h2
       | And, Vptr p, Vint (l, h)
-        when l = h
-             && (match m.am_strip_mask with Some k -> k = l | None -> false)
-        ->
+        when l = h && l = spec.strip_mask ->
         Vptr { obj = p.obj; lo = p.lo; hi = p.hi }
       | _ -> Vtop
     in
@@ -588,7 +543,7 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
   | Iload { dst; _ } -> set_val st dst Vtop
   | Islot { dst; slot } ->
     (match Hashtbl.find_opt fe.fe_slot_obj slot with
-     | Some id when m.am_slots ->
+     | Some id when spec.slots ->
        set_val st dst (Vptr { obj = id; lo = 0; hi = 0 })
      | _ -> set_val st dst Vtop)
   | Igep { dst; base; idx; info } ->
@@ -615,9 +570,9 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
      | _ -> set_val st dst Vtop)
   | Istore _ -> ()
   | Icall { dst; callee; args } ->
-    if List.mem callee m.am_call_frees then
-      free_arg fe st (List.nth_opt args 0);
-    (match List.assoc_opt callee m.am_call_allocs with
+    let frees = call_frees fe.fe_cx callee in
+    if frees then free_arg fe st (List.nth_opt args 0);
+    (match call_alloc fe.fe_cx callee with
      | Some _ ->
        let id = Hashtbl.find_opt fe.fe_call_obj (bid, !ord) in
        incr ord;
@@ -626,26 +581,29 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
           | Some obj -> Vptr { obj; lo = 0; hi = 0 }
           | None -> Vtop)
      | None ->
-       if not (List.mem callee m.am_call_frees || fe.fe_cx.cx_pure callee)
+       if not (frees || fe.fe_cx.cx_pure callee)
        then free_all fe st Int_set.empty;
        set_dst st dst Vtop)
   | Iintrin { dst; name; args; site } ->
-    (match intrin_kind fe.fe_cx name with
-     | Kmarker -> ()
-     | Kcheck ->
-       set_dst st dst (if m.am_check_alias then arg0_val fe st args else Vtop)
-     | Kalloc { frees; _ } ->
-       (* realloc-style: the free leg applies before the fresh object *)
-       if frees then free_arg fe st (List.nth_opt args 0);
+    (match Analysis.meaning spec name with
+     | Marker -> ()
+     | Check _ | Spatial _ ->
+       set_dst st dst
+         (if spec.produces_addr then arg0_val fe st args else Vtop)
+     | Role ((Alloc _ | Realloc _) as r) ->
+       (* realloc: the free leg applies before the fresh object *)
+       (match r with
+        | Realloc _ -> free_arg fe st (List.nth_opt args 0)
+        | _ -> ());
        set_dst st dst
          (match Hashtbl.find_opt fe.fe_site_obj site with
           | Some obj -> Vptr { obj; lo = 0; hi = 0 }
           | None -> Vtop)
-     | Kfree ->
+     | Role Free ->
        free_arg fe st (List.nth_opt args 0);
        set_dst st dst Vtop
-     | Kalias -> set_dst st dst (arg0_val fe st args)
-     | Kgpt_load ->
+     | Role (Make | Strip) -> set_dst st dst (arg0_val fe st args)
+     | Role Gpt_load ->
        set_dst st dst
          (match args with
           | Imm k :: _ ->
@@ -656,8 +614,8 @@ let transfer (fe : fenv) (bid : int) (ord : int ref) (st : state)
                 | None -> Vtop)
              | None -> Vtop)
           | _ -> Vtop)
-     | Kopaque -> set_dst st dst Vtop
-     | Kunclassified ->
+     | Role (Global_make | Opaque | Neutral) -> set_dst st dst Vtop
+     | Undeclared ->
        (* worst case *)
        free_all fe st
          (List.fold_left
@@ -727,8 +685,8 @@ let summarize (fe : fenv) (f : func) (cfg : Cfg.t)
 
 let is_fact_site fe st = function
   | Iintrin { name; args = Reg p :: _; _ } ->
-    (match intrin_kind fe.fe_cx name, regval st p with
-     | Kcheck, Vptr _ -> true
+    (match Analysis.meaning fe.fe_cx.cx_spec name, regval st p with
+     | (Check _ | Spatial _), Vptr _ -> true
      | _ -> false)
   | _ -> false
 
@@ -793,7 +751,9 @@ let facts (su : summary) : int =
           List.exists
             (function
               | Iintrin { name; args = Reg _ :: _; _ } ->
-                intrin_kind si.si_fe.fe_cx name = Kcheck
+                (match Analysis.meaning si.si_fe.fe_cx.cx_spec name with
+                 | Check _ | Spatial _ -> true
+                 | _ -> false)
               | _ -> false)
             si.si_code.(bid)
         then n := !n + (block_sites su bid).bs_facts);

@@ -12,9 +12,10 @@
     - {b temporal liveness}: the flow-sensitive freed-set tracks which
       objects a modeled free may already have released at each point.
 
-    The sanitizer under analysis is described by a {!model} -- which
-    intrinsics check, allocate, free, alias or are metadata-neutral --
-    so the same interpreter serves any tool that provides one.
+    The sanitizer under analysis is described by its role table
+    ({!Analysis.spec}) -- which intrinsics check, allocate, free, alias
+    or change metadata opaquely -- so the same interpreter serves any
+    tool that provides one.
     [Sanitizer.Checkopt] uses the results to elide or downgrade checks
     (each with a {!Witness.t}) and attaches the fixpoint as a {!cert};
     [Tir.Verify] checks that certificate against the post-optimization
@@ -22,52 +23,6 @@
     it yields. *)
 
 module Int_set : Set.S with type elt = int
-
-(** How a modeled allocator derives its byte size from its argument
-    list: [Sarg k] reads argument [k], [Sprod (i, j)] multiplies
-    arguments [i] and [j] (calloc). Non-immediate arguments or
-    overflowing products yield an unknown size. *)
-type size_rule = Sarg of int | Sprod of int * int
-
-(** Metadata semantics of one sanitizer's intrinsics and runtime
-    calls.  Any intrinsic not classified here is treated as worst-case:
-    its arguments escape and every escaped object may be freed.  An
-    intrinsic named in several lists takes the first role in the order
-    check, alloc, free, alias, gpt-load, opaque -- except that an alloc
-    also named in [am_frees] keeps its free leg (realloc). *)
-type model = {
-  am_checks : (string * string option) list;
-      (** check intrinsic name -> its spatial-only variant, if the tool
-          has one ([None] = not downgradable). Spatial variants must
-          themselves appear as keys mapping to [None]. *)
-  am_check_alias : bool;
-      (** checks return the (possibly stripped) checked pointer in
-          their destination register *)
-  am_allocs : (string * size_rule) list;
-      (** intrinsics whose destination is a fresh object *)
-  am_frees : string list;
-      (** intrinsics that free the object of argument 0 (a name may
-          appear in both [am_allocs] and [am_frees]: realloc) *)
-  am_aliases : string list;
-      (** intrinsics whose destination aliases argument 0 *)
-  am_opaque : string list;
-      (** metadata-neutral intrinsics; destination becomes unknown *)
-  am_call_allocs : (string * size_rule) list;
-      (** ordinary calls (builtin allocators) returning fresh objects *)
-  am_call_frees : string list;
-      (** ordinary calls freeing the object of argument 0 *)
-  am_gpt_load : string option;
-      (** intrinsic loading a tagged global pointer from the GPT; its
-          immediate argument indexes the table built by
-          [am_global_make] sites *)
-  am_global_make : string option;
-      (** intrinsic registering global [Glob g; size; Imm index] *)
-  am_strip_mask : int option;
-      (** [p land mask] preserves the pointed-to object *)
-  am_slots : bool;
-      (** [Islot] results point at the declared slot ([false] when the
-          tool relocates slot data, e.g. redzone-padded slots) *)
-}
 
 (** Abstract value of a register. *)
 type aval =
@@ -113,11 +68,13 @@ type summary = {
 
 type ctx
 
-val make_ctx : model -> pure:(string -> bool) -> Ir.modul -> ctx
-(** Whole-program context: scans the module for [am_global_make] sites
+val make_ctx : Analysis.spec -> pure:(string -> bool) -> Ir.modul -> ctx
+(** Whole-program context: scans the module for [Global_make] sites
     (GPT index -> global), global sizes and defined functions, and
-    classifies the model's intrinsic names once.  [pure] is the
-    metadata-purity closure from {!Analysis.pure_callees}. *)
+    builds the spec's name table once.  Each intrinsic transfers by
+    its role; an undeclared one is worst case: its arguments escape and
+    every escaped object may be freed.  [pure] is the metadata-purity
+    closure from {!Analysis.pure_callees}. *)
 
 val analyze : ?fuel:Fuel.t -> ctx -> Ir.func -> summary
 (** Run all three domains to fixpoint (widening once a block's entry

@@ -6,7 +6,9 @@
      statically guaranteed to be in-bounds");
    - global safety: the same classification for globals;
    - register use maps (which blocks use a register), needed by the
-     sub-object narrowing to prove a field pointer does not escape. *)
+     sub-object narrowing to prove a field pointer does not escape;
+   - the intrinsic role table: one record per sanitizer, read by the
+     check optimizer, the verifier and the abstract interpreter. *)
 
 open Ir
 
@@ -181,7 +183,71 @@ let metadata_neutral_builtins =
   [ "printf"; "puts"; "putchar"; "getchar"; "strlen"; "strcmp"; "strncmp";
     "memcmp"; "wcslen"; "wcscmp"; "abs"; "atoi"; "rand"; "srand" ]
 
-(* [pure_callees m ~is_hazard] memoizes, for every callee name, whether
+(* --- intrinsic roles -------------------------------------------------- *)
+
+type size_rule = Sarg of int | Sprod of int * int
+
+type role =
+  | Alloc of size_rule | Realloc of size_rule | Free | Make | Strip
+  | Gpt_load | Global_make | Opaque | Neutral
+
+type meaning =
+  | Check of bool | Spatial of bool | Role of role | Marker | Undeclared
+
+type roles = {
+  declared : (string * role) list;
+  table : (string, meaning) Hashtbl.t;
+}
+
+let roles declared =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (name, r) ->
+       if Hashtbl.mem table name then
+         invalid_arg ("Analysis.roles: two roles for " ^ name);
+       Hashtbl.replace table name (Role r))
+    declared;
+  { declared; table }
+
+type spec = {
+  check_load : string;
+  check_store : string;
+  spatial : bool;
+  intrinsics : roles;
+  calls : roles;
+  produces_addr : bool;
+  strip_mask : int;
+  may_hoist_stores : bool;
+  slots : bool;
+  certified : bool;
+}
+
+(* [name] is [check ^ "_spatial"] *)
+let spatial_of check name =
+  String.length name = String.length check + 8
+  && String.starts_with ~prefix:check name
+  && String.ends_with ~suffix:"_spatial" name
+
+let meaning (spec : spec) name =
+  if String.equal name spec.check_load then Check false
+  else if String.equal name spec.check_store then Check true
+  else
+    match Hashtbl.find spec.intrinsics.table name with
+    | m -> m
+    | exception Not_found ->
+      if spec.spatial && spatial_of spec.check_load name then Spatial false
+      else if spec.spatial && spatial_of spec.check_store name then
+        Spatial true
+      else if is_telemetry_marker name then Marker
+      else Undeclared
+
+let is_hazard = function
+  | Check _ | Spatial _ | Role (Strip | Gpt_load | Neutral) | Marker -> false
+  | Role (Alloc _ | Realloc _ | Free | Make | Global_make | Opaque)
+  | Undeclared ->
+    true
+
+(* [pure_callees m spec] memoizes, for every callee name, whether
    a call to it can disturb sanitizer metadata.  A function is pure when
    its body (transitively) contains no hazard intrinsic and calls only
    pure things; an undefined callee is pure only when it is a
@@ -190,8 +256,7 @@ let metadata_neutral_builtins =
    Both Checkopt (keeping straight-line facts live across calls) and
    Verify (accepting exactly those facts) use this same closure, so the
    optimizer cannot out-reason its certifier. *)
-let pure_callees (m : modul) ~(is_hazard : string -> bool) :
-  string -> bool =
+let pure_callees (m : modul) (spec : spec) : string -> bool =
   let memo : (string, bool) Hashtbl.t = Hashtbl.create 17 in
   let in_progress : (string, unit) Hashtbl.t = Hashtbl.create 7 in
   let rec pure name =
@@ -213,7 +278,7 @@ let pure_callees (m : modul) ~(is_hazard : string -> bool) :
                    (fun i ->
                       match i with
                       | Iintrin { name = n; _ } ->
-                        if is_hazard n then ok := false
+                        if is_hazard (meaning spec n) then ok := false
                       | Icall { callee; _ } ->
                         if not (pure callee) then ok := false
                       | _ -> ())

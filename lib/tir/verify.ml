@@ -27,16 +27,18 @@
 
 open Ir
 
-type spec = {
+(* Repeated so that bench/e2e/pipeline.ml's [Tir.Verify.check_load] resolves *)
+type spec = Analysis.spec = {
   check_load : string;
   check_store : string;
-  produces_addr : bool;           (* check dst = stripped address *)
-  strip_mask : int;               (* mask replacing an elided strip *)
+  spatial : bool;
+  intrinsics : Analysis.roles;
+  calls : Analysis.roles;
+  produces_addr : bool;
+  strip_mask : int;
   may_hoist_stores : bool;
-  hazard_intrinsics : string list;(* runtime calls that change metadata *)
-  extcall_strip : string option;  (* tag strip required at external calls *)
-  absint : Absint.model option;   (* abstract-interpretation model; None
-                                     disables witness-based elision *)
+  slots : bool;
+  certified : bool;
 }
 
 type error = {
@@ -60,27 +62,6 @@ let pp_error fmt e =
 let error_to_string e = Format.asprintf "%a" pp_error e
 
 let sp = Printf.sprintf
-
-let is_check spec name =
-  String.equal name spec.check_load || String.equal name spec.check_store
-  || (match spec.absint with
-      | Some m -> List.mem_assoc name m.Absint.am_checks
-      | None -> false)
-
-(* Spatial-only check variants: every downgrade target declared by the
-   model.  A site carrying one MUST hold a valid Wdowngrade witness --
-   the optimizer may only weaken a check it has certified. *)
-let is_spatial spec name =
-  let rec downgrades_to = function
-    | [] -> false
-    | (_, Some v) :: rest -> String.equal v name || downgrades_to rest
-    | (_, None) :: rest -> downgrades_to rest
-  in
-  match spec.absint with
-  | Some m -> downgrades_to m.Absint.am_checks
-  | None -> false
-
-let is_hazard spec name = List.mem name spec.hazard_intrinsics
 
 (* --- part 1: well-formedness lint ----------------------------------------- *)
 
@@ -446,8 +427,8 @@ let resolve_keys ?strip_mask defs_map copies o : key list =
 
 (* The facts a check intrinsic establishes at the current program point:
    one per key view. *)
-let facts_of_check spec ?strip_mask defs_map copies bid dst p size :
-  fact list =
+let facts_of_check (spec : Analysis.spec) ?strip_mask defs_map copies bid
+    dst p size : fact list =
   let cover =
     match dst with
     | Some d when spec.produces_addr ->
@@ -468,11 +449,11 @@ let facts_of_check spec ?strip_mask defs_map copies bid dst p size :
    [Analysis.pure_callees] closure is the same one Checkopt consults,
    so the optimizer cannot keep a fact across a call the verifier
    would not. *)
-let block_has_hazard spec ~pure b =
+let block_has_hazard ~hazard ~pure b =
   List.exists
     (function
       | Icall { callee; _ } -> not (pure callee)
-      | Iintrin { name; _ } -> is_hazard spec name
+      | Iintrin { name; _ } -> hazard name
       | _ -> false)
     b.b_instrs
 
@@ -528,7 +509,8 @@ let replay_witness (su : Absint.summary) (w : Witness.t) :
 (* What [coverage_func] reads of the module, built once per call of the
    verifier. *)
 type env = {
-  spec : spec;
+  spec : Analysis.spec;
+  strip : string option;                 (* the spec's first [Strip] *)
   pure : string -> bool;
   actx : Absint.ctx Lazy.t option;  (* built for a certified function *)
   wit_by_func : (string, (int, Witness.t) Hashtbl.t) Hashtbl.t;
@@ -548,6 +530,18 @@ type counts = {
 let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
     (f : func) (cfg : Cfg.t) (index, nidx) : unit =
   let spec = env.spec and pure = env.pure in
+  let hazard name = Analysis.(is_hazard (meaning spec name)) in
+  let is_check name =
+    match Analysis.meaning spec name with
+    | Check _ | Spatial _ -> true
+    | _ -> false
+  in
+  (* spatial-only check variants: a site carrying one MUST hold a valid
+     Wdowngrade witness -- the optimizer may only weaken a check it has
+     certified *)
+  let is_spatial name =
+    match Analysis.meaning spec name with Spatial _ -> true | _ -> false
+  in
   let wit =
     Option.value (Hashtbl.find_opt env.wit_by_func f.f_name)
       ~default:env.no_wit
@@ -570,7 +564,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
       (fun b ->
          List.exists
            (function
-             | Iintrin { name; _ } -> is_spatial spec name
+             | Iintrin { name; _ } -> is_spatial name
              | _ -> false)
            b.b_instrs)
       f.f_blocks
@@ -615,7 +609,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
             match i with
             | Iintrin { name; site; _ } ->
               Hashtbl.replace sites_present site ();
-              if is_spatial spec name then
+              if is_spatial name then
                 (match Hashtbl.find_opt valid_wit site with
                  | Some w when w.Witness.w_kind = Witness.Wdowngrade -> ()
                  | Some _ ->
@@ -670,7 +664,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
   let step bid i =
     (match i with
      | Icall { callee; _ } when not (pure callee) -> live := []
-     | Iintrin { name; _ } when is_hazard spec name -> live := []
+     | Iintrin { name; _ } when hazard name -> live := []
      | _ -> ());
     (match i with
      | Imov { dst; src = Reg s } ->
@@ -679,7 +673,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
      | _ -> iter_def redefine i);
     match i with
     | Iintrin { dst; name; args = [ p; Imm size ]; _ }
-      when is_check spec name ->
+      when is_check name ->
       facts_of_check spec ?strip_mask defs_map copies bid dst p size
     | Iintrin { name; args = []; site; _ }
       when String.equal name telemetry_elided ->
@@ -719,7 +713,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
               List.iter add_fact (step b.b_id i))
            b.b_instrs;
          block_defs.(b.b_id) <- defs;
-         has_hazard.(b.b_id) <- block_has_hazard spec ~pure b;
+         has_hazard.(b.b_id) <- block_has_hazard ~hazard ~pure b;
          gen_end.(b.b_id) <- !live
        end)
     f.f_blocks;
@@ -871,7 +865,7 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
                  | `Store -> spec.check_store))
        in
        let check_stripped_call callee args =
-         match spec.extcall_strip, find_func md callee with
+         match env.strip, find_func md callee with
          | Some strip_name, Some { f_external = true; f_sig_ptrs; _ } ->
            List.iteri
              (fun k a ->
@@ -923,13 +917,13 @@ let coverage_func ?fuel (env : env) (acc : sink) (n : counts) (md : modul)
    function, rejecting duplicates and certificates naming unknown or
    external functions (errors into [acc]), and pick each function's
    newest certificate, the one its witnesses rest on. *)
-let coverage_env (spec : spec) (acc : sink) (md : modul) : env =
-  (* the metadata-pure callees and, for a tool with an absint model,
-     the absint context over them, built for the first certified
-     function *)
-  let pure = Analysis.pure_callees md ~is_hazard:(is_hazard spec) in
+let coverage_env (spec : Analysis.spec) (acc : sink) (md : modul) : env =
+  (* the metadata-pure callees and, for a certified tool, the absint
+     context over them, built for the first certified function *)
+  let pure = Analysis.pure_callees md spec in
   let actx =
-    Option.map (fun m -> lazy (Absint.make_ctx m ~pure md)) spec.absint
+    if spec.certified then Some (lazy (Absint.make_ctx spec ~pure md))
+    else None
   in
   let wit_by_func = Hashtbl.create 7 in
   List.iter
@@ -963,19 +957,24 @@ let coverage_env (spec : spec) (acc : sink) (md : modul) : env =
         Hashtbl.replace certs c.Absint.c_func c
       | _ -> ())
     md.m_certs;
-  { spec; pure; actx; wit_by_func; certs; no_wit = Hashtbl.create 1 }
+  let strip =
+    List.find_map
+      (function name, Analysis.Strip -> Some name | _ -> None)
+      spec.intrinsics.declared
+  in
+  { spec; strip; pure; actx; wit_by_func; certs; no_wit = Hashtbl.create 1 }
 
-(* One pass over the module's defined functions: the lint when [lint],
-   coverage under [spec].  Each function's structure check, CFG and
-   register index are built once and shared by both halves.  Returns
-   the lint's errors and the coverage report. *)
-let verify ?fuel ~lint (spec : spec option) (md : modul) :
+(* One pass over the module's defined functions: the lint, and coverage
+   under [spec].  Each function's structure check, CFG and register
+   index are built once and shared by both halves.  Returns the lint's
+   errors and the coverage report. *)
+let verify ?fuel (spec : Analysis.spec option) (md : modul) :
   error list * report =
   let wf = ref [] and cov = ref [] in
   let env = Option.map (fun s -> coverage_env s cov md) spec in
   (* the module-level witness errors were listed newest first *)
   cov := List.rev !cov;
-  let globals = if lint then global_names md else Hashtbl.create 1 in
+  let globals = global_names md in
   let n = { accesses = 0; covered = 0; witnesses = 0 } in
   let funcs = ref 0 in
   iter_funcs md (fun f ->
@@ -984,11 +983,11 @@ let verify ?fuel ~lint (spec : spec option) (md : modul) :
         match structure_errors f with
         | _ :: _ as broken ->
           (* coverage has nothing to prove on a broken function *)
-          if lint then wf := List.rev_append broken !wf
+          wf := List.rev_append broken !wf
         | [] ->
           let cfg = Cfg.build f in
           let ix = assigned_index f in
-          if lint then lint_func ?fuel wf ~globals md f cfg ix;
+          lint_func ?fuel wf ~globals md f cfg ix;
           Option.iter
             (fun env -> coverage_func ?fuel env cov n md f cfg ix)
             env
@@ -997,21 +996,14 @@ let verify ?fuel ~lint (spec : spec option) (md : modul) :
     { r_errors = List.rev !cov; r_accesses = n.accesses;
       r_covered = n.covered; r_funcs = !funcs; r_witnesses = n.witnesses } )
 
-(* What [coverage] replays witnesses and checks certificates against. *)
-let absint_ctx (spec : spec) (md : modul) =
-  Option.map
-    (fun m ->
-       Absint.make_ctx m
-         ~pure:(Analysis.pure_callees md ~is_hazard:(is_hazard spec))
-         md)
-    spec.absint
+(* What coverage replays witnesses and checks certificates against. *)
+let absint_ctx (spec : Analysis.spec) (md : modul) =
+  if spec.certified then
+    Some (Absint.make_ctx spec ~pure:(Analysis.pure_callees md spec) md)
+  else None
 
-let well_formed ?fuel (md : modul) : error list =
-  fst (verify ?fuel ~lint:true None md)
-
-let coverage ?fuel (spec : spec) (md : modul) : report =
-  snd (verify ?fuel ~lint:false (Some spec) md)
+let well_formed ?fuel (md : modul) : error list = fst (verify ?fuel None md)
 
 let check ?spec ?fuel (md : modul) : report =
-  let wf, cov = verify ?fuel ~lint:true spec md in
+  let wf, cov = verify ?fuel spec md in
   { cov with r_errors = wf @ cov.r_errors }

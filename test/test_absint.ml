@@ -15,8 +15,11 @@ let count_markers md =
   Tir.Ir.count_intrins md (fun n -> String.equal n Tir.Ir.telemetry_elided)
 
 let count_checks md =
+  let meaning = Tir.Analysis.meaning Cecsan.Opt.spec in
   Tir.Ir.count_intrins md (fun n ->
-      List.mem_assoc n Cecsan.Opt.model.Tir.Absint.am_checks)
+      match meaning n with
+      | Tir.Analysis.Check _ | Spatial _ -> true
+      | _ -> false)
 
 (* straight-line, non-escaping stack + heap accesses: everything the
    redundant pass leaves behind is certifiably elidable *)
@@ -565,15 +568,10 @@ let pin_sites buf (su : Tir.Absint.summary) =
          (state_str (Option.get (Tir.Absint.site_state su site))))
     (Tir.Absint.sites su)
 
-let pin_absint buf (spec : Tir.Verify.spec) md =
-  match spec.Tir.Verify.absint with
-  | None -> ()
-  | Some model ->
-    let pure =
-      Tir.Analysis.pure_callees md ~is_hazard:(fun n ->
-          List.mem n spec.Tir.Verify.hazard_intrinsics)
-    in
-    let cx = Tir.Absint.make_ctx model ~pure md in
+let pin_absint buf (spec : Tir.Analysis.spec) md =
+  if spec.certified then begin
+    let pure = Tir.Analysis.pure_callees md spec in
+    let cx = Tir.Absint.make_ctx spec ~pure md in
     Tir.Ir.iter_funcs md (fun f ->
         if not f.Tir.Ir.f_external then begin
           let fuel = Tir.Fuel.make ~phase:"pin" ~budget:pin_budget in
@@ -583,6 +581,7 @@ let pin_absint buf (spec : Tir.Verify.spec) md =
           pin_sites buf su;
           Printf.bprintf buf "absint fuel %d\n" (Tir.Fuel.remaining fuel)
         end)
+  end
 
 let pin_verify buf spec md =
   let fuel = Tir.Fuel.make ~phase:"pin" ~budget:pin_budget in
@@ -668,14 +667,8 @@ let cert_matches_fixpoint () =
             match Sanitizer.Driver.build san src with
             | exception Sanitizer.Spec.Unsupported _ -> ()
             | md ->
-              let pure =
-                Tir.Analysis.pure_callees md ~is_hazard:(fun n ->
-                    List.mem n spec.Tir.Verify.hazard_intrinsics)
-              in
-              let cx =
-                Tir.Absint.make_ctx (Option.get spec.Tir.Verify.absint)
-                  ~pure md
-              in
+              let pure = Tir.Analysis.pure_callees md spec in
+              let cx = Tir.Absint.make_ctx spec ~pure md in
               List.iter
                 (function
                   | Tir.Absint.Fixpoint c ->
@@ -721,13 +714,8 @@ let out_of_range_dump () =
     :: Icmp { op = Eq; dst = -3; a = Reg (-3); b = Reg (n + 9) }
     :: bl.b_instrs;
   let spec = Cecsan.Opt.spec in
-  let pure =
-    Tir.Analysis.pure_callees md ~is_hazard:(fun name ->
-        List.mem name spec.Tir.Verify.hazard_intrinsics)
-  in
-  let cx =
-    Tir.Absint.make_ctx (Option.get spec.Tir.Verify.absint) ~pure md
-  in
+  let pure = Tir.Analysis.pure_callees md spec in
+  let cx = Tir.Absint.make_ctx spec ~pure md in
   let su = Tir.Absint.analyze cx f in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "nregs %d\n" n;
@@ -885,12 +873,11 @@ let splice ?(after = false) (b : Tir.Ir.block) k ~now ~later =
 
 (* The seeded mutants: each takes the [seed]-th point (mod their number)
    of a clone of the module, or is skipped when there is none. *)
-let mutants (spec : Tir.Verify.spec) =
+let mutants (spec : Tir.Analysis.spec) =
   let open Tir.Ir in
   let is_check = function
     | Iintrin { name; args = [ Reg _; Imm _ ]; _ } ->
-      String.equal name spec.Tir.Verify.check_load
-      || String.equal name spec.Tir.Verify.check_store
+      String.equal name spec.check_load || String.equal name spec.check_store
     | _ -> false
   in
   let is_hoisted = function

@@ -522,22 +522,29 @@ let pin_two_globals () =
     @ b0.b_instrs;
   md
 
+(* Every program the pin instruments, beside the two-globals and the
+   linked ones. *)
+let pin_sources () =
+  List.map
+    (fun (w : Workloads.Spec2006.t) -> w.Workloads.Spec2006.w_source)
+    (Workloads.Spec2006.all @ Workloads.Spec2017.all)
+  @ List.concat_map
+    (fun (c : Juliet.Case.t) -> [ c.good_src; c.bad_src ])
+    (Juliet.Suite.all ())
+  @ List.map
+    (fun (m : Workloads.Linux_flaws.t) -> m.Workloads.Linux_flaws.source)
+    Workloads.Linux_flaws.all
+  @ List.init 300 (fun seed ->
+      (Fuzz.Gen.generate ~inject:(seed mod 2 = 0) (Fuzz.Tape.fresh ~seed))
+        .Fuzz.Gen.src)
+
+let pin_link san =
+  Sanitizer.Driver.build_link san
+    [ (pin_link_main, `Instrumented); (pin_link_lib, `Uninstrumented) ]
+
 let pin_digest () =
   let buf = Buffer.create (1 lsl 20) in
-  let sources =
-    List.map
-      (fun (w : Workloads.Spec2006.t) -> w.Workloads.Spec2006.w_source)
-      (Workloads.Spec2006.all @ Workloads.Spec2017.all)
-    @ List.concat_map
-      (fun (c : Juliet.Case.t) -> [ c.good_src; c.bad_src ])
-      (Juliet.Suite.all ())
-    @ List.map
-      (fun (m : Workloads.Linux_flaws.t) -> m.Workloads.Linux_flaws.source)
-      Workloads.Linux_flaws.all
-    @ List.init 300 (fun seed ->
-        (Fuzz.Gen.generate ~inject:(seed mod 2 = 0) (Fuzz.Tape.fresh ~seed))
-          .Fuzz.Gen.src)
-  in
+  let sources = pin_sources () in
   List.iter
     (fun (san : Sanitizer.Spec.t) ->
        Printf.bprintf buf "tool %s\n" san.Sanitizer.Spec.name;
@@ -547,11 +554,7 @@ let pin_digest () =
               (Sanitizer.Driver.compile_cached ~optimize:true src))
          sources;
        pin_module buf san (pin_two_globals ());
-       match
-         Sanitizer.Driver.build_link san
-           [ (pin_link_main, `Instrumented);
-             (pin_link_lib, `Uninstrumented) ]
-       with
+       match pin_link san with
        | exception Sanitizer.Spec.Unsupported _ ->
          Buffer.add_string buf "excluded\n"
        | md -> pin_text buf md)
@@ -570,6 +573,85 @@ let pin_tests =
            (len, hex));
   ]
 
+(* --- intrinsic roles: what the passes emit, the runtimes bind ------------ *)
+
+(* Over the pin's programs after instrument and after optimize, every
+   intrinsic a tool emits (telemetry markers aside) has a role in its
+   spec and is bound by its runtime, and every name its runtime
+   registers has a role: the role table is the whole namespace.  No
+   role names a check or its spatial variant a second time. *)
+let roles_cover_namespace () =
+  let sources = pin_sources () in
+  List.iter
+    (fun (t : Baselines.Tools.t) ->
+       let san = t.Baselines.Tools.make () in
+       match san.Sanitizer.Spec.verify with
+       | None -> ()
+       | Some spec ->
+         let meaning = Tir.Analysis.meaning spec in
+         let declared name = meaning name <> Tir.Analysis.Undeclared in
+         let key = t.Baselines.Tools.key in
+         let checks = [ spec.check_load; spec.check_store ] in
+         List.iter
+           (fun (name, _) ->
+              if List.exists
+                  (fun c -> name = c || name = c ^ "_spatial") checks
+              then Alcotest.failf "%s gives its check %s a role" key name)
+           spec.intrinsics.declared;
+         let rt = san.Sanitizer.Spec.fresh_runtime () in
+         let emitted = Hashtbl.create 32 in
+         let collect md =
+           Tir.Ir.iter_funcs md (fun f ->
+               Array.iter
+                 (fun (b : Tir.Ir.block) ->
+                    List.iter
+                      (function
+                        | Tir.Ir.Iintrin { name; _ }
+                          when not (Tir.Ir.is_telemetry_marker name) ->
+                          Hashtbl.replace emitted name ()
+                        | _ -> ())
+                      b.Tir.Ir.b_instrs)
+                 f.Tir.Ir.f_blocks)
+         in
+         let instrument md =
+           match san.Sanitizer.Spec.instrument md with
+           | exception Sanitizer.Spec.Unsupported _ -> ()
+           | () ->
+             collect md;
+             san.Sanitizer.Spec.optimize md;
+             collect md
+         in
+         List.iter
+           (fun src ->
+              instrument (Sanitizer.Driver.compile_cached ~optimize:true src))
+           sources;
+         instrument (pin_two_globals ());
+         (match pin_link san with
+          | exception Sanitizer.Spec.Unsupported _ -> ()
+          | md -> collect md);
+         let sorted tbl =
+           List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) tbl [])
+         in
+         List.iter
+           (fun name ->
+              if not (declared name) then
+                Alcotest.failf "%s emits %s, which has no role" key name;
+              if Vm.Runtime.find_intrinsic rt name = None then
+                Alcotest.failf "%s emits %s, which its runtime leaves unbound"
+                  key name)
+           (sorted emitted);
+         List.iter
+           (fun name ->
+              if not (declared name) then
+                Alcotest.failf "%s's runtime registers %s, which has no role"
+                  key name)
+           (sorted rt.Vm.Runtime.intrinsics))
+    Baselines.Tools.all
+
+let role_tests =
+  [ Alcotest.test_case "every emitted or registered intrinsic has a role"
+      `Quick roles_cover_namespace ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -581,4 +663,5 @@ let () =
       "cryptsan", pa_tests cryptsan @ cryptsan_extra;
       "mechanisms", mechanism_tests;
       "digest-pin", pin_tests;
+      "roles", role_tests;
     ]

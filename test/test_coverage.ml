@@ -170,6 +170,40 @@ let corpus_tests =
               Alcotest.(check bool) (Printf.sprintf "suffix %S" suffix) true
                 (Fuzz.Corpus.entry_of_line (line ^ suffix) = None))
            [ " GARBAGE"; " "; "\n"; "\t1"; "x"; "\"" ]);
+    Alcotest.test_case "readers accept only what their writers print" `Quick
+      (fun () ->
+         let rejects what r =
+           Alcotest.(check bool) (what ^ " rejected") true (r = None)
+         in
+         List.iter
+           (fun s -> rejects ("tape " ^ s) (Fuzz.Tape.of_string s))
+           [ "02"; "+2"; "1_2"; "0x10"; "1, 2"; " 1" ];
+         Alcotest.(check bool) "tape 1,2" true
+           (Fuzz.Tape.of_string "1,2" = Some [| 1; 2 |]);
+         Alcotest.(check bool) "empty tape" true
+           (Fuzz.Tape.of_string "" = Some [||]);
+         List.iter
+           (fun s -> rejects ("bitmap " ^ s) (Fuzz.Coverage.of_string s))
+           [ "02"; "+2"; "1_2"; "0x10"; "3,3"; "5,3" ];
+         Alcotest.(check bool) "bitmap 3,5" true
+           (Option.map Fuzz.Coverage.to_string (Fuzz.Coverage.of_string "3,5")
+            = Some "3,5");
+         let e =
+           { Fuzz.Corpus.e_id = 12; e_seed = 0xFF; e_phase = "gen";
+             e_tape = [| 1; 2 |]; e_cov = Fuzz.Coverage.of_keys [ 3; 5 ] }
+         in
+         let line = Fuzz.Corpus.entry_to_line e in
+         Alcotest.(check string) "the writer's line"
+           "entry id=12 seed=ff phase=gen tape=1,2 cov=3,5" line;
+         List.iter
+           (fun (field, spelled) ->
+              let mutant =
+                Str.replace_first (Str.regexp_string field) spelled line
+              in
+              rejects mutant (Fuzz.Corpus.entry_of_line mutant))
+           [ ("id=12", "id=012"); ("id=12", "id=+12"); ("id=12", "id=1_2");
+             ("seed=ff", "seed=00ff"); ("seed=ff", "seed=+ff");
+             ("tape=1,2", "tape=01,2"); ("cov=3,5", "cov=3,3,5") ]);
     Alcotest.test_case "corpus file round-trips byte for byte" `Quick
       (fun () ->
          let s = guided ~seed:0x5EED ~n:60 () in

@@ -97,6 +97,27 @@ let supervise_tests =
               Alcotest.(check bool) (Printf.sprintf "suffix %S" suffix) true
                 (Harness.Supervise.entry_of_line (line ^ suffix) = None))
            [ " GARBAGE"; " "; "\n"; "\t1"; "x"; "\"" ]);
+    Alcotest.test_case "entry_of_line accepts only what entry_to_line prints"
+      `Quick
+      (fun () ->
+         let line =
+           Harness.Supervise.entry_to_line
+             { Harness.Supervise.q_task = 12; q_seed = 0xFF; q_class = "crash";
+               q_phase = "run"; q_attempts = 2; q_detail = "A" }
+         in
+         Alcotest.(check string) "the writer's line"
+           "task=12 seed=ff attempts=2 class=crash phase=run detail=\"A\""
+           line;
+         List.iter
+           (fun (field, spelled) ->
+              let mutant =
+                Str.replace_first (Str.regexp_string field) spelled line
+              in
+              Alcotest.(check bool) (mutant ^ " rejected") true
+                (Harness.Supervise.entry_of_line mutant = None))
+           [ ("task=12", "task=012"); ("task=12", "task=+12");
+             ("task=12", "task=1_2"); ("seed=ff", "seed=00ff");
+             ("attempts=2", "attempts=02"); ("\"A\"", "\"\\065\"") ]);
   ]
 
 (* --- fuel watchdogs ------------------------------------------------------ *)
@@ -417,6 +438,50 @@ let mutate_lines rng lines =
   in
   String.split_on_char '\n' (String.concat "\n" lines)
 
+(* Two checkpoints stopped after three of four shards: one with
+   quarantined tasks, one guided (with a corpus). *)
+let sample_checkpoints dir =
+  let run ?faults ?schedule () =
+    ignore
+      (Fuzz.Campaign.run ~seed:0x5EED ~n:40 ~max_shrink:0 ?faults ?schedule
+         ~shard_size:10 ~checkpoint:dir ~stop_after_shards:3 ());
+    read_checkpoint dir
+  in
+  [ run ~faults:[ Vm.Fault.Crash 3; Vm.Fault.Fuel 600 ] ();
+    run ~schedule:Fuzz.Campaign.Alternate () ]
+
+(* Feeds [read] 1500 seeded mutants of each input (one to four rounds
+   of [mutate_lines] each): it must never raise, and whatever it
+   accepts must print back as the mutant, byte for byte, and satisfy
+   [ok].  Some mutant must be accepted, or the property tests
+   nothing. *)
+let mutants_round_trip ~seed ~read ~print ?(ok = fun _ -> true) inputs =
+  let rng = Fuzz.Tape.fresh ~seed in
+  let accepted = ref 0 in
+  List.iter
+    (fun input ->
+       for _ = 1 to 1500 do
+         let m = ref input in
+         for _ = 0 to Fuzz.Tape.draw rng 3 do
+           m := mutate_lines rng !m
+         done;
+         let shown () = String.concat "\n" !m in
+         match read !m with
+         | exception e ->
+           Alcotest.failf "reader raised %s on:\n%s" (Printexc.to_string e)
+             (shown ())
+         | None -> ()
+         | Some t ->
+           incr accepted;
+           if print t <> !m then
+             Alcotest.failf "accepted a spelling its writer does not print:\n%s"
+               (shown ());
+           if not (ok t) then
+             Alcotest.failf "inconsistent state accepted:\n%s" (shown ())
+       done)
+    inputs;
+  if !accepted = 0 then Alcotest.fail "no mutant was accepted"
+
 let reader_tests =
   [
     Alcotest.test_case "inconsistent checkpoints resume as a fresh start"
@@ -461,51 +526,72 @@ let reader_tests =
                   Alcotest.(check string) (name ^ ": report")
                     (report uninterrupted) (report resumed))
                mutants));
+    Alcotest.test_case "checkpoint numbers are read only as printed" `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             let lines = List.hd (sample_checkpoints dir) in
+             Alcotest.(check bool) "the writer's file" true
+               (Fuzz.Checkpoint.of_lines lines <> None);
+             List.iter
+               (fun (line, spelled) ->
+                  let mutant =
+                    List.map (fun l -> if l = line then spelled else l) lines
+                  in
+                  Alcotest.(check bool) (spelled ^ " rejected") true
+                    (mutant <> lines
+                     && Fuzz.Checkpoint.of_lines mutant = None))
+               [ ("n 40", "n 040"); ("n 40", "n +40"); ("n 40", "n 4_0");
+                 ("shard_size 10", "shard_size 0x0a");
+                 ("shards_done 3", "shards_done 03") ]));
     Alcotest.test_case
-      "mutated checkpoints never raise; accepted ones are consistent fixed \
-       points"
+      "mutated checkpoints never raise; accepted ones are consistent and \
+       print back byte for byte"
       `Quick
       (fun () ->
          with_tmp_dir (fun dir ->
-             let run ?faults ?schedule () =
-               ignore
-                 (Fuzz.Campaign.run ~seed:0x5EED ~n:40 ~max_shrink:0 ?faults
-                    ?schedule ~shard_size:10 ~checkpoint:dir
-                    ~stop_after_shards:3 ());
-               read_checkpoint dir
+             mutants_round_trip ~seed:0xC4EC ~read:Fuzz.Checkpoint.of_lines
+               ~print:Fuzz.Checkpoint.to_lines ~ok:checkpoint_invariant
+               (sample_checkpoints dir)));
+    Alcotest.test_case
+      "mutated corpus files never raise; accepted ones print back byte for \
+       byte"
+      `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             let guided = List.nth (sample_checkpoints dir) 1 in
+             let corpus =
+               (Option.get (Fuzz.Checkpoint.of_lines guided)).corpus
              in
-             let inputs =
-               [ run ~faults:[ Vm.Fault.Crash 3; Vm.Fault.Fuel 600 ] ();
-                 run ~schedule:Fuzz.Campaign.Alternate () ]
+             Alcotest.(check bool) "corpus is nonempty" true
+               (Fuzz.Corpus.size corpus > 0);
+             mutants_round_trip ~seed:0xC0A9 ~read:Fuzz.Corpus.of_lines
+               ~print:Fuzz.Corpus.to_lines
+               [ Fuzz.Corpus.to_lines corpus ]));
+    Alcotest.test_case
+      "mutated quarantine lines never raise; accepted ones print back byte \
+       for byte"
+      `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             let prefix = "quarantine " in
+             let lines =
+               List.filter_map
+                 (fun l ->
+                    if String.starts_with ~prefix l then
+                      Some
+                        (String.sub l (String.length prefix)
+                           (String.length l - String.length prefix))
+                    else None)
+                 (List.hd (sample_checkpoints dir))
              in
-             let rng = Fuzz.Tape.fresh ~seed:0xC4EC in
-             let accepted = ref 0 in
-             List.iter
-               (fun input ->
-                  for _ = 1 to 1500 do
-                    let m = ref input in
-                    for _ = 0 to Fuzz.Tape.draw rng 3 do
-                      m := mutate_lines rng !m
-                    done;
-                    match Fuzz.Checkpoint.of_lines !m with
-                    | exception e ->
-                      Alcotest.failf "of_lines raised %s on:\n%s"
-                        (Printexc.to_string e) (String.concat "\n" !m)
-                    | None -> ()
-                    | Some t ->
-                      incr accepted;
-                      if not (checkpoint_invariant t) then
-                        Alcotest.failf "inconsistent state accepted:\n%s"
-                          (String.concat "\n" !m);
-                      let lines = Fuzz.Checkpoint.to_lines t in
-                      (match Fuzz.Checkpoint.of_lines lines with
-                       | Some t' when Fuzz.Checkpoint.to_lines t' = lines -> ()
-                       | _ ->
-                         Alcotest.failf "not a fixed point:\n%s"
-                           (String.concat "\n" lines))
-                  done)
-               inputs;
-             if !accepted = 0 then Alcotest.fail "no mutant was accepted"));
+             Alcotest.(check bool) "quarantined tasks" true (lines <> []);
+             let read = function
+               | [ line ] -> Harness.Supervise.entry_of_line line
+               | _ -> None
+             in
+             mutants_round_trip ~seed:0x9A7E ~read
+               ~print:(fun e -> [ Harness.Supervise.entry_to_line e ])
+               (List.map (fun l -> [ l ]) lines)));
   ]
 
 (* --- digest pin ---------------------------------------------------------- *)

@@ -94,18 +94,18 @@ let mutations =
   [
     (* coverage unsoundness: each must fail the dataflow proof *)
     ( "dropping a check loses coverage",
-      fun (spec : Tir.Verify.spec) md ->
+      fun (spec : Tir.Analysis.spec) md ->
         replace_first (main_fn md)
-          (is_check spec.Tir.Verify.check_store)
+          (is_check spec.Tir.Analysis.check_store)
           (fun _ -> []) );
     ( "dropping the far grouped endpoint loses coverage",
-      fun (spec : Tir.Verify.spec) md ->
+      fun (spec : Tir.Analysis.spec) md ->
         (* skip the first store check, delete the second: one endpoint
            of a grouped pair is not a range proof *)
         let seen = ref 0 in
         replace_first (main_fn md)
           (fun i ->
-             if is_check spec.Tir.Verify.check_store i then begin
+             if is_check spec.Tir.Analysis.check_store i then begin
                incr seen;
                !seen = 2
              end
@@ -123,9 +123,9 @@ let mutations =
             | Igep g -> [ Igep { g with idx = Some (Imm 23) } ]
             | _ -> assert false) );
     ( "shrinking a check's size breaks coverage",
-      fun (spec : Tir.Verify.spec) md ->
+      fun (spec : Tir.Analysis.spec) md ->
         replace_first (main_fn md)
-          (is_check spec.Tir.Verify.check_store)
+          (is_check spec.Tir.Analysis.check_store)
           (function
             | Iintrin ({ args = [ p; Imm _ ]; _ } as c) ->
               [ Iintrin { c with args = [ p; Imm 0 ] } ]
@@ -144,8 +144,13 @@ let mutations =
             | _ -> false)
           (fun i -> [ hazard; i ]) );
     ( "an unstripped pointer reaches an external call",
-      fun (spec : Tir.Verify.spec) md ->
-        let strip = Option.get spec.Tir.Verify.extcall_strip in
+      fun (spec : Tir.Analysis.spec) md ->
+        let strip =
+          List.find_map
+            (function name, Tir.Analysis.Strip -> Some name | _ -> None)
+            spec.Tir.Analysis.intrinsics.declared
+          |> Option.get
+        in
         replace_first (main_fn md) (is_check strip)
           (function
             | Iintrin { dst = Some d; args = [ p ]; _ } ->
@@ -327,6 +332,120 @@ let property_tests =
               [ true; false ]));
   ]
 
+(* --- undeclared intrinsics are hazards ----------------------------------- *)
+
+(* An intrinsic the spec gives no role may change metadata, so each of
+   Checkopt, Verify and the purity closure must treat it as a hazard. *)
+let undeclared = "__cecsan_undeclared"
+
+let twice_src =
+  "int helper(int x) { return x + 1; }\n\
+   int main() { int *p = (int*)malloc(8); p[0] = 1; int a = p[0];\n\
+  \  free(p); return helper(a); }\n"
+
+(* [main] of the instrumented program, with its load check and load
+   repeated verbatim after [between]; returns the module and the
+   destinations of the two checks. *)
+let twice_checked between =
+  let md = Sanitizer.Driver.compile_cached ~optimize:true twice_src in
+  (Cecsan.sanitizer ()).Sanitizer.Spec.instrument md;
+  let f = main_fn md in
+  let dsts = ref None in
+  Array.iter
+    (fun b ->
+       let rec go = function
+         | (Iintrin { dst = Some d; name; _ } as c)
+           :: (Iload ({ addr = Reg a; _ } as l) as i) :: rest
+           when !dsts = None && a = d
+                && String.equal name Cecsan.Opt.spec.check_load ->
+           let d2 = fresh_reg f in
+           dsts := Some (d, d2);
+           let c2 =
+             match c with
+             | Iintrin c ->
+               Iintrin { c with dst = Some d2; site = fresh_site md }
+             | _ -> assert false
+           in
+           c :: i :: between md
+           @ [ c2; Iload { l with dst = fresh_reg f; addr = Reg d2 } ]
+           @ rest
+         | i :: rest -> i :: go rest
+         | [] -> []
+       in
+       b.b_instrs <- go b.b_instrs)
+    f.f_blocks;
+  match !dsts with
+  | Some dsts -> (md, f, dsts)
+  | None -> Alcotest.fail "no checked load in main"
+
+let nothing _ = []
+
+let an_undeclared md =
+  [ Iintrin { dst = None; name = undeclared; args = []; site = fresh_site md } ]
+
+let count_load_checks f =
+  Array.fold_left
+    (fun n b ->
+       List.fold_left
+         (fun n -> function
+            | Iintrin { name; _ }
+              when String.equal name Cecsan.Opt.spec.check_load -> n + 1
+            | _ -> n)
+         n b.b_instrs)
+    0 f.f_blocks
+
+let checkopt_keeps_both () =
+  let removed between =
+    let md, f, _ = twice_checked between in
+    let n = Sanitizer.Checkopt.redundant Cecsan.Opt.spec
+        ~pure:(Cecsan.Opt.purity md) f in
+    (n, count_load_checks f)
+  in
+  Alcotest.(check (pair int int)) "control: the repeat is redundant" (1, 1)
+    (removed nothing);
+  Alcotest.(check (pair int int)) "undeclared between: both kept" (0, 2)
+    (removed an_undeclared)
+
+(* The second check replaced by a copy of the first's result, as the
+   redundant pass would do if it ignored the intrinsic between them. *)
+let verify_refuses_stale_fact () =
+  let errors between =
+    let md, f, (d, d2) = twice_checked between in
+    ignore
+      (replace_first f
+         (function Iintrin { dst = Some x; _ } -> x = d2 | _ -> false)
+         (fun _ -> [ Imov { dst = d2; src = Reg d } ]));
+    List.map Tir.Verify.error_to_string (errors_of Cecsan.Opt.spec md)
+  in
+  Alcotest.(check (list string)) "control: the copy is covered" []
+    (errors nothing);
+  match errors an_undeclared with
+  | [ e ] ->
+    Alcotest.(check bool) ("uncovered load: " ^ e) true
+      (Str.string_match (Str.regexp ".*has no covering __cecsan_check_load")
+         e 0)
+  | es ->
+    Alcotest.failf "expected one uncovered load, got [%s]"
+      (String.concat "; " es)
+
+let undeclared_impure () =
+  let md, _, _ = twice_checked nothing in
+  Alcotest.(check bool) "control: helper is pure" true
+    (Tir.Analysis.pure_callees md Cecsan.Opt.spec "helper");
+  let helper = Option.get (find_func md "helper") in
+  let b0 = helper.f_blocks.(0) in
+  b0.b_instrs <- an_undeclared md @ b0.b_instrs;
+  Alcotest.(check bool) "undeclared intrinsic: helper is impure" false
+    (Tir.Analysis.pure_callees md Cecsan.Opt.spec "helper")
+
+let undeclared_tests =
+  [ Alcotest.test_case "checkopt keeps both checks around it" `Quick
+      checkopt_keeps_both;
+    Alcotest.test_case "verify kills the first check's fact" `Quick
+      verify_refuses_stale_fact;
+    Alcotest.test_case "pure_callees counts it impure" `Quick
+      undeclared_impure ]
+
 (* --- make_preheader stale-cfg regression ---------------------------------- *)
 
 (* Two self-loops reachable from one shared entry block: creating the
@@ -407,4 +526,5 @@ let () =
       ("defassign", defassign_tests);
       ("generated-programs", property_tests);
       ("preheader", preheader_tests);
+      ("undeclared-hazard", undeclared_tests);
     ]
