@@ -9,16 +9,6 @@
     strides over the redzone into the next payload, wide-char libc,
     use-after-free past quarantine eviction. *)
 
-val name : string
-val default_quarantine_cap : int
-
-type t
-
-val asan_malloc : t -> Vm.State.t -> int -> int
-val asan_free : t -> Vm.State.t -> int -> unit
-val check : t -> Vm.State.t -> write:bool -> int -> int -> unit
-val check_region : t -> Vm.State.t -> write:bool -> int -> int -> unit
-
 val instrument : checked:(bool -> bool) -> Tir.Ir.modul -> unit
 (** In-frame stack redzones, trailing global redzones poisoned at the
     start of [main], and a shadow check before every access whose

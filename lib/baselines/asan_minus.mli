@@ -3,6 +3,4 @@
     check could be defeated by the store overwriting a redzone -- and
     elision of statically in-bounds accesses). *)
 
-val name : string
-val spec : Tir.Analysis.spec
 val sanitizer : unit -> Sanitizer.Spec.t

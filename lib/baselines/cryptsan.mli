@@ -1,5 +1,4 @@
 (** CryptSan (SAC 2023): PA-based per-object signatures with
     monotonically minted identifiers (no recycling).  See [Pa_common]. *)
 
-val policy : Pa_common.policy
 val sanitizer : unit -> Sanitizer.Spec.t

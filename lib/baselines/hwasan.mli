@@ -7,13 +7,4 @@
     frees (an interior pointer carries the object's own tag: 0% on
     CWE761), and UAF routed through uninstrumented libc. *)
 
-val name : string
-val tag_shift : int
-val granule : int
-val tag_of : int -> int
-val with_tag : int -> int -> int
-val strip : int -> int
-
-val instrument : Tir.Ir.modul -> unit
-val fresh_runtime : unit -> Vm.Runtime.t
 val sanitizer : unit -> Sanitizer.Spec.t

@@ -8,13 +8,6 @@
     [Cecsan.Config.no_subobject] in the policy's [p_prefix] namespace;
     this module is the runtime those intrinsics call. *)
 
-type entry = {
-  e_base : int;
-  e_bound : int;
-  e_salt : int;
-  e_alive : bool;
-}
-
 type policy = {
   p_name : string;
   p_prefix : string;   (** intrinsic namespace *)
@@ -23,25 +16,4 @@ type policy = {
   p_check_cost : int;
 }
 
-type t = {
-  pol : policy;
-  entries : (int, entry) Hashtbl.t;
-  mutable next_id : int;
-  mutable free_ids : int list;
-  mutable salt_src : int;
-}
-
-val create : policy -> t
-val register : t -> int -> int -> int
-(** [register t base size] returns the sealed pointer. *)
-
-val retire : t -> int -> unit
-val auth : t -> Vm.State.t -> write:bool -> int -> int -> int
-(** Authenticate + bounds-check; returns the stripped address. *)
-
-val pa_malloc : t -> Vm.State.t -> int -> int
-val pa_free : t -> Vm.State.t -> int -> unit
-
-val interceptors : t -> string -> Vm.Runtime.interceptor option
-val fresh_runtime : policy -> unit -> Vm.Runtime.t
 val sanitizer : policy -> Sanitizer.Spec.t

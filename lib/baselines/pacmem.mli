@@ -1,5 +1,4 @@
 (** PACMem (CCS 2022): PA-sealed metadata identifiers, object
     granularity, free-list id recycling.  See [Pa_common]. *)
 
-val policy : Pa_common.policy
 val sanitizer : unit -> Sanitizer.Spec.t

@@ -2,17 +2,13 @@
     (0 = addressable, 1..7 = partially addressable, >= 0x80 = poisoned
     with a reason code). *)
 
-val scale : int
-
 val heap_left : int
 val heap_right : int
 val heap_freed : int
 val stack_red : int
 val global_red : int
 
-val shadow_addr : int -> int
 val get : Vm.State.t -> int -> int
-val set : Vm.State.t -> int -> int -> unit
 
 val unpoison : Vm.State.t -> int -> int -> unit
 (** Marks a (granule-aligned) range addressable, encoding a partial last

@@ -6,10 +6,4 @@
     and false negatives on their sinks, and sub-object narrowing is
     claimed but not functional. *)
 
-val name : string
-
-val instrument : Tir.Ir.modul -> unit
-(** May raise [Sanitizer.Spec.Unsupported]. *)
-
-val fresh_runtime : unit -> Vm.Runtime.t
 val sanitizer : unit -> Sanitizer.Spec.t

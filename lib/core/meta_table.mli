@@ -48,13 +48,6 @@ val low : t -> int -> int
 val high : t -> int -> int
 (** [high t i] reads entry [i]'s high bound. *)
 
-val next_id : t -> int -> int
-(** [next_id t i] reads entry [i]'s free-list offset field. *)
-
-val set_low : t -> int -> int -> unit
-val set_high : t -> int -> int -> unit
-val set_next_id : t -> int -> int -> unit
-
 val alloc : t -> base:int -> size:int -> int
 (** [alloc t ~base ~size] creates an entry for the object
     [base, base+size) and returns the TAGGED pointer (index embedded in

@@ -534,11 +534,6 @@ let deref_checks =
     ("__cecsan_check_load_spatial", false, Costs.check_spatial);
     ("__cecsan_check_store_spatial", true, Costs.check_spatial) ]
 
-let stats rt =
-  match rt.table with
-  | None -> (0, 0)
-  | Some t -> (t.Meta_table.peak_live, t.Meta_table.total_allocated)
-
 let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
   let rt = { table = None; gpt = gpt_create (); reports_sub_object = 0;
              chain_overflow; entry0_hits = 0; sub_temporaries = 0 } in

@@ -9,8 +9,6 @@
     intrinsics are reached only through the table {!create} registers,
     whose names [Opt.spec] declares. *)
 
-val name : string
-
 type gpt
 (** The Global Pointer Table's lookup side: slot index -> tagged
     pointer, a growable array. *)
@@ -40,8 +38,6 @@ type t = {
       (** narrowed sub-object entries materialized (section II.D) *)
 }
 
-val get_table : t -> Vm.State.t -> Meta_table.t
-
 val check_deref :
   t -> Vm.State.t -> write:bool -> size:int -> site:int -> cost:int -> int ->
   int
@@ -57,20 +53,9 @@ val check_deref :
     function minus its tick as the slow path, so the jit may inline the
     passing case. *)
 
-val check_range : t -> Vm.State.t -> write:bool -> int -> int -> int
-(** [check_range t st ~write ptr len] validates [ptr, ptr+len) against
-    the pointer's entry; used by the libc interceptors. *)
-
 val cecsan_malloc : t -> Vm.State.t -> int -> int
 (** Default-allocator malloc plus metadata creation; returns the tagged
     pointer. *)
-
-val interceptors : t -> string -> Vm.Runtime.interceptor option
-(** The checking wrappers around libc builtins; coverage includes
-    wcscpy/wcsncpy/wcscat/wcslen/wcscmp, which most sanitizers omit. *)
-
-val stats : t -> int * int
-(** [(peak live entries, total entries ever allocated)]. *)
 
 val create : ?chain_overflow:bool -> unit -> t * Vm.Runtime.t
 (** Fresh per-run runtime state plus its VM-facing interface. *)

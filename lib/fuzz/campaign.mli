@@ -28,9 +28,6 @@ type summary = {
   shrunk : shrunk list;
 }
 
-val inject_of_index : int -> bool
-(** Odd program indices carry a planted bug. *)
-
 val run :
   ?pool:Harness.Pool.t -> ?tool_names:string list -> ?max_shrink:int ->
   ?faults:Vm.Fault.spec list -> ?policy:Harness.Supervise.policy ->
@@ -69,8 +66,8 @@ val run :
     in submission order, per-phase counters and one
     [Checkpoint.cov_row] per shard.  Mutation shards draw tapes from
     the corpus snapshot at shard start and mutate them via [Mutate].  The corpus is embedded
-    in the checkpoint (plus a derived standalone [Corpus.corpus_file]
-    in the same directory), so kill-and-resume reproduces corpus,
+    in the checkpoint (plus a derived standalone [corpus.v1.ckpt] in
+    the same directory), so kill-and-resume reproduces corpus,
     bitmap and ledgers byte for byte at any -j.  Guided campaigns skip
     the shrink phase (mutation rows are not regenerable from their
     seeds alone). *)
@@ -133,18 +130,6 @@ val render_resilience : Format.formatter -> resilience_row list -> unit
 val resilience_json : resilience_row list -> string
 (** Deterministic single-line JSON for the BENCH_resilience.json
     artifact. *)
-
-val shrink_failure :
-  tool_names:string list -> ?fault:Vm.Fault.t -> ?fuel:Tir.Fuel.t ->
-  ?backend:Vm.Machine.backend -> inject:bool -> Gen.program ->
-  Oracle.failure list -> shrunk option
-(** Minimizes one failing case; [None] if its own tape does not
-    reproduce the failure.  [fault] threads into every candidate
-    evaluation; [fuel] bounds the whole minimization. *)
-
-val repro_contents :
-  seed:int -> inject:bool -> failures:Oracle.failure list ->
-  tape:int array -> string -> string
 
 val write_repros : dir:string -> summary -> string list
 (** Writes each shrunk failure as a standalone [.mc] file (atomically);

@@ -194,14 +194,3 @@ let load ~dir : t option =
   Option.bind
     (Harness.Jsonio.read_lines ~path:(Filename.concat dir corpus_file))
     of_lines
-
-let render fmt c =
-  Format.fprintf fmt "corpus: %d entries, " (size c);
-  Coverage.render fmt c.acc;
-  Format.fprintf fmt "@.";
-  List.iter
-    (fun e ->
-       Format.fprintf fmt "  #%d seed=0x%x %s (%d draws, %d bits)@." e.e_id
-         e.e_seed e.e_phase (Array.length e.e_tape)
-         (Coverage.cardinal e.e_cov))
-    c.entries

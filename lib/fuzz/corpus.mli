@@ -48,9 +48,6 @@ val minimize : t -> t
     is fully covered.  Deterministic, idempotent, coverage-preserving;
     entry ids survive. *)
 
-val corpus_file : string
-(** ["corpus.v1.ckpt"], written next to [campaign.v1.ckpt]. *)
-
 val of_entries : entry list -> t
 (** Rebuilds corpus state from entries in admission order (accumulated
     bitmap and next id are derived, never stored). *)
@@ -73,5 +70,3 @@ val save : dir:string -> t -> string
 val load : dir:string -> t option
 (** [None] on a missing or unparseable file — a fresh corpus is always
     a correct recovery. *)
-
-val render : Format.formatter -> t -> unit

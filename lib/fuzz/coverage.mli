@@ -9,7 +9,6 @@
 
 type kind = Instrumented | Executed | Elided | Covered
 
-val kind_name : kind -> string
 val all_kinds : kind list
 
 val max_legs : int

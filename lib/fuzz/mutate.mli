@@ -11,10 +11,6 @@ type op = Splice | Havoc | Interesting | Truncate | Extend | Crossover
 val all_ops : op list
 val op_name : op -> string
 
-val interesting : int array
-(** Substitution values aimed at the generator's draw sites (small
-    selector indices, boundary counts, large mod-stressing values). *)
-
 val apply : op -> rng:Tape.t -> ?partner:int array -> int array -> int array
 (** Applies one operator.  [partner] (default: the tape itself) feeds
     splice and crossover. *)

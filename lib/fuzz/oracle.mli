@@ -38,10 +38,6 @@ val failure_name : failure -> string
 
 val failure_detail : failure -> string
 
-val must_catch : tool:string -> Gen.plan -> bool
-(** The conservative capability matrix: true only where DESIGN.md
-    section 3 has an unambiguous checkmark. *)
-
 val kind_ok : Gen.bug_class -> Vm.Report.bug_kind -> bool
 
 exception Compile_error of string
@@ -55,10 +51,6 @@ val evaluate :
   ?backend:Vm.Machine.backend -> Gen.program -> failure list
 (** Empty list = the program passes every oracle rule.  [backend]
     threads into every run (verdicts are backend-independent). *)
-
-val coverage_of_runs : tool_run list -> Coverage.t
-(** Union of one bitmap leg per run, in list order, each derived from
-    the run's full site-row view (all-zero rows included). *)
 
 val evaluate_cov :
   ?tools:Sanitizer.Spec.t list -> ?fault:Vm.Fault.t ->

@@ -68,11 +68,6 @@ let bool t = draw t 2 = 1
    for havoc values, not a bounded choice.  Recorded like any draw. *)
 let rand t = draw t max_int
 
-(* inclusive range *)
-let range t lo hi =
-  if hi < lo then invalid_arg "Tape.range";
-  lo + draw t (hi - lo + 1)
-
 let pick t = function
   | [] -> invalid_arg "Tape.pick: empty list"
   | xs -> List.nth xs (draw t (List.length xs))

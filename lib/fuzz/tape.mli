@@ -24,9 +24,6 @@ val rand : t -> int
 (** Full-range non-negative draw ([draw t max_int]); the deterministic
     PRNG surface the mutation engine ([Mutate]) is seeded through. *)
 
-val range : t -> int -> int -> int
-(** [range t lo hi] inclusive. *)
-
 val pick : t -> 'a list -> 'a
 
 val recorded : t -> int array

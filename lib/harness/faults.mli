@@ -21,17 +21,6 @@ type data = {
   f_rows : (string * cell list) list;
 }
 
-val scenarios : string list
-(** The default scenario set: none, oom:40, table:8, tagflip:97, plus
-    the harness-fault columns crash:25 and fuel:1000. *)
-
-val lineup : unit -> (string * Sanitizer.Spec.t) list
-
-val run_cell :
-  ?backend:Vm.Machine.backend -> Sanitizer.Spec.t ->
-  Workloads.Spec2006.t -> string -> cell
-(** One sanitizer, one workload, one fault scenario, recover policy. *)
-
 val run :
   ?pool:Pool.t -> ?workload:Workloads.Spec2006.t ->
   ?backend:Vm.Machine.backend -> unit -> data

@@ -8,10 +8,6 @@ val fig3 :
   ?backend:Vm.Machine.backend -> Format.formatter -> unit -> unit
 (** Runs Figure 3 under CECSan and the object-granularity baselines. *)
 
-val fig4_source : string
-
-val count_checks : Tir.Ir.modul -> int
-
 val fig4 :
   ?backend:Vm.Machine.backend -> Format.formatter -> unit -> unit
 (** Demonstrates the section II.F optimizations: static sites, dynamic

@@ -27,13 +27,6 @@ val default_budget : int
     the baseline and every sanitizer run; override per call with
     [?budget]. *)
 
-val run_workload :
-  ?budget:int -> ?backend:Vm.Machine.backend -> Sanitizer.Spec.t list ->
-  Workloads.Spec2006.t -> row
-
-val perf_lineup : unit -> Sanitizer.Spec.t list
-(** ASan, ASan--, CECSan: the Table IV/V columns. *)
-
 val measure :
   ?budget:int -> ?pool:Pool.t -> ?backend:Vm.Machine.backend ->
   Workloads.Spec2006.t list -> row list
@@ -41,8 +34,6 @@ val measure :
     (deterministic: identical to the sequential result); [backend]
     threads into every run (cycle counts are backend-invariant, only
     wall clock moves). *)
-
-val column : row list -> string -> (measurement -> float) -> float list
 
 val aggregates : row list -> string -> (float * float) * (float * float)
 (** [((runtime avg, runtime geomean), (memory avg, memory geomean))]. *)

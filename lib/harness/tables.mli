@@ -11,7 +11,6 @@ val run_table2 :
 (** [pool] parallelizes each tool's case loop; results are identical
     to the sequential run (and to either [backend]). *)
 
-val paper_table2 : (string * float list) list
 val table2 : Format.formatter -> table2_data -> unit
 
 val table3 :

@@ -59,8 +59,4 @@ type t = {
   packets : string list;
 }
 
-val compose : flow -> body -> string * string list * string list
-(** Renders a body under a flow variant; returns (source, stdin lines,
-    packets). *)
-
 val make : family -> flow -> int -> t

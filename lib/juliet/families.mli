@@ -4,6 +4,4 @@
     granule padding, far strides past ASan redzones, libc-routed flaws,
     wide-character functions, sub-object overflows). *)
 
-val all : Case.family list
-
 val for_cwe : Case.cwe -> Case.family list

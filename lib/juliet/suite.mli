@@ -4,8 +4,6 @@
 val targets : (Case.cwe * int) list
 (** Per-CWE target counts (paper counts divided by 16). *)
 
-val target_for : Case.cwe -> int
-
 val cases_for : Case.cwe -> Case.t list
 (** All cases of one CWE, deterministic order: families crossed with
     flow variants, truncated to the target in a flow-major interleave. *)

@@ -5,7 +5,6 @@
 
 type sig_ = { ret : Ast.ty; params : Ast.ty list; varargs : bool }
 
-val table : (string * sig_) list
 val find : string -> sig_ option
 val is_builtin : string -> bool
 

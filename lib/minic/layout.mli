@@ -14,7 +14,6 @@ type env = (string, struct_layout) Hashtbl.t
 
 exception Error of string
 
-val align_up : int -> int -> int
 val size_of : env -> Ast.ty -> int
 val align_of : env -> Ast.ty -> int
 

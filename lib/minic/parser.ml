@@ -17,6 +17,8 @@ type state = {
 }
 
 let tok st = fst st.toks.(st.cur)
+(* the token [k] ahead; past the end it is the final EOF *)
+let peek st k = fst st.toks.(min (st.cur + k) (Array.length st.toks - 1))
 let line st = snd st.toks.(st.cur)
 let advance st = if st.cur < Array.length st.toks - 1 then st.cur <- st.cur + 1
 let fail st msg = raise (Error (msg, line st))
@@ -450,7 +452,7 @@ let parse_top st : decl list =
   if extern then advance st;
   (if tok st = KSTATIC then advance st);
   if tok st = KSTRUCT
-  && (match fst st.toks.(st.cur + 2) with Lexer.LBRACE -> true | _ -> false)
+  && peek st 2 = Lexer.LBRACE
   then [ parse_struct_def st ]
   else begin
     let base = parse_base_ty st in

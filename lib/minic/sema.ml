@@ -46,6 +46,16 @@ type scope = {
   ret : ty;
 }
 
+(* Lowering asks [Layout] for the size of every type it declares,
+   copies, takes [sizeof] of, or steps a pointer over; an undefined
+   struct there is rejected here, on the line that needs it. *)
+let require_size layouts line t =
+  try ignore (Layout.size_of layouts t) with Layout.Error m -> err line "%s" m
+
+(* the type a pointer [t] steps over must have a size *)
+let require_pointee sc line t =
+  match t with Tptr e -> require_size sc.layouts line e | _ -> ()
+
 let push_scope sc = sc.locals <- [] :: sc.locals
 
 let pop_scope sc =
@@ -110,14 +120,14 @@ and infer sc e =
     (match op with
      | Add ->
        (match ta, tb with
-        | Tptr _, t when is_integer t -> ta
-        | t, Tptr _ when is_integer t -> tb
+        | Tptr _, t when is_integer t -> require_pointee sc line ta; ta
+        | t, Tptr _ when is_integer t -> require_pointee sc line tb; tb
         | t1, t2 when is_integer t1 && is_integer t2 -> arith_result t1 t2
         | _ -> err line "invalid operands to +")
      | Sub ->
        (match ta, tb with
-        | Tptr _, t when is_integer t -> ta
-        | Tptr _, Tptr _ -> Tlong
+        | Tptr _, t when is_integer t -> require_pointee sc line ta; ta
+        | Tptr _, Tptr _ -> require_pointee sc line ta; Tlong
         | t1, t2 when is_integer t1 && is_integer t2 -> arith_result t1 t2
         | _ -> err line "invalid operands to -")
      | Mul | Div | Mod | Shl | Shr | Band | Bor | Bxor ->
@@ -156,6 +166,7 @@ and infer sc e =
     (match tl with
      | Tarr _ -> err line "assignment to array"
      | Tstruct _ ->
+       require_size sc.layouts line tl;
        if not (ty_equal tl (decay tr)) then err line "struct type mismatch"
      | _ ->
        if not (compatible tl tr) then
@@ -167,7 +178,8 @@ and infer sc e =
     let tr = decay (check_expr sc rhs) in
     if not (is_lvalue lhs) then err line "assignment to non-lvalue";
     (match op, decay tl with
-     | (Add | Sub), Tptr _ when is_integer tr -> ()
+     | (Add | Sub), (Tptr _ as tp) when is_integer tr ->
+       require_pointee sc line tp
      | _, t1 when is_integer t1 && is_integer tr -> ()
      | _ -> err line "invalid compound assignment");
     tl
@@ -175,7 +187,7 @@ and infer sc e =
     let t = check_expr sc arg in
     if not (is_lvalue arg) then err line "++/-- requires an lvalue";
     (match decay t with
-     | Tptr _ -> t
+     | Tptr _ as tp -> require_pointee sc line tp; t
      | t' when is_integer t' -> t
      | _ -> err line "invalid operand to ++/--")
   | Call (name, args) ->
@@ -211,7 +223,7 @@ and infer sc e =
     if not (is_integer ti) then err line "array index must be an integer";
     (match decay ta with
      | Tptr Tvoid -> err line "cannot index void*"
-     | Tptr t -> t
+     | Tptr t -> require_size sc.layouts line t; t
      | _ -> err line "indexed expression is not a pointer or array")
   | Field (a, f) ->
     (match check_expr sc a with
@@ -230,9 +242,9 @@ and infer sc e =
     (match t, src with
      | t, _ when is_integer t || is_pointer t || ty_equal t Tvoid -> t
      | _ -> err line "invalid cast to %s" (ty_to_string t))
-  | Sizeof_ty _ -> Tlong
+  | Sizeof_ty t -> require_size sc.layouts line t; Tlong
   | Sizeof_expr a ->
-    let _ = check_expr sc a in
+    require_size sc.layouts line (check_expr sc a);
     Tlong
   | Cond (c, a, b) ->
     let tc = decay (check_expr sc c) in
@@ -348,7 +360,7 @@ let check (prog : program) : checked =
           raise (Error ("duplicate global " ^ g.gname, g.gline));
         (match g.gty with
          | Tvoid -> raise (Error ("void global " ^ g.gname, g.gline))
-         | _ -> ());
+         | t -> require_size layouts g.gline t);
         Hashtbl.replace globals g.gname g.gty
       | Dstruct _ -> ())
     prog;
@@ -360,7 +372,9 @@ let check (prog : program) : checked =
         List.iter (fun (t, n) ->
             match t with
             | Tvoid -> raise (Error ("void parameter in " ^ fname, fline))
-            | _ -> add_local sc fline n t)
+            | _ ->
+              require_size layouts fline t;
+              add_local sc fline n t)
           fparams;
         check_block sc body;
         pop_scope sc

@@ -16,10 +16,5 @@ type checked = {
 val decay : Ast.ty -> Ast.ty
 (** Array-to-pointer decay. *)
 
-val is_lvalue : Ast.expr -> bool
-
-val check : Ast.program -> checked
-(** Checks a whole program; every expression's [ety] is filled in. *)
-
 val parse_and_check : string -> checked
 (** Lex + parse + check, folding lexer/parser errors into [Error]. *)

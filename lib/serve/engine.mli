@@ -53,8 +53,6 @@ type aggregate = {
 
 val empty_aggregate : aggregate
 
-val absorb : aggregate -> row -> aggregate
-
 val aggregate_rows : aggregate -> row list -> aggregate
 (** Folds in submission order; [aggregate_rows empty_aggregate] builds
     the whole-session aggregate. *)

@@ -58,4 +58,3 @@ val decode_line : string -> (line, string) result
     [Flush]. *)
 
 val backend_name : Vm.Machine.backend -> string
-val backend_of_name : string -> Vm.Machine.backend option

@@ -14,8 +14,8 @@
      i.e. the optimizer may move or remove work but never lose count of
      it;
 
-   - named counters (monotonic sums, merged by addition) and gauges
-     (point-in-time levels such as high-water marks, merged by max);
+   - named gauges (point-in-time levels such as high-water marks,
+     merged by max);
 
    - a bounded ring buffer of events (alloc / free / check-fail / strip)
      with a compile-time capacity; once full, new events overwrite the
@@ -53,7 +53,6 @@ type t = {
   mutable executed : int array;
   mutable elided : int array;
   mutable covered : int array;
-  counters : (string, int) Hashtbl.t;
   gauges : (string, int) Hashtbl.t;
   ring : event array;
   mutable ring_start : int;   (* index of the oldest event *)
@@ -67,7 +66,6 @@ let create () = {
   executed = [||];
   elided = [||];
   covered = [||];
-  counters = Hashtbl.create 16;
   gauges = Hashtbl.create 16;
   ring = Array.make ring_capacity dummy_event;
   ring_start = 0;
@@ -104,24 +102,9 @@ let bump_covered t site =
 
 let site_get arr site = if site < Array.length arr then arr.(site) else 0
 
-let executed t site = site_get t.executed site
-let elided t site = site_get t.elided site
-let covered t site = site_get t.covered site
-
-(* --- named counters and gauges --------------------------------------------- *)
-
-let add_counter t key n =
-  match Hashtbl.find_opt t.counters key with
-  | Some v -> Hashtbl.replace t.counters key (v + n)
-  | None -> Hashtbl.replace t.counters key n
-
-let counter t key =
-  match Hashtbl.find_opt t.counters key with Some v -> v | None -> 0
+(* --- named gauges ---------------------------------------------------------- *)
 
 let set_gauge t key v = Hashtbl.replace t.gauges key v
-
-let gauge t key =
-  match Hashtbl.find_opt t.gauges key with Some v -> v | None -> 0
 
 (* --- the event ring -------------------------------------------------------- *)
 
@@ -156,7 +139,7 @@ module Snapshot = struct
 
   type nonrec t = {
     sites : site_row list;          (* sorted by site id, nonzero rows *)
-    counters : (string * int) list; (* sorted by key *)
+    counters : (string * int) list; (* sorted by key; only merges add *)
     gauges : (string * int) list;   (* sorted by key *)
     events : event list;            (* oldest first *)
     dropped : int;
@@ -186,7 +169,7 @@ module Snapshot = struct
     done;
     {
       sites = !sites;
-      counters = sorted_assoc t.counters;
+      counters = [];
       gauges = sorted_assoc t.gauges;
       events = events t;
       dropped = t.dropped;

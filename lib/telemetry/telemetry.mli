@@ -14,8 +14,6 @@ type event = { ev_kind : event_kind; ev_a : int; ev_b : int }
 (** Kind-specific payloads: [Alloc (addr, size)], [Free (addr, 0)],
     [Check_fail (site, addr)], [Strip (addr, tag)]. *)
 
-val event_kind_name : event_kind -> string
-
 val ring_capacity : int
 (** Compile-time capacity of the event ring. *)
 
@@ -34,23 +32,14 @@ val create : unit -> t
 val bump_executed : t -> int -> unit
 val bump_elided : t -> int -> unit
 val bump_covered : t -> int -> unit
-val executed : t -> int -> int
-val elided : t -> int -> int
-val covered : t -> int -> int
 
-(** {1 Named counters and gauges} *)
+(** {1 Named gauges} *)
 
-val add_counter : t -> string -> int -> unit
-val counter : t -> string -> int
 val set_gauge : t -> string -> int -> unit
-
-val gauge : t -> string -> int
 
 (** {1 Event ring} *)
 
 val record : t -> event_kind -> int -> int -> unit
-val events : t -> event list
-(** Oldest first. *)
 
 module Snapshot : sig
   type site_row = {
@@ -62,7 +51,8 @@ module Snapshot : sig
 
   type t = {
     sites : site_row list;  (** sorted by site id; all-zero rows omitted *)
-    counters : (string * int) list;  (** sorted by key *)
+    counters : (string * int) list;
+        (** sorted by key; empty from {!capture}, filled only by {!merge} *)
     gauges : (string * int) list;  (** sorted by key *)
     events : event list;  (** oldest first *)
     dropped : int;

@@ -175,10 +175,6 @@ val telemetry_covered : string
 
 val is_telemetry_marker : string -> bool
 
-val func_size : func -> int
-(** Instruction count (terminators included); telemetry markers are
-    bookkeeping, not code, and are excluded. *)
-
 val module_size : modul -> int
 
 val site_origins : modul -> (int * string) list

@@ -2,9 +2,5 @@
     Figure 4 demonstration. *)
 
 val pp_opnd : Format.formatter -> Ir.opnd -> unit
-val pp_instr : Format.formatter -> Ir.instr -> unit
-val pp_term : Format.formatter -> Ir.term -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_module : Format.formatter -> Ir.modul -> unit
 val func_to_string : Ir.func -> string
 val module_to_string : Ir.modul -> string

@@ -2,9 +2,6 @@
     -O2 model.  Without it every [i++] would be a checkable memory
     access and the sanitizer overhead comparison would be meaningless. *)
 
-val promote_func : Ir.func -> int
-(** Promotes one function's slots; returns the number promoted. *)
-
 val run : Ir.modul -> int
 (** Safety analysis + promotion over every defined function, then a
     re-analysis for consumers.  Returns the total slots promoted. *)

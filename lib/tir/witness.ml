@@ -32,14 +32,3 @@ type t = {
   w_temporal : bool;     (* claimed: no free of the object reaches here *)
   w_escapes : bool;      (* claimed escape status (must be false) *)
 }
-
-let kind_to_string = function
-  | Welide -> "elide"
-  | Wdowngrade -> "downgrade"
-
-let pp fmt w =
-  Fmt.pf fmt "site %d in %s: %s r%d size %d obj %s off [%d,%d] objsize %d%s%s"
-    w.w_site w.w_func (kind_to_string w.w_kind) w.w_reg w.w_size w.w_obj
-    w.w_lo w.w_hi w.w_objsize
-    (if w.w_temporal then " temporal-safe" else "")
-    (if w.w_escapes then " ESCAPES" else "")

@@ -24,6 +24,3 @@ type t = {
   w_temporal : bool;
   w_escapes : bool;
 }
-
-val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

@@ -16,14 +16,7 @@ type t = {
   mutable recycles : int;   (** allocations served from a free list *)
 }
 
-val header_size : int
-val magic_alloc : int
-val magic_free : int
-
 val create : Memory.t -> t
-
-val round_size : int -> int
-(** 16-byte granules up to 4 KiB, then page-rounded. *)
 
 val malloc : t -> int -> int
 (** Returns the payload address; traps when the simulated heap is

@@ -6,10 +6,7 @@
    the default allocator.  The per-event values below are rough x86-64
    latencies for the instruction sequences each tool actually emits. *)
 
-let mov = 1
 let alu = 1
-let cmp = 1
-let gep = 1
 let load = 3
 let store = 3
 let call = 5              (* call/ret pair plus frame setup *)

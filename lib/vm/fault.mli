@@ -32,8 +32,6 @@ val none : unit -> t
 
 val of_specs : ?seed:int -> spec list -> t
 
-val apply : t -> spec -> unit
-
 val clone : t -> t
 (** Same configuration and seed, zeroed budget/telemetry counters.
     [State.create] clones its injector so runs sharing one [t] never

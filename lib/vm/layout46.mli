@@ -3,7 +3,6 @@
     pointer tagging (2^17 metadata entries).  See DESIGN.md section 1
     for the substitution argument. *)
 
-val addr_bits : int    (* 46 *)
 val va_limit : int     (* 2^46 *)
 val addr_mask : int    (* va_limit - 1 *)
 
@@ -23,7 +22,6 @@ val tags_base : int    (* sanitizer area: HWASan tag memory *)
 val meta_base : int    (* sanitizer area: CECSan metadata table *)
 val aux_base : int     (* sanitizer area: GPT and friends *)
 
-val meta_entry_bytes : int  (* 24: low bound, high bound, nextID *)
 val meta_entry : int -> int
 (** [meta_entry i] is the address of metadata entry [i]: its low bound
     at +0, high bound at +8, nextID at +16.  An entry's bounds may sit on

@@ -42,8 +42,6 @@ val register_extern : t -> string -> (State.t -> int array -> int) -> unit
     body in any linked unit (a library the program was linked against at
     run time). *)
 
-val global_addr : t -> string -> int
-
 val run : ?entry:string -> ?backend:backend -> ?fuel:Tir.Fuel.t -> t -> outcome
 (** Runs [entry] (default ["main"]) under [backend] (default [Interp]);
     all terminations funnel into [outcome].  [fuel] meters jit

@@ -331,16 +331,6 @@ let write_string mem a s =
   done;
   store_byte mem (a + n) 0
 
-(* wide strings: 4-byte elements *)
-let wcslen mem a =
-  let rec go k =
-    if k > 1 lsl 22 then
-      Report.trap ~addr:a Report.Segfault ~detail:"unterminated wide string"
-    else if load mem (a + (4 * k)) 4 = 0 then k
-    else go (k + 1)
-  in
-  go 0
-
 let resident_bytes mem = mem.resident_pages * Layout46.page_size
 let program_bytes mem =
   (mem.resident_pages - mem.sanitizer_pages) * Layout46.page_size

@@ -99,7 +99,6 @@ val read_len : t -> int -> int -> string
     (page-chunked; no NUL scan, no mapping check). *)
 
 val write_string : t -> int -> string -> unit
-val wcslen : t -> int -> int
 
 val resident_bytes : t -> int
 (** All touched pages, in bytes. *)

@@ -41,11 +41,6 @@ type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 exception Bug of t
 exception Trap of trap
 
-let bug ?(addr = 0) ?(site = -1) ?(detail = "") ~by kind =
-  raise
-    (Bug { r_kind = kind; r_addr = addr; r_site = site; r_by = by;
-           r_detail = detail })
-
 let trap ?(addr = 0) ?(detail = "") kind =
   raise (Trap { t_kind = kind; t_addr = addr; t_detail = detail })
 
@@ -78,7 +73,6 @@ let make_sink ?(policy = Halt) () =
 let sink_reports s = List.rev s.recorded_rev
 let sink_recorded s = s.n_recorded
 let sink_suppressed s = s.suppressed
-let recovering s = match s.policy with Halt -> false | Recover _ -> true
 
 let kind_to_string = function
   | Oob_read -> "out-of-bounds-read"

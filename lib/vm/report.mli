@@ -42,10 +42,6 @@ type trap = { t_kind : trap_kind; t_addr : int; t_detail : string }
 exception Bug of t
 exception Trap of trap
 
-val bug : ?addr:int -> ?site:int -> ?detail:string -> by:string ->
-  bug_kind -> 'a
-(** Raises [Bug]. *)
-
 val trap : ?addr:int -> ?detail:string -> trap_kind -> 'a
 (** Raises [Trap]. *)
 
@@ -81,7 +77,6 @@ val sink_reports : sink -> t list
 
 val sink_recorded : sink -> int
 val sink_suppressed : sink -> int
-val recovering : sink -> bool
 
 val kind_to_string : bug_kind -> string
 val trap_kind_to_string : trap_kind -> string

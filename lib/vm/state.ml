@@ -23,8 +23,8 @@ type t = {
      private clone of the injector passed to [create], so shared
      injector values never race or accumulate across runs *)
   fault : Fault.t;
-  (* always-on runtime telemetry: per-check-site counters, named
-     counters/gauges (surfaced by the driver and --stats), event ring *)
+  (* always-on runtime telemetry: per-check-site counters, named gauges
+     (surfaced by the driver and --stats), event ring *)
   telem : Telemetry.t;
 }
 
@@ -56,19 +56,15 @@ let create ?(cycle_budget = default_budget) ?(seed = 0x5EED)
   }
 
 (* Submits a sanitizer finding through the run's sink.  Under [Halt]
-   this raises like [Report.bug] always did; under [Recover] it records
-   and returns, and the caller must repair the operation and continue. *)
+   this raises [Report.Bug]; under [Recover] it records and returns,
+   and the caller must repair the operation and continue. *)
 let report st ?addr ?site ?detail ~by kind =
   Telemetry.record st.telem Telemetry.Check_fail
     (match site with Some s -> s | None -> -1)
     (match addr with Some a -> a | None -> 0);
   Report.submit st.sink ?addr ?site ?detail ~by kind
 
-let recovering st = Report.recovering st.sink
-
 let set_stat st key v = Telemetry.set_gauge st.telem key v
-
-let stat st key = Telemetry.gauge st.telem key
 
 let tick st c =
   st.cycles <- st.cycles + c;

@@ -42,11 +42,7 @@ val report : t -> ?addr:int -> ?site:int -> ?detail:string -> by:string ->
     records and returns under [Recover] (the caller must then repair the
     operation and continue). *)
 
-val recovering : t -> bool
-(** True when the sink's policy is [Recover]. *)
-
 val set_stat : t -> string -> int -> unit
-val stat : t -> string -> int
 
 val tick : t -> int -> unit
 (** Advances the clock; raises [Report.Trap Out_of_cycles] past the

@@ -53,8 +53,6 @@ type t = {
 val max_call_depth : int
 (** Recursion bound enforced identically by both backends. *)
 
-val align_up : int -> int -> int
-
 val resolve : modul -> t
 (** One full resolution pass; prefer {!resolve_cached}. *)
 

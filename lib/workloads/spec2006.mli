@@ -13,10 +13,5 @@ type t = {
 val perlbench : t   (* string interning, heavy allocator churn *)
 val gcc : t         (* tokenizer + recursive-descent constant folder *)
 val mcf : t         (* relaxation over a big arc array: pointer chasing *)
-val dealii : t      (* fixed-point Jacobi sweeps + scratch churn *)
-val sjeng : t       (* alpha-beta negamax with a 1 MiB static book *)
-val libquantum : t  (* quantum register simulation, growing reallocs *)
-val lbm : t         (* two-buffer stencil streaming *)
-val omnetpp : t     (* discrete-event simulation, small-object churn *)
 
 val all : t list

@@ -8,13 +8,6 @@ type t = Spec2006.t = {
   w_expected : int;
 }
 
-val perlbench_s : t
-val gcc_s : t
-val mcf_s : t
-val lbm_s : t
-val omnetpp_s : t   (* the quarantine-blowup extreme *)
 val xalancbmk_s : t
-val deepsjeng_s : t
-val x264_s : t
 
 val all : t list

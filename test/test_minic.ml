@@ -15,6 +15,13 @@ let check_err name src =
       | (_ : Sema.checked) -> Alcotest.failf "expected a sema error"
       | exception Sema.Error _ -> ())
 
+(* [check_err] that also pins the error's line *)
+let check_err_line name src line =
+  Alcotest.test_case name `Quick (fun () ->
+      match Sema.parse_and_check src with
+      | (_ : Sema.checked) -> Alcotest.failf "expected a sema error"
+      | exception Sema.Error (_, l) -> Alcotest.(check int) "line" line l)
+
 let lexer_tests =
   let count name src expected =
     Alcotest.test_case name `Quick (fun () ->
@@ -166,6 +173,96 @@ let sema_error_tests =
     check_err "assignment to array"
       "int main() { int a[3]; int b[3]; a = b; return 0; }";
     check_err "zero-size array" "int main() { int a[0]; return 0; }";
+    (* the top-level [struct] lookahead stops at the end of the tokens *)
+    check_err_line "struct at end of input" "int x; struct" 1;
+    (* every use whose size Lower asks [Layout] for names a defined
+       struct *)
+    check_err_line "sizeof undefined struct"
+      "int g;\nint main() {\n  return sizeof(struct Q);\n}" 3;
+    check_err_line "sizeof of an undefined struct value"
+      "int main() {\n  struct Q *p = 0;\n  return sizeof(*p);\n}" 3;
+    check_err_line "step over an undefined struct"
+      "struct Q *p;\nint main() {\n  p = p + 1;\n  return 0;\n}" 3;
+    check_err_line "increment over an undefined struct"
+      "int main() {\n  struct Q *p = 0;\n  p++;\n  return 0;\n}" 3;
+    check_err_line "index over an undefined struct"
+      "struct Q *p;\nint main() {\n  return &p[1] != 0;\n}" 3;
+    check_err_line "copy of an undefined struct"
+      "int main() {\n  struct Q *p = 0;\n  *p = *p;\n  return 0;\n}" 3;
+    check_err_line "global of an undefined struct"
+      "int x;\nstruct Q g;\nint main() { return 0; }" 2;
+    check_err_line "parameter of an undefined struct"
+      "int x;\nint f(struct Q s) { return 0; }\nint main() { return 0; }" 2;
+  ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Seeded byte mutants of a source: a bit flip, a truncation, an
+   inserted punctuation byte, or a deleted span. *)
+let mutate rng src =
+  let n = String.length src in
+  let pos () = Random.State.int rng (n + 1) in
+  match Random.State.int rng 4 with
+  | 0 when n > 0 ->
+    let b = Bytes.of_string src and i = Random.State.int rng n in
+    Bytes.set b i
+      (Char.chr (Char.code src.[i] lxor (1 lsl Random.State.int rng 8)));
+    Bytes.to_string b
+  | 1 -> String.sub src 0 (pos ())
+  | 2 ->
+    let punct = ";,{}()[]*&.-><=!+\"'" in
+    let i = pos () in
+    String.sub src 0 i
+    ^ String.make 1 punct.[Random.State.int rng (String.length punct)]
+    ^ String.sub src i (n - i)
+  | _ ->
+    let i = pos () in
+    let j = min n (i + 1 + Random.State.int rng 16) in
+    String.sub src 0 i ^ String.sub src j (n - j)
+
+(* Every mutant either compiles or is rejected with a classified
+   front-end error: never another exception. *)
+let mutation_tests =
+  [
+    Alcotest.test_case "byte mutants compile or fail classified" `Quick
+      (fun () ->
+         let corpus =
+           Sys.readdir "corpus" |> Array.to_list
+           |> List.filter (fun f -> Filename.check_suffix f ".mc")
+           |> List.sort String.compare
+           |> List.map (fun f -> read_file (Filename.concat "corpus" f))
+         in
+         let kernels =
+           List.map (fun (w : Workloads.Spec2006.t) -> w.w_source)
+             Workloads.Spec2006.all
+           @ List.map (fun (w : Workloads.Spec2017.t) -> w.w_source)
+             Workloads.Spec2017.all
+         in
+         let sources = corpus @ kernels in
+         Alcotest.(check int) "sources" 32 (List.length sources);
+         let rng = Random.State.make [| 0xC0DE |] in
+         let total = ref 0 and rejected = ref 0 in
+         List.iter
+           (fun src ->
+              for _ = 1 to 200 do
+                let m = mutate rng src in
+                incr total;
+                match Sanitizer.Driver.compile m with
+                | (_ : Tir.Ir.modul) -> ()
+                | exception (Sema.Error _ | Tir.Lower.Error _) ->
+                  incr rejected
+                | exception e ->
+                  Alcotest.failf "raised %s on %S" (Printexc.to_string e) m
+              done)
+           sources;
+         Alcotest.(check bool) "at least 5000 mutants" true (!total >= 5000);
+         (* not vacuous: mutants exercise both outcomes *)
+         Alcotest.(check bool) "some rejected" true (!rejected > 0);
+         Alcotest.(check bool) "some compiled" true (!rejected < !total));
   ]
 
 let layout_tests =
@@ -207,4 +304,5 @@ let () =
       "parser", parser_tests;
       "sema-errors", sema_error_tests;
       "layout", layout_tests;
+      "mutation", mutation_tests;
     ]

@@ -386,6 +386,16 @@ let engine_tests =
          in
          Alcotest.(check string) "aggregate bytes identical across -j"
            json par_json);
+    Alcotest.test_case "malformed MiniC answers sema:" `Quick (fun () ->
+        (* a [struct] at the end of input and a [sizeof] of an undefined
+           struct are front-end errors, not internal ones *)
+        List.iter
+          (fun src ->
+             let r = analyze src in
+             let e = r.r_response.Serve.Protocol.rs_error in
+             if not (String.starts_with ~prefix:"sema:" e) then
+               Alcotest.failf "%S answered %S" src e)
+          [ "int x; struct"; "int main(){ return sizeof(struct Q); }" ]);
   ]
 
 (* --- compile_cached under server-shaped load ------------------------------- *)
